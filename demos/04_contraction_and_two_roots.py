@@ -1,11 +1,13 @@
 """The damped iteration, its contraction certificate, and a second root.
 
-The solver's workhorse is the map (x, y) -> (x + c1/k1, y + c2/k2): adding
+The paper's iteration is the map (x, y) -> (x + c1/k1, y + c2/k2): adding
 a small multiple of each edge condition to its own coordinate.  Both
 conditions decrease along their own coordinate near the root, so with
 damping constants above twice the steepest slope the map is a local
 contraction — something the package certifies numerically by sampling the
-Jacobian over a shrinking box around the solved root.
+Jacobian over a shrinking box around the solved root.  solve() itself
+finds the root by Newton's method; this damped map is the iteration the
+certificate is about, traced here next to the root solve() returns.
 
 The (2, 3) system also makes a nice cautionary tale: inside the full
 constraint box it has TWO roots, and only one of them survives the

@@ -55,7 +55,7 @@ from .model import (
     classify_vertex,
     normalize_params,
 )
-from .solver import SolverConfig, SolverMethod, SolveStatus
+from .solver import SolverConfig, SolveStatus
 
 EXIT_SOLVED = 0
 EXIT_NO_SOLUTION = 1
@@ -71,13 +71,6 @@ _STATUS_EXIT = {
 }
 
 _SOLVABLE = (RealizationClass.HYPERBOLIC_OUTER, RealizationClass.NO_PROPER_SOLUTION)
-
-_METHOD_BY_TOKEN = {
-    "fixed": SolverMethod.FIXED_POINT,
-    "newton": SolverMethod.NEWTON,
-    "oracle": SolverMethod.GRID_ORACLE,
-    "auto": SolverMethod.AUTO,
-}
 
 # The two vertex pairs whose mutual distances the geometry must equate; each
 # inner pair lists the two edges whose lengths are compared.
@@ -176,16 +169,13 @@ def _solver_options(func):
         click.option("--tol", type=float, default=1e-11, show_default=True,
                      help="Residual tolerance on both edge conditions."),
         click.option("--angle-tol", type=float, default=1e-12, show_default=True,
-                     help="Displacement tolerance for the angle iterates."),
+                     help="Newton stops once a step is at most this large."),
         click.option("--max-iter", type=int, default=2000, show_default=True,
-                     help="Iteration budget for the fixed-point stage."),
+                     help="Newton step budget."),
         click.option("--k1", type=float, default=None,
-                     help="Damping constant for the first condition (default: automatic)."),
+                     help="Certificate damping base for the first condition (default: automatic)."),
         click.option("--k2", type=float, default=None,
-                     help="Damping constant for the second condition (default: automatic)."),
-        click.option("--method", type=click.Choice(sorted(_METHOD_BY_TOKEN)),
-                     default="auto", show_default=True,
-                     help="Root-finding strategy."),
+                     help="Certificate damping base for the second condition (default: automatic)."),
     ]
     for option in reversed(options):
         func = option(func)
@@ -205,15 +195,17 @@ def _degrees_option(func):
     )(func)
 
 
-def _make_config(tol, angle_tol, max_iter, k1, k2, method) -> SolverConfig:
-    return SolverConfig(
-        tolerance=tol,
-        angle_tolerance=angle_tol,
-        max_iterations=max_iter,
-        k1=k1,
-        k2=k2,
-        method=_METHOD_BY_TOKEN[method],
-    )
+def _make_config(tol, angle_tol, max_iter, k1, k2) -> SolverConfig:
+    try:
+        return SolverConfig(
+            tolerance=tol,
+            angle_tolerance=angle_tol,
+            max_iterations=max_iter,
+            k1=k1,
+            k2=k2,
+        )
+    except ValueError as exc:
+        _fail(str(exc), EXIT_INVALID_PARAMS)
 
 
 def _b_max_field(a: int) -> object:
@@ -331,10 +323,10 @@ def _solve_row(params: SimplexParams, report, degrees: bool) -> list:
 @_solver_options
 @_format_option
 @_degrees_option
-def cmd_solve(a, b, tol, angle_tol, max_iter, k1, k2, method, fmt, degrees) -> None:
+def cmd_solve(a, b, tol, angle_tol, max_iter, k1, k2, fmt, degrees) -> None:
     """Solve the edge-condition system for the pair (A, B)."""
     params = _normalized(a, b)
-    config = _make_config(tol, angle_tol, max_iter, k1, k2, method)
+    config = _make_config(tol, angle_tol, max_iter, k1, k2)
     try:
         report = solver_lib.solve(params, config)
     except (InvalidClass, InvalidParams) as exc:
@@ -374,7 +366,7 @@ def _table_row(a: int, b: int, cls: RealizationClass, report, degrees: bool) -> 
 @_format_option
 @_degrees_option
 def cmd_table(a_range, b_range, b_upto, tol, angle_tol, max_iter, k1, k2,
-              method, fmt, degrees) -> None:
+              fmt, degrees) -> None:
     """Tabulate solved angles over a parameter range."""
     a_lo, a_hi = _parse_range(a_range, "a")
     if a_lo < 1:
@@ -388,7 +380,7 @@ def cmd_table(a_range, b_range, b_upto, tol, angle_tol, max_iter, k1, k2,
         except ValueError:
             _fail(f'cannot parse --b-upto value {b_upto!r}; expected an '
                   'integer or "bmax"', EXIT_INVALID_PARAMS)
-    config = _make_config(tol, angle_tol, max_iter, k1, k2, method)
+    config = _make_config(tol, angle_tol, max_iter, k1, k2)
     rows = []
     diverged = False
     for a in range(a_lo, a_hi + 1):

@@ -2,19 +2,20 @@
 
 The solve pipeline is: gate on the realization class, decide solvability
 from the sign of the corner value, then locate the root of the two edge
-conditions inside the reduced domain box by a damped fixed-point iteration
-polished with Newton steps, and finally verify the solved angles
+conditions by Newton's method with the analytic Jacobian, started from the
+centre of the reduced domain box, and finally verify the solved angles
 geometrically (positivity, determinant sign, vertex classes, inverse-matrix
 sign pattern).  A grid-based oracle provides an independent root locator
-used both as a fallback and for cross-checking, and a sampled contraction
-estimate certifies the fixed-point map on a box around the root.
+for cross-checking, and a sampled contraction estimate certifies the
+paper's damped fixed-point map on a box around the root.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from math import hypot, pi
+from dataclasses import dataclass
+from math import hypot, isfinite, pi
+from numbers import Real
 
 import numpy as np
 
@@ -42,19 +43,11 @@ from .model import (
 
 CORNER_ZERO_TOL = 1e-12
 ORACLE_RESIDUAL_TOL = 1e-9
-FD_STEP = 1e-7
 CONTRACTION_SAFETY = 1.1
 CONTRACTION_GRID = 200
 _K_SCHEDULE = (1.0, 1.5, 2.0, 3.0, 5.0)
 _LOCAL_RADIUS_START = 0.02
 _LOCAL_RADIUS_MIN = 1e-5
-
-
-class SolverMethod(enum.Enum):
-    FIXED_POINT = "FixedPoint"
-    NEWTON = "Newton"
-    GRID_ORACLE = "GridOracle"
-    AUTO = "Auto"
 
 
 class SolveStatus(enum.Enum):
@@ -99,14 +92,32 @@ class DomainBox:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable knobs for solve(); the defaults suit every admissible pair."""
+    """Tunable knobs for solve(); the defaults suit every admissible pair.
+
+    Newton stops once a step is at most ``angle_tolerance`` and succeeds
+    only if both residuals are then below ``tolerance``; it takes at most
+    ``max_iterations`` steps.  ``k1`` and ``k2`` fix the damping base of
+    the contraction certificate (default: derived from the sampled slopes).
+    Raises ValueError for a value outside those meanings.
+    """
 
     tolerance: float = 1e-11
     angle_tolerance: float = 1e-12
     max_iterations: int = 2000
     k1: float | None = None
     k2: float | None = None
-    method: SolverMethod = SolverMethod.AUTO
+
+    def __post_init__(self) -> None:
+        for name in ("tolerance", "angle_tolerance", "k1", "k2"):
+            value = getattr(self, name)
+            if value is None and name in ("k1", "k2"):
+                continue
+            if not (isinstance(value, Real) and isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
+        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+            raise ValueError(
+                f"max_iterations must be an int of at least 1, got {self.max_iterations!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -181,17 +192,6 @@ def _eval_conditions(alpha1: float, beta1: float, a: int, b: int) -> tuple[float
     )
 
 
-def _auto_damping(params: SimplexParams, box: DomainBox, resolution: int = 64) -> tuple[float, float]:
-    """Damping constants k = 2 * sup |directional derivative| over the box."""
-    a, b = params.a, params.b
-    al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution)
-    be = np.linspace(box.beta1_lo, box.beta1_hi, resolution)
-    aa, bb = np.meshgrid(al, be, indexing="ij")
-    sup1 = float(np.max(np.abs(edge_condition1_deriv_raw(aa, bb, a, b))))
-    sup2 = float(np.max(np.abs(edge_condition2_deriv_raw(aa, bb, a, b))))
-    return max(2.0 * sup1, 1e-3), max(2.0 * sup2, 1e-3)
-
-
 def estimate_contraction(
     params: SimplexParams,
     box: DomainBox | None = None,
@@ -259,7 +259,11 @@ def _local_certificate(
 def contraction_map(
     params: SimplexParams, box: DomainBox, k1: float, k2: float
 ) -> "callable":
-    """The damped, box-clamped update map used by the fixed-point iteration."""
+    """The paper's damped, box-clamped update map.
+
+    Its fixed point is the root; estimate_contraction certifies this map.
+    solve() itself runs Newton's method.
+    """
     a, b = params.a, params.b
 
     def step(alpha1: float, beta1: float) -> tuple[float, float]:
@@ -269,63 +273,49 @@ def contraction_map(
     return step
 
 
-def _newton_polish(
-    params: SimplexParams,
-    start: tuple[float, float],
-    config: SolverConfig,
-    max_steps: int = 40,
+def _jacobian(
+    alpha1: float, beta1: float, a: int, b: int
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Analytic Jacobian of (cond1, cond2) with respect to (alpha1, beta1)."""
+    return (
+        (
+            float(edge_condition1_deriv_raw(alpha1, beta1, a, b)),
+            float(edge_condition1_cross_deriv_raw(alpha1, beta1, a, b)),
+        ),
+        (
+            float(edge_condition2_cross_deriv_raw(alpha1, beta1, a, b)),
+            float(edge_condition2_deriv_raw(alpha1, beta1, a, b)),
+        ),
+    )
+
+
+def _newton(
+    params: SimplexParams, start: tuple[float, float], config: SolverConfig
 ) -> tuple[tuple[float, float], int, bool]:
-    """Finite-difference Newton refinement; returns (point, steps, converged)."""
+    """Newton's method on both edge conditions; returns (point, steps, converged).
+
+    Stops once a step is at most config.angle_tolerance in both coordinates
+    and converges only if both residuals are then below config.tolerance.
+    A singular or non-finite Jacobian or step ends it unconverged at the
+    last finite iterate.
+    """
     a, b = params.a, params.b
     x, y = start
-    h = FD_STEP
-    best = (x, y)
-    best_res = max(abs(v) for v in _eval_conditions(x, y, a, b))
-    for step in range(1, max_steps + 1):
+    for step in range(1, config.max_iterations + 1):
         f1, f2 = _eval_conditions(x, y, a, b)
-        if max(abs(f1), abs(f2)) < config.tolerance:
-            return (x, y), step - 1, True
-        j11 = (edge_condition1_raw(x + h, y, a, b) - edge_condition1_raw(x - h, y, a, b)) / (2 * h)
-        j12 = (edge_condition1_raw(x, y + h, a, b) - edge_condition1_raw(x, y - h, a, b)) / (2 * h)
-        j21 = (edge_condition2_raw(x + h, y, a, b) - edge_condition2_raw(x - h, y, a, b)) / (2 * h)
-        j22 = (edge_condition2_raw(x, y + h, a, b) - edge_condition2_raw(x, y - h, a, b)) / (2 * h)
+        (j11, j12), (j21, j22) = _jacobian(x, y, a, b)
         det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-300 or not np.isfinite(det):
-            break
+        if det == 0.0 or not isfinite(det):
+            return (x, y), step - 1, False
         dx = (f1 * j22 - f2 * j12) / det
         dy = (j11 * f2 - j21 * f1) / det
+        if not (isfinite(dx) and isfinite(dy)):
+            return (x, y), step - 1, False
         x, y = x - dx, y - dy
-        if not (np.isfinite(x) and np.isfinite(y)):
-            return best, step, False
-        res = max(abs(v) for v in _eval_conditions(x, y, a, b))
-        if res < best_res:
-            best, best_res = (x, y), res
-        if max(abs(dx), abs(dy)) < config.angle_tolerance and res < config.tolerance:
-            return (x, y), step, True
-    x, y = best
-    f1, f2 = _eval_conditions(x, y, a, b)
-    return (x, y), max_steps, max(abs(f1), abs(f2)) < config.tolerance
-
-
-def _fixed_point(
-    params: SimplexParams, box: DomainBox, config: SolverConfig
-) -> tuple[tuple[float, float], int]:
-    k1 = config.k1
-    k2 = config.k2
-    if k1 is None or k2 is None:
-        auto1, auto2 = _auto_damping(params, box)
-        k1 = k1 if k1 is not None else auto1
-        k2 = k2 if k2 is not None else auto2
-    step = contraction_map(params, box, k1, k2)
-    x, y = box.center
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        xn, yn = step(x, y)
-        disp = max(abs(xn - x), abs(yn - y))
-        x, y = xn, yn
-        if disp < config.angle_tolerance:
-            break
-    return (x, y), iterations
+        if max(abs(dx), abs(dy)) <= config.angle_tolerance:
+            r1, r2 = _eval_conditions(x, y, a, b)
+            return (x, y), step, max(abs(r1), abs(r2)) < config.tolerance
+    return (x, y), config.max_iterations, False
 
 
 def _bisect_1d(func, lo: float, hi: float, steps: int = 100) -> float | None:
@@ -360,7 +350,7 @@ def _cell_root(
 
     Tries nested bisection in both orientations (inner root of one
     condition along one coordinate, outer bisection of the other condition
-    along the other), then falls back to a Newton start at the cell center.
+    along the other), then falls back to Newton from the cell center.
     """
     a, b = params.a, params.b
 
@@ -399,7 +389,7 @@ def _cell_root(
                 return alpha, bt
 
     center = (0.5 * (alo + ahi), 0.5 * (blo + bhi))
-    (x, y), _, converged = _newton_polish(params, center, config)
+    (x, y), _, converged = _newton(params, center, config)
     diag = hypot(ahi - alo, bhi - blo)
     if converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag:
         return x, y
@@ -445,7 +435,7 @@ def grid_oracle(
         found = _cell_root(params, al[i], al[i + 1], be[j], be[j + 1], cfg)
         if found is None:
             continue
-        (x, y), _, _ = _newton_polish(params, found, cfg)
+        (x, y), _, _ = _newton(params, found, cfg)
         r1, r2 = _eval_conditions(x, y, a, b)
         if max(abs(r1), abs(r2)) >= ORACLE_RESIDUAL_TOL:
             continue
@@ -478,16 +468,6 @@ def check_properness(params: SimplexParams, angles: DihedralAngles) -> Propernes
     return PropernessReport(angles_positive, determinant_negative, vertices_outer, gram_ok)
 
 
-def _jacobian_det(params: SimplexParams, alpha1: float, beta1: float) -> float:
-    a, b = params.a, params.b
-    h = FD_STEP
-    j11 = (edge_condition1_raw(alpha1 + h, beta1, a, b) - edge_condition1_raw(alpha1 - h, beta1, a, b)) / (2 * h)
-    j12 = (edge_condition1_raw(alpha1, beta1 + h, a, b) - edge_condition1_raw(alpha1, beta1 - h, a, b)) / (2 * h)
-    j21 = (edge_condition2_raw(alpha1 + h, beta1, a, b) - edge_condition2_raw(alpha1 - h, beta1, a, b)) / (2 * h)
-    j22 = (edge_condition2_raw(alpha1, beta1 + h, a, b) - edge_condition2_raw(alpha1, beta1 - h, a, b)) / (2 * h)
-    return float(j11 * j22 - j12 * j21)
-
-
 def _improper_scan(
     params: SimplexParams, proper: tuple[float, float], config: SolverConfig
 ) -> tuple[tuple[float, float], ...]:
@@ -505,7 +485,8 @@ def _improper_scan(
     for root in grid_oracle(params, resolution=400, box=full, config=config):
         if hypot(root.alpha1 - proper[0], root.beta1 - proper[1]) < 1e-6:
             continue
-        if abs(_jacobian_det(params, root.alpha1, root.beta1)) < 1e-8:
+        (j11, j12), (j21, j22) = _jacobian(root.alpha1, root.beta1, a, b)
+        if abs(j11 * j22 - j12 * j21) < 1e-8:
             continue
         extras.append((float(root.alpha1), float(root.beta1)))
     return tuple(extras)
@@ -545,7 +526,9 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
     vertices out of the absolute or as the unsolvable remainder; the
     boundary between those two (corner value exactly zero, which the float
     evaluation attains to machine precision) reports the degenerate corner
-    root as a boundary solution.
+    root as a boundary solution.  Otherwise Newton runs from the domain
+    box centre, and the result is DIVERGED unless it converges inside the
+    box.
     """
     cfg = config or SolverConfig()
     cls = classify_realization(params)
@@ -579,46 +562,15 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
         )
 
     box = domain_for(params)
-    method = cfg.method
-
-    def try_fixed_point() -> SolveReport | None:
-        point, iters = _fixed_point(params, box, cfg)
-        polished, extra, converged = _newton_polish(params, point, cfg)
-        if converged and box.contains(*polished, slack=1e-6):
-            return _solved_report(params, polished, iters + extra, cfg)
-        return None
-
-    def try_newton() -> SolveReport | None:
-        polished, steps, converged = _newton_polish(params, box.center, cfg)
-        if converged and box.contains(*polished, slack=1e-6):
-            return _solved_report(params, polished, steps, cfg)
-        return None
-
-    def try_grid() -> SolveReport | None:
-        for resolution in (200, 400):
-            for root in grid_oracle(params, resolution=resolution, box=box, config=cfg):
-                point = (root.alpha1, root.beta1)
-                angles = DihedralAngles.from_reduced(params, *point)
-                if check_properness(params, angles).all_pass:
-                    return _solved_report(params, point, 0, cfg)
-        return None
-
-    attempts = {
-        SolverMethod.FIXED_POINT: (try_fixed_point,),
-        SolverMethod.NEWTON: (try_newton,),
-        SolverMethod.GRID_ORACLE: (try_grid,),
-        SolverMethod.AUTO: (try_fixed_point, try_newton, try_grid),
-    }[method]
-    for attempt in attempts:
-        report = attempt()
-        if report is not None:
-            return report
+    root, steps, converged = _newton(params, box.center, cfg)
+    if converged and box.contains(*root):
+        return _solved_report(params, root, steps, cfg)
     return SolveReport(
         status=SolveStatus.DIVERGED,
         angles=None,
         residual_cond1=None,
         residual_cond2=None,
-        iterations=cfg.max_iterations,
+        iterations=steps,
         contraction_norm_estimate=None,
         properness=None,
     )

@@ -12,6 +12,12 @@ is under-converged: most rows carry absolute errors between 1e-5 and 3e-3
 against the true roots, so tests that compare against it at tight
 tolerances are expected to fail and say so.  See /root/notes/decisions.md
 (outside the package) for the full evidence trail.
+
+LARGE_A_ROOTS holds regression rows for large first parameters, where
+the edge conditions shrink with a and an absolute residual test alone
+leaves errors of up to 3e-7.  The values are the 50-digit roots of
+bench/refs.json, produced by bench/regen_refs.py with mpmath, rounded to
+double precision.
 """
 
 # (a, b) -> (alpha1, beta1), correct to ~1 ulp.
@@ -74,6 +80,16 @@ LEGACY_TABLE = {
     (6, 10): (0.4769213, 8.873422e-02),
     (6, 11): (0.4958152, 5.269175e-02),
     (6, 12): (0.5119572, 2.248575e-02),
+}
+
+# (a, b) -> (alpha1, beta1), from bench/refs.json.
+LARGE_A_ROOTS = {
+    (40, 80): (0.07849942317544166, 8.066212960380824e-05),
+    (80, 156): (0.03892918108309172, 0.0006811962002054319),
+    (80, 160): (0.03926486092951965, 1.009059196569274e-05),
+    (200, 381): (0.015446523480215892, 0.0005228484245520516),
+    (200, 391): (0.015587116517947246, 0.00024167882436654502),
+    (200, 400): (0.015707640279263586, 6.459375285464469e-07),
 }
 
 # Second root of the (2, 3) system inside the full constraint box; it fails

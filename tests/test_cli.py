@@ -107,7 +107,7 @@ class TestSolveCommand:
     def test_diverged_exit_code(self, runner):
         result = run(
             runner, "solve", 2, 4,
-            "--tol", "1e-40", "--max-iter", "50", "--method", "fixed",
+            "--tol", "1e-40", "--max-iter", "50",
         )
         assert result.exit_code == 3
         (row,) = json_lines(result)
@@ -134,14 +134,20 @@ class TestSolveCommand:
         assert float(token) == row["alpha1"]
         assert len(token.replace("-", "").replace(".", "").split("e")[0].lstrip("0")) >= 15
 
-    def test_method_flag(self, runner):
-        for method in ("fixed", "newton", "oracle", "auto"):
-            result = run(runner, "solve", 2, 5, "--method", method)
-            assert result.exit_code == 0, method
-
     def test_explicit_damping(self, runner):
         result = run(runner, "solve", 2, 5, "--k1", "20", "--k2", "20")
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("option, value", [
+        ("--k1", "0"), ("--k2", "nan"), ("--tol", "-1"), ("--angle-tol", "0"),
+        ("--max-iter", "0"),
+    ])
+    def test_invalid_config_exit_code(self, runner, option, value):
+        for command in (["solve", 2, 4], ["table", "--a", "2..2"]):
+            result = run(runner, *command, option, value)
+            assert result.exit_code == 2, (command, option)
+            assert result.stdout == ""
+            assert "error:" in result.stderr, (command, option)
 
 
 class TestTableCommand:

@@ -12,7 +12,6 @@ from hypsimplex import (
     SimplexParams,
     SolveStatus,
     SolverConfig,
-    SolverMethod,
     check_properness,
     contraction_map,
     domain_for,
@@ -21,7 +20,7 @@ from hypsimplex import (
     solve,
 )
 
-from oracles import IMPROPER_ROOT_23, TRUE_ROOTS
+from oracles import IMPROPER_ROOT_23, LARGE_A_ROOTS, TRUE_ROOTS
 
 ROOT_TOL = 5e-10
 
@@ -94,16 +93,25 @@ class TestSolveRegression:
 class TestSolveMethodsAgree:
     @pytest.mark.parametrize("pair", [(2, 4), (3, 6), (5, 9)])
     def test_all_methods_find_the_same_root(self, pair):
+        """solve() and the independent grid oracle find the same root."""
         params = SimplexParams(*pair)
-        results = {}
-        for method in (SolverMethod.FIXED_POINT, SolverMethod.NEWTON, SolverMethod.GRID_ORACLE):
-            report = solve(params, SolverConfig(method=method))
-            assert report.status is SolveStatus.SOLVED, method
-            results[method] = (report.angles.alpha1, report.angles.beta1)
-        values = list(results.values())
-        for other in values[1:]:
-            assert other[0] == pytest.approx(values[0][0], abs=1e-9)
-            assert other[1] == pytest.approx(values[0][1], abs=1e-9)
+        report = solve(params)
+        assert report.status is SolveStatus.SOLVED
+        (root,) = grid_oracle(params)
+        assert root.alpha1 == pytest.approx(report.angles.alpha1, abs=1e-9)
+        assert root.beta1 == pytest.approx(report.angles.beta1, abs=1e-9)
+
+
+class TestLargeA:
+    @pytest.mark.parametrize("pair", sorted(LARGE_A_ROOTS))
+    def test_matches_reference_roots(self, pair):
+        report = solve(SimplexParams(*pair))
+        assert report.status is SolveStatus.SOLVED
+        assert report.properness.all_pass
+        got = (report.angles.alpha1, report.angles.beta1)
+        for value, want in zip(got, LARGE_A_ROOTS[pair]):
+            assert abs(value - want) <= 1e-9, pair
+            assert abs(value - want) <= 1e-6 * abs(want), pair
 
 
 class TestSolveStatuses:
@@ -130,10 +138,38 @@ class TestSolveStatuses:
     def test_unreachable_tolerance_diverges(self):
         report = solve(
             SimplexParams(2, 4),
-            SolverConfig(tolerance=1e-40, max_iterations=50, method=SolverMethod.FIXED_POINT),
+            SolverConfig(tolerance=1e-40, max_iterations=50),
         )
         assert report.status is SolveStatus.DIVERGED
         assert report.angles is None
+
+    def test_angles_are_python_floats(self):
+        for pair in ((2, 4), (3, 8), (2, 8)):
+            angles = solve(SimplexParams(*pair)).angles
+            assert all(type(v) is float for v in angles.as_tuple()), pair
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("name", ["tolerance", "angle_tolerance"])
+    @pytest.mark.parametrize("value", [0.0, -1e-12, float("nan"), float("inf"), None])
+    def test_rejects_bad_tolerance(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, -5, 10.0, None])
+    def test_rejects_bad_max_iterations(self, value):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=value)
+
+    @pytest.mark.parametrize("name", ["k1", "k2"])
+    @pytest.mark.parametrize("value", [0.0, -2.0, float("nan"), float("inf")])
+    def test_rejects_bad_damping(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+    def test_accepts_valid_values(self):
+        config = SolverConfig(tolerance=1e-9, angle_tolerance=1e-10, max_iterations=1, k1=8, k2=None)
+        assert (config.k1, config.k2, config.max_iterations) == (8, None, 1)
 
 
 class TestImproperRootScan:
