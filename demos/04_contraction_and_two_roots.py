@@ -4,10 +4,11 @@ The paper's iteration is the map (x, y) -> (x + c1/k1, y + c2/k2): adding
 a small multiple of each edge condition to its own coordinate.  Both
 conditions decrease along their own coordinate near the root, so with
 damping constants above twice the steepest slope the map is a local
-contraction — something the package certifies numerically by sampling the
-Jacobian over a shrinking box around the solved root.  solve() itself
-finds the root by Newton's method; this damped map is the iteration the
-certificate is about, traced here next to the root solve() returns.
+contraction — something the package proves with interval arithmetic: an
+outward-rounded bound on the map's Jacobian over every point of a box
+around the solved root, shrunk until the bound drops below one.  solve()
+itself finds the root by Newton's method; this damped map is the iteration
+the certificate is about, traced here next to the root solve() returns.
 
 The (2, 3) system also makes a nice cautionary tale: inside the full
 constraint box it has TWO roots, and only one of them survives the
@@ -48,7 +49,9 @@ def certificates() -> None:
     report = solve(params)
     x, y = report.angles.alpha1, report.angles.beta1
 
-    print("Contraction certificates around the (2, 4) root:")
+    print("Contraction certificates around the (2, 4) root")
+    print("(interval bounds on the Jacobian's row sums over each whole box,")
+    print(" split into 8 x 8 cells here and into one cell by solve()):")
     try:
         estimate_contraction(params)
     except NoContraction:
@@ -64,7 +67,12 @@ def certificates() -> None:
             )
         except NoContraction:
             print(f"  radius {radius:.3f}    : no certificate at this size")
-    print(f"  solve() records : {report.contraction_norm_estimate:.3f}")
+    box = report.certificate_box
+    print(
+        f"  solve() records : {report.contraction_norm_estimate:.3f} on the box "
+        f"alpha1 in [{box.alpha1_lo:.4f}, {box.alpha1_hi:.4f}], "
+        f"beta1 in [{box.beta1_lo:.4f}, {box.beta1_hi:.4f}]"
+    )
     print()
 
 

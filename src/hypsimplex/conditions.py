@@ -21,6 +21,7 @@ from math import pi
 import numpy as np
 
 from .errors import InvalidParams
+from .interval import PI, Interval
 from .model import SimplexParams, _inequality_sides
 
 _BOX_TOL = 1e-12
@@ -54,7 +55,9 @@ class AngleSlice:
 
 
 def _derived(alpha1, beta1, a: int, b: int):
-    return 2 * pi / a - 2 * alpha1, 2 * pi / b - 2 * beta1
+    # On intervals, 2*pi/a must enclose the true value, not math.pi's.
+    two_pi = 2 * PI if isinstance(alpha1, Interval) or isinstance(beta1, Interval) else 2 * pi
+    return two_pi / a - 2 * alpha1, two_pi / b - 2 * beta1
 
 
 def vertex_minor0_raw(alpha1, alpha2, beta1):

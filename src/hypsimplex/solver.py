@@ -6,15 +6,15 @@ conditions by Newton's method with the analytic Jacobian, started from the
 centre of the reduced domain box, and finally verify the solved angles
 geometrically (positivity, determinant sign, vertex classes, inverse-matrix
 sign pattern).  A grid-based oracle provides an independent root locator
-for cross-checking, and a sampled contraction estimate certifies the
-paper's damped fixed-point map on a box around the root.
+for cross-checking, and an interval-arithmetic bound proves the paper's
+damped fixed-point map a contraction on a box around the root.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import hypot, isfinite, pi
+from math import hypot, inf, isfinite, nextafter, pi
 from numbers import Real
 
 import numpy as np
@@ -30,6 +30,7 @@ from .conditions import (
     corner_value,
 )
 from .errors import AmbiguousSignature, InvalidClass, NoContraction
+from .interval import Interval
 from .model import (
     DihedralAngles,
     RealizationClass,
@@ -43,11 +44,11 @@ from .model import (
 
 CORNER_ZERO_TOL = 1e-12
 ORACLE_RESIDUAL_TOL = 1e-9
-CONTRACTION_SAFETY = 1.1
-CONTRACTION_GRID = 200
 _K_SCHEDULE = (1.0, 1.5, 2.0, 3.0, 5.0)
-_LOCAL_RADIUS_START = 0.02
-_LOCAL_RADIUS_MIN = 1e-5
+# _local_certificate tries boxes of radius 2**-k * |coordinate| for these k.
+# No box wider than k = 3 certifies any pair of bench/refs.json; k = 40
+# keeps the box many ulps wide.
+_LOCAL_HALVINGS = range(3, 41)
 
 
 class SolveStatus(enum.Enum):
@@ -97,7 +98,8 @@ class SolverConfig:
     Newton stops once a step is at most ``angle_tolerance`` and succeeds
     only if both residuals are then below ``tolerance``; it takes at most
     ``max_iterations`` steps.  ``k1`` and ``k2`` fix the damping base of
-    the contraction certificate (default: derived from the sampled slopes).
+    the contraction certificate (default: twice the interval bound on the
+    largest slope over the box).
     Raises ValueError for a value outside those meanings.
     """
 
@@ -122,7 +124,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ContractionEstimate:
-    """Sampled sup-norm certificate for the damped update map on a box."""
+    """Proven sup-norm bound on the Jacobian of the damped update map.
+
+    ``norm_bound`` is an upper bound, by outward-rounded interval
+    arithmetic, of the largest absolute row sum of the Jacobian of
+    (alpha1, beta1) -> (alpha1 + c1/k1, beta1 + c2/k2) over every point of
+    ``box``; ``resolution`` is the number of cells per side the box was
+    split into.
+    """
 
     k1: float
     k2: float
@@ -166,6 +175,7 @@ class SolveReport:
     contraction_norm_estimate: float | None
     properness: PropernessReport | None
     improper_roots: tuple[tuple[float, float], ...] = ()
+    certificate_box: DomainBox | None = None
 
 
 def domain_for(params: SimplexParams) -> DomainBox:
@@ -196,36 +206,48 @@ def estimate_contraction(
     params: SimplexParams,
     box: DomainBox | None = None,
     config: SolverConfig | None = None,
-    resolution: int = CONTRACTION_GRID,
+    resolution: int = 8,
 ) -> ContractionEstimate:
-    """Certify the damped update map as a sampled sup-norm contraction.
+    """Prove the damped update map a sup-norm contraction on a box.
 
-    Samples the Jacobian of (alpha1, beta1) -> (alpha1 + c1/k1, beta1 + c2/k2)
-    on a resolution x resolution grid, takes the worst absolute row sum,
-    multiplies by a safety factor, and walks a short schedule of damping
-    multipliers looking for a bound below one.  Raises NoContraction when
-    the whole schedule fails; on the full domain box it always does, since
-    the first condition's derivative loses its sign on the alpha1 = pi/a
-    edge — certificates exist only on smaller boxes around the root.
+    Splits the box into resolution x resolution cells (``resolution``
+    counts cells per side) and evaluates the Jacobian of
+    (alpha1, beta1) -> (alpha1 + c1/k1, beta1 + c2/k2) on each cell in
+    outward-rounded interval arithmetic, so the worst absolute row sum
+    bounds every point of the box, not only sampled ones.  Walks a short
+    schedule of damping multipliers looking for a bound below one.  Raises
+    NoContraction when the whole schedule fails; on the full domain box it
+    always does, since the first condition's derivative loses its sign on
+    the alpha1 = pi/a edge — certificates exist only on smaller boxes
+    around the root.
     """
     cfg = config or SolverConfig()
     box = box or domain_for(params)
     a, b = params.a, params.b
-    al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution)
-    be = np.linspace(box.beta1_lo, box.beta1_hi, resolution)
-    aa, bb = np.meshgrid(al, be, indexing="ij")
-    d1 = edge_condition1_deriv_raw(aa, bb, a, b)
-    d2 = edge_condition2_deriv_raw(aa, bb, a, b)
-    e1 = edge_condition1_cross_deriv_raw(aa, bb, a, b)
-    e2 = edge_condition2_cross_deriv_raw(aa, bb, a, b)
-    base1 = cfg.k1 if cfg.k1 is not None else max(2.0 * float(np.max(np.abs(d1))), 1e-3)
-    base2 = cfg.k2 if cfg.k2 is not None else max(2.0 * float(np.max(np.abs(d2))), 1e-3)
+    al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
+    be = np.linspace(box.beta1_lo, box.beta1_hi, resolution + 1)
+    cells = []
+    for i in range(resolution):
+        x = Interval(al[i], al[i + 1])
+        for j in range(resolution):
+            y = Interval(be[j], be[j + 1])
+            cells.append((
+                edge_condition1_deriv_raw(x, y, a, b),
+                edge_condition2_deriv_raw(x, y, a, b),
+                edge_condition1_cross_deriv_raw(x, y, a, b),
+                edge_condition2_cross_deriv_raw(x, y, a, b),
+            ))
+    base1 = cfg.k1 if cfg.k1 is not None else max(2.0 * max(c[0].mag() for c in cells), 1e-3)
+    base2 = cfg.k2 if cfg.k2 is not None else max(2.0 * max(c[1].mag() for c in cells), 1e-3)
     best: ContractionEstimate | None = None
     for mult in _K_SCHEDULE:
         k1, k2 = base1 * mult, base2 * mult
-        row1 = np.abs(1.0 + d1 / k1) + np.abs(e1) / k1
-        row2 = np.abs(e2) / k2 + np.abs(1.0 + d2 / k2)
-        bound = CONTRACTION_SAFETY * float(np.max(np.maximum(row1, row2)))
+        row_sum = max(
+            max((1 + d1 / k1).mag() + (e1 / k1).mag(), (e2 / k2).mag() + (1 + d2 / k2).mag())
+            for d1, d2, e1, e2 in cells
+        )
+        # The sum of the two magnitudes rounds to nearest; step up past it.
+        bound = nextafter(row_sum, inf)
         if bound < 1.0 and (best is None or bound < best.norm_bound):
             best = ContractionEstimate(k1, k2, bound, box, resolution)
     if best is None:
@@ -239,20 +261,16 @@ def estimate_contraction(
 def _local_certificate(
     params: SimplexParams, root: tuple[float, float], config: SolverConfig
 ) -> ContractionEstimate | None:
-    """Shrink a box around the root until the sampled certificate holds."""
+    """Shrink a root-scaled box around the root until the certificate holds."""
     a, b = params.a, params.b
-    radius = _LOCAL_RADIUS_START
-    while radius >= _LOCAL_RADIUS_MIN:
-        alo = max(0.0, root[0] - radius)
-        ahi = min(pi / a, root[0] + radius)
-        blo = max(0.0, root[1] - radius)
-        bhi = min(pi / b, root[1] + radius)
+    x, y = root
+    for k in _LOCAL_HALVINGS:
+        rx, ry = abs(x) * 2.0**-k, abs(y) * 2.0**-k
+        box = DomainBox(x - rx, min(pi / a, x + rx), y - ry, min(pi / b, y + ry))
         try:
-            return estimate_contraction(
-                params, DomainBox(alo, ahi, blo, bhi), config
-            )
+            return estimate_contraction(params, box, config, resolution=1)
         except NoContraction:
-            radius *= 0.5
+            continue
     return None
 
 
@@ -516,6 +534,7 @@ def _solved_report(
         ),
         properness=properness,
         improper_roots=improper,
+        certificate_box=certificate.box if certificate is not None else None,
     )
 
 

@@ -22,7 +22,7 @@ from hypsimplex import (
 
 from oracles import IMPROPER_ROOT_23, LARGE_A_ROOTS, TRUE_ROOTS
 
-ROOT_TOL = 5e-10
+ROOT_TOL = 1e-15
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,7 @@ class TestSolveRegression:
         for pair, report in solved_reports.items():
             assert report.contraction_norm_estimate is not None, pair
             assert report.contraction_norm_estimate < 1.0, pair
+            assert report.certificate_box.contains(report.angles.alpha1, report.angles.beta1)
 
     def test_angles_satisfy_linear_constraints(self, solved_reports):
         for pair, report in solved_reports.items():
@@ -112,6 +113,11 @@ class TestLargeA:
         for value, want in zip(got, LARGE_A_ROOTS[pair]):
             assert abs(value - want) <= 1e-9, pair
             assert abs(value - want) <= 1e-6 * abs(want), pair
+
+    @pytest.mark.parametrize("pair", sorted(LARGE_A_ROOTS))
+    def test_carries_a_certificate(self, pair):
+        report = solve(SimplexParams(*pair))
+        assert 0.0 < report.contraction_norm_estimate < 1.0, pair
 
 
 class TestSolveStatuses:
