@@ -81,9 +81,15 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _json_token(value) -> str:
+def _token(value, fmt: str, depth: int = 0) -> str:
+    """One value as a JSON token or a CSV cell.
+
+    JSON lists print as [..,..]; CSV lists join with ";" at the top level
+    and ":" below it.  None prints as null in JSON and as an empty CSV cell.
+    """
+    as_json = fmt == "json-lines"
     if value is None:
-        return "null"
+        return "null" if as_json else ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -91,34 +97,13 @@ def _json_token(value) -> str:
     if isinstance(value, float):
         return _fmt(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return json.dumps(value) if as_json else value
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_token(v) for v in value) + "]"
+        items = [_token(v, fmt, depth + 1) for v in value]
+        if as_json:
+            return "[" + ",".join(items) + "]"
+        return (":" if depth else ";").join(items)
     raise TypeError(f"unserializable value {value!r}")
-
-
-def _csv_item(item) -> str:
-    if isinstance(item, (list, tuple)):
-        return ":".join(_csv_item(x) for x in item)
-    if isinstance(item, str):
-        return item
-    if isinstance(item, bool):
-        return "true" if item else "false"
-    if isinstance(item, int):
-        return str(item)
-    return _fmt(item)
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt(value)
-    if isinstance(value, (list, tuple)):
-        return ";".join(_csv_item(item) for item in value)
-    return str(value)
 
 
 def _emit(rows, fmt: str) -> None:
@@ -128,14 +113,14 @@ def _emit(rows, fmt: str) -> None:
         return
     if fmt == "json-lines":
         for row in rows:
-            line = "{" + ",".join(f"{json.dumps(k)}:{_json_token(v)}" for k, v in row) + "}"
+            line = "{" + ",".join(f"{json.dumps(k)}:{_token(v, fmt)}" for k, v in row) + "}"
             click.echo(line)
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow([k for k, _ in rows[0]])
         for row in rows:
-            writer.writerow([_csv_cell(v) for _, v in row])
+            writer.writerow([_token(v, fmt) for _, v in row])
         click.echo(buffer.getvalue(), nl=False)
 
 
@@ -172,10 +157,6 @@ def _solver_options(func):
                      help="Newton stops once a step is at most this large."),
         click.option("--max-iter", type=int, default=2000, show_default=True,
                      help="Newton step budget."),
-        click.option("--k1", type=float, default=None,
-                     help="Certificate damping base for the first condition (default: automatic)."),
-        click.option("--k2", type=float, default=None,
-                     help="Certificate damping base for the second condition (default: automatic)."),
     ]
     for option in reversed(options):
         func = option(func)
@@ -195,14 +176,10 @@ def _degrees_option(func):
     )(func)
 
 
-def _make_config(tol, angle_tol, max_iter, k1, k2) -> SolverConfig:
+def _make_config(tol, angle_tol, max_iter) -> SolverConfig:
     try:
         return SolverConfig(
-            tolerance=tol,
-            angle_tolerance=angle_tol,
-            max_iterations=max_iter,
-            k1=k1,
-            k2=k2,
+            tolerance=tol, angle_tolerance=angle_tol, max_iterations=max_iter
         )
     except ValueError as exc:
         _fail(str(exc), EXIT_INVALID_PARAMS)
@@ -286,30 +263,33 @@ def cmd_classify(a: int, b: int, fmt: str) -> None:
     )
 
 
+def _report_fields(report, degrees: bool) -> list:
+    """Status, the four angles, both residuals and the iterations of a
+    solve report; every field is null when there is no report."""
+    status = getattr(report, "status", None)
+    angles = getattr(report, "angles", None)
+    return [
+        ("status", status.value if status is not None else None),
+        *[(name, _angles_out(getattr(angles, name, None), degrees))
+          for name in ("alpha1", "alpha2", "beta1", "beta2")],
+        *[(name, getattr(report, name, None))
+          for name in ("residual_cond1", "residual_cond2", "iterations")],
+    ]
+
+
 def _solve_row(params: SimplexParams, report, degrees: bool) -> list:
-    angles = report.angles
-    properness = report.properness
     return [
         ("a", params.a),
         ("b", params.b),
         ("swapped", params.swapped),
         ("class", classify_realization(params).value),
-        ("status", report.status.value),
-        ("alpha1", _angles_out(angles.alpha1 if angles else None, degrees)),
-        ("alpha2", _angles_out(angles.alpha2 if angles else None, degrees)),
-        ("beta1", _angles_out(angles.beta1 if angles else None, degrees)),
-        ("beta2", _angles_out(angles.beta2 if angles else None, degrees)),
-        ("residual_cond1", report.residual_cond1),
-        ("residual_cond2", report.residual_cond2),
-        ("iterations", report.iterations),
-        *_geometry_fields(angles),
+        *_report_fields(report, degrees),
+        *_geometry_fields(report.angles),
         ("b_max", _b_max_field(params.a)),
         ("contraction_norm_estimate", report.contraction_norm_estimate),
-        ("proper_angles_positive", properness.angles_positive if properness else None),
-        ("proper_determinant_negative", properness.determinant_negative if properness else None),
-        ("proper_vertices_outer", properness.vertices_outer if properness else None),
-        ("proper_gram_signs", properness.gram_signs if properness else None),
-        ("proper_all_pass", properness.all_pass if properness else None),
+        *[(f"proper_{name}", getattr(report.properness, name, None))
+          for name in ("angles_positive", "determinant_negative", "vertices_outer",
+                       "gram_signs", "all_pass")],
         ("improper_roots", [
             [_angles_out(x, degrees), _angles_out(y, degrees)]
             for x, y in report.improper_roots
@@ -323,10 +303,10 @@ def _solve_row(params: SimplexParams, report, degrees: bool) -> list:
 @_solver_options
 @_format_option
 @_degrees_option
-def cmd_solve(a, b, tol, angle_tol, max_iter, k1, k2, fmt, degrees) -> None:
+def cmd_solve(a, b, tol, angle_tol, max_iter, fmt, degrees) -> None:
     """Solve the edge-condition system for the pair (A, B)."""
     params = _normalized(a, b)
-    config = _make_config(tol, angle_tol, max_iter, k1, k2)
+    config = _make_config(tol, angle_tol, max_iter)
     try:
         report = solver_lib.solve(params, config)
     except (InvalidClass, InvalidParams) as exc:
@@ -336,20 +316,12 @@ def cmd_solve(a, b, tol, angle_tol, max_iter, k1, k2, fmt, degrees) -> None:
 
 
 def _table_row(a: int, b: int, cls: RealizationClass, report, degrees: bool) -> list:
-    angles = report.angles if report is not None else None
     return [
         ("a", a),
         ("b", b),
         ("class", cls.value),
-        ("status", report.status.value if report is not None else None),
-        ("alpha1", _angles_out(angles.alpha1 if angles else None, degrees)),
-        ("alpha2", _angles_out(angles.alpha2 if angles else None, degrees)),
-        ("beta1", _angles_out(angles.beta1 if angles else None, degrees)),
-        ("beta2", _angles_out(angles.beta2 if angles else None, degrees)),
-        ("residual_cond1", report.residual_cond1 if report is not None else None),
-        ("residual_cond2", report.residual_cond2 if report is not None else None),
-        ("iterations", report.iterations if report is not None else None),
-        *_geometry_fields(angles),
+        *_report_fields(report, degrees),
+        *_geometry_fields(getattr(report, "angles", None)),
         ("b_max", _b_max_field(a)),
     ]
 
@@ -365,8 +337,8 @@ def _table_row(a: int, b: int, cls: RealizationClass, report, degrees: bool) -> 
 @_solver_options
 @_format_option
 @_degrees_option
-def cmd_table(a_range, b_range, b_upto, tol, angle_tol, max_iter, k1, k2,
-              fmt, degrees) -> None:
+def cmd_table(a_range, b_range, b_upto, tol, angle_tol, max_iter, fmt,
+              degrees) -> None:
     """Tabulate solved angles over a parameter range."""
     a_lo, a_hi = _parse_range(a_range, "a")
     if a_lo < 1:
@@ -380,7 +352,7 @@ def cmd_table(a_range, b_range, b_upto, tol, angle_tol, max_iter, k1, k2,
         except ValueError:
             _fail(f'cannot parse --b-upto value {b_upto!r}; expected an '
                   'integer or "bmax"', EXIT_INVALID_PARAMS)
-    config = _make_config(tol, angle_tol, max_iter, k1, k2)
+    config = _make_config(tol, angle_tol, max_iter)
     rows = []
     diverged = False
     for a in range(a_lo, a_hi + 1):

@@ -27,5 +27,5 @@ class AmbiguousSignature(HypsimplexError):
 
 
 class NoContraction(HypsimplexError):
-    """No damping constants in the search schedule make the iteration map
-    contractive on the given box."""
+    """The damped iteration map is not provably contractive on the given
+    box."""

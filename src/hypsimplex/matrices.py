@@ -211,14 +211,21 @@ def inverse(m: SymMatrix4) -> SymMatrix4:
     return SymMatrix4(inv)
 
 
+def _inertia(arr: np.ndarray) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric array,
+    with the zero tolerance ZERO_EIG_FACTOR * (max absolute entry)."""
+    eig = np.linalg.eigvalsh(arr)
+    tol = ZERO_EIG_FACTOR * float(np.max(np.abs(arr)))
+    return (
+        int(np.sum(eig > tol)),
+        int(np.sum(eig < -tol)),
+        int(np.sum(np.abs(eig) <= tol)),
+    )
+
+
 def signature(m: SymMatrix4) -> Signature:
     """Eigenvalue inertia with a scale-relative zero tolerance."""
-    eig = np.linalg.eigvalsh(m.entries)
-    tol = ZERO_EIG_FACTOR * m.max_abs_entry()
-    zero = int(np.sum(np.abs(eig) <= tol))
-    positive = int(np.sum(eig > tol))
-    negative = int(np.sum(eig < -tol))
-    return Signature(positive=positive, negative=negative, zero=zero)
+    return Signature(*_inertia(m.entries))
 
 
 def _complement(idx: Sequence[int]) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from math import cos, pi, sin
 import numpy as np
 
 from .errors import AmbiguousSignature, InvalidParams
-from .matrices import SymMatrix4
+from .matrices import SymMatrix4, _inertia
 
 _ANGLE_TOL = 1e-12
 
@@ -116,16 +116,6 @@ def build_coxeter_schlafli(angles: DihedralAngles) -> SymMatrix4:
                 [-ca1, -ca2, -cb1, 1.0],
             ]
         )
-    )
-
-
-def _inertia(arr: np.ndarray) -> tuple[int, int, int]:
-    eig = np.linalg.eigvalsh(arr)
-    tol = 1e-9 * max(1e-300, float(np.max(np.abs(arr))))
-    return (
-        int(np.sum(eig > tol)),
-        int(np.sum(eig < -tol)),
-        int(np.sum(np.abs(eig) <= tol)),
     )
 
 

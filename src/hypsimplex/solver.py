@@ -44,7 +44,6 @@ from .model import (
 
 CORNER_ZERO_TOL = 1e-12
 ORACLE_RESIDUAL_TOL = 1e-9
-_K_SCHEDULE = (1.0, 1.5, 2.0, 3.0, 5.0)
 # _local_certificate tries boxes of radius 2**-k * |coordinate| for these k.
 # No box wider than k = 3 certifies any pair of bench/refs.json; k = 40
 # keeps the box many ulps wide.
@@ -93,27 +92,22 @@ class DomainBox:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable knobs for solve(); the defaults suit every admissible pair.
+    """Newton's stopping rule for solve(); the defaults suit every pair.
 
     Newton stops once a step is at most ``angle_tolerance`` and succeeds
     only if both residuals are then below ``tolerance``; it takes at most
-    ``max_iterations`` steps.  ``k1`` and ``k2`` fix the damping base of
-    the contraction certificate (default: twice the interval bound on the
-    largest slope over the box).
+    ``max_iterations`` steps.  The contraction certificate has no settings:
+    estimate_contraction derives its damping from the box.
     Raises ValueError for a value outside those meanings.
     """
 
     tolerance: float = 1e-11
     angle_tolerance: float = 1e-12
     max_iterations: int = 2000
-    k1: float | None = None
-    k2: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("tolerance", "angle_tolerance", "k1", "k2"):
+        for name in ("tolerance", "angle_tolerance"):
             value = getattr(self, name)
-            if value is None and name in ("k1", "k2"):
-                continue
             if not (isinstance(value, Real) and isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
         if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
@@ -129,8 +123,9 @@ class ContractionEstimate:
     ``norm_bound`` is an upper bound, by outward-rounded interval
     arithmetic, of the largest absolute row sum of the Jacobian of
     (alpha1, beta1) -> (alpha1 + c1/k1, beta1 + c2/k2) over every point of
-    ``box``; ``resolution`` is the number of cells per side the box was
-    split into.
+    ``box``, with the damping ``k1``, ``k2`` that estimate_contraction
+    derived from that box; ``resolution`` is the number of cells per side
+    the box was split into.
     """
 
     k1: float
@@ -168,12 +163,12 @@ class GridRoot:
 @dataclass(frozen=True)
 class SolveReport:
     status: SolveStatus
-    angles: DihedralAngles | None
-    residual_cond1: float | None
-    residual_cond2: float | None
-    iterations: int
-    contraction_norm_estimate: float | None
-    properness: PropernessReport | None
+    angles: DihedralAngles | None = None
+    residual_cond1: float | None = None
+    residual_cond2: float | None = None
+    iterations: int = 0
+    contraction_norm_estimate: float | None = None
+    properness: PropernessReport | None = None
     improper_roots: tuple[tuple[float, float], ...] = ()
     certificate_box: DomainBox | None = None
 
@@ -205,7 +200,6 @@ def _eval_conditions(alpha1: float, beta1: float, a: int, b: int) -> tuple[float
 def estimate_contraction(
     params: SimplexParams,
     box: DomainBox | None = None,
-    config: SolverConfig | None = None,
     resolution: int = 8,
 ) -> ContractionEstimate:
     """Prove the damped update map a sup-norm contraction on a box.
@@ -214,14 +208,18 @@ def estimate_contraction(
     counts cells per side) and evaluates the Jacobian of
     (alpha1, beta1) -> (alpha1 + c1/k1, beta1 + c2/k2) on each cell in
     outward-rounded interval arithmetic, so the worst absolute row sum
-    bounds every point of the box, not only sampled ones.  Walks a short
-    schedule of damping multipliers looking for a bound below one.  Raises
-    NoContraction when the whole schedule fails; on the full domain box it
-    always does, since the first condition's derivative loses its sign on
-    the alpha1 = pi/a edge — certificates exist only on smaller boxes
-    around the root.
+    bounds every point of the box, not only sampled ones.
+
+    The damping is k_i = max(2 * mag(d_i), 1e-3), with d_i the interval
+    of dc_i/dx_i and e_i that of the cross derivative over the box.  Then
+    1 + d_i/k_i stays in [1/2, 3/2] and a row sum is
+    1 + (max d_i + mag(e_i))/k_i: below one it grows with k_i, at or above
+    one it stays there for every k_i, so no larger damping gives a tighter
+    bound.  Raises NoContraction when the bound is not below one; on the
+    full domain box it never is, since the first condition's derivative
+    loses its sign on the alpha1 = pi/a edge — certificates exist only on
+    smaller boxes around the root.
     """
-    cfg = config or SolverConfig()
     box = box or domain_for(params)
     a, b = params.a, params.b
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
@@ -237,29 +235,24 @@ def estimate_contraction(
                 edge_condition1_cross_deriv_raw(x, y, a, b),
                 edge_condition2_cross_deriv_raw(x, y, a, b),
             ))
-    base1 = cfg.k1 if cfg.k1 is not None else max(2.0 * max(c[0].mag() for c in cells), 1e-3)
-    base2 = cfg.k2 if cfg.k2 is not None else max(2.0 * max(c[1].mag() for c in cells), 1e-3)
-    best: ContractionEstimate | None = None
-    for mult in _K_SCHEDULE:
-        k1, k2 = base1 * mult, base2 * mult
-        row_sum = max(
-            max((1 + d1 / k1).mag() + (e1 / k1).mag(), (e2 / k2).mag() + (1 + d2 / k2).mag())
-            for d1, d2, e1, e2 in cells
-        )
-        # The sum of the two magnitudes rounds to nearest; step up past it.
-        bound = nextafter(row_sum, inf)
-        if bound < 1.0 and (best is None or bound < best.norm_bound):
-            best = ContractionEstimate(k1, k2, bound, box, resolution)
-    if best is None:
+    k1 = max(2.0 * max(c[0].mag() for c in cells), 1e-3)
+    k2 = max(2.0 * max(c[1].mag() for c in cells), 1e-3)
+    row_sum = max(
+        max((1 + d1 / k1).mag() + (e1 / k1).mag(), (e2 / k2).mag() + (1 + d2 / k2).mag())
+        for d1, d2, e1, e2 in cells
+    )
+    # The sum of the two magnitudes rounds to nearest; step up past it.
+    bound = nextafter(row_sum, inf)
+    if not bound < 1.0:
         raise NoContraction(
-            f"no damping multiplier in {_K_SCHEDULE} certifies a contraction "
-            f"on the given box for (a, b) = ({a}, {b})"
+            f"damped-map bound {bound:.6g} is not below 1 on the given box "
+            f"for (a, b) = ({a}, {b})"
         )
-    return best
+    return ContractionEstimate(k1, k2, bound, box, resolution)
 
 
 def _local_certificate(
-    params: SimplexParams, root: tuple[float, float], config: SolverConfig
+    params: SimplexParams, root: tuple[float, float]
 ) -> ContractionEstimate | None:
     """Shrink a root-scaled box around the root until the certificate holds."""
     a, b = params.a, params.b
@@ -268,7 +261,7 @@ def _local_certificate(
         rx, ry = abs(x) * 2.0**-k, abs(y) * 2.0**-k
         box = DomainBox(x - rx, min(pi / a, x + rx), y - ry, min(pi / b, y + ry))
         try:
-            return estimate_contraction(params, box, config, resolution=1)
+            return estimate_contraction(params, box, resolution=1)
         except NoContraction:
             continue
     return None
@@ -519,7 +512,7 @@ def _solved_report(
     r1, r2 = _eval_conditions(root[0], root[1], params.a, params.b)
     angles = DihedralAngles.from_reduced(params, root[0], root[1])
     properness = check_properness(params, angles)
-    certificate = _local_certificate(params, root, config)
+    certificate = _local_certificate(params, root)
     improper: tuple[tuple[float, float], ...] = ()
     if (params.a, params.b) == (2, 3):
         improper = _improper_scan(params, root, config)
@@ -561,35 +554,17 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
         angles = DihedralAngles.from_reduced(params, pi / params.a, 0.0)
         r1, r2 = _eval_conditions(pi / params.a, 0.0, params.a, params.b)
         return SolveReport(
-            status=SolveStatus.BOUNDARY_SOLUTION,
+            SolveStatus.BOUNDARY_SOLUTION,
             angles=angles,
             residual_cond1=r1,
             residual_cond2=r2,
-            iterations=0,
-            contraction_norm_estimate=None,
             properness=check_properness(params, angles),
         )
     if corner < 0.0:
-        return SolveReport(
-            status=SolveStatus.NO_PROPER_SOLUTION,
-            angles=None,
-            residual_cond1=None,
-            residual_cond2=None,
-            iterations=0,
-            contraction_norm_estimate=None,
-            properness=None,
-        )
+        return SolveReport(SolveStatus.NO_PROPER_SOLUTION)
 
     box = domain_for(params)
     root, steps, converged = _newton(params, box.center, cfg)
     if converged and box.contains(*root):
         return _solved_report(params, root, steps, cfg)
-    return SolveReport(
-        status=SolveStatus.DIVERGED,
-        angles=None,
-        residual_cond1=None,
-        residual_cond2=None,
-        iterations=steps,
-        contraction_norm_estimate=None,
-        properness=None,
-    )
+    return SolveReport(SolveStatus.DIVERGED, iterations=steps)

@@ -8,7 +8,7 @@ from math import pi
 import pytest
 from click.testing import CliRunner
 
-from hypsimplex.cli import cli
+from hypsimplex.cli import _emit, cli
 
 from oracles import TRUE_ROOTS
 
@@ -28,6 +28,41 @@ def json_lines(result):
 
 def csv_rows(result):
     return list(csv.DictReader(io.StringIO(result.output)))
+
+
+class TestSerialization:
+    ROW = [
+        ("none", None),
+        ("swapped", False),
+        ("iterations", 6),
+        ("class", "HyperbolicOuter"),
+        ("flags", [True, False]),
+        ("signature", [3, 1, 0]),
+        ("value", 0.1),
+        ("vertex_classes", ["Outer", "Ideal"]),
+        ("improper_roots", [[0.5, 0.25]]),
+        ("edge_lengths", [[1.5, 1.5], [2.0, 2.5]]),
+        ("empty", []),
+    ]
+
+    def test_json_lines(self, capsys):
+        _emit([self.ROW], "json-lines")
+        assert capsys.readouterr().out == (
+            '{"none":null,"swapped":false,"iterations":6,"class":"HyperbolicOuter",'
+            '"flags":[true,false],"signature":[3,1,0],'
+            '"value":0.10000000000000001,"vertex_classes":["Outer","Ideal"],'
+            '"improper_roots":[[0.5,0.25]],"edge_lengths":[[1.5,1.5],[2,2.5]],'
+            '"empty":[]}\n'
+        )
+
+    def test_csv(self, capsys):
+        _emit([self.ROW], "csv")
+        assert capsys.readouterr().out == (
+            "none,swapped,iterations,class,flags,signature,value,vertex_classes,"
+            "improper_roots,edge_lengths,empty\n"
+            ",false,6,HyperbolicOuter,true;false,3;1;0,0.10000000000000001,"
+            "Outer;Ideal,0.5:0.25,1.5:1.5;2:2.5,\n"
+        )
 
 
 class TestClassifyCommand:
@@ -134,13 +169,13 @@ class TestSolveCommand:
         assert float(token) == row["alpha1"]
         assert len(token.replace("-", "").replace(".", "").split("e")[0].lstrip("0")) >= 15
 
-    def test_explicit_damping(self, runner):
-        result = run(runner, "solve", 2, 5, "--k1", "20", "--k2", "20")
-        assert result.exit_code == 0
+    def test_damping_is_not_an_option(self, runner):
+        result = run(runner, "solve", 2, 5, "--k1", "20")
+        assert result.exit_code == 2
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("option, value", [
-        ("--k1", "0"), ("--k2", "nan"), ("--tol", "-1"), ("--angle-tol", "0"),
-        ("--max-iter", "0"),
+        ("--tol", "-1"), ("--angle-tol", "0"), ("--max-iter", "0"),
     ])
     def test_invalid_config_exit_code(self, runner, option, value):
         for command in (["solve", 2, 4], ["table", "--a", "2..2"]):

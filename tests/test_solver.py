@@ -167,15 +167,9 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="max_iterations"):
             SolverConfig(max_iterations=value)
 
-    @pytest.mark.parametrize("name", ["k1", "k2"])
-    @pytest.mark.parametrize("value", [0.0, -2.0, float("nan"), float("inf")])
-    def test_rejects_bad_damping(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            SolverConfig(**{name: value})
-
     def test_accepts_valid_values(self):
-        config = SolverConfig(tolerance=1e-9, angle_tolerance=1e-10, max_iterations=1, k1=8, k2=None)
-        assert (config.k1, config.k2, config.max_iterations) == (8, None, 1)
+        config = SolverConfig(tolerance=1e-9, angle_tolerance=1e-10, max_iterations=1)
+        assert (config.tolerance, config.angle_tolerance, config.max_iterations) == (1e-9, 1e-10, 1)
 
 
 class TestImproperRootScan:
@@ -235,15 +229,6 @@ class TestContraction:
         est = estimate_contraction(SimplexParams(2, 4), box)
         assert est.norm_bound < 1.0
         assert est.k1 > 0 and est.k2 > 0
-
-    def test_explicit_damping_is_honored(self):
-        x, y = TRUE_ROOTS[(2, 4)]
-        box = DomainBox(x - 0.01, x + 0.01, y - 0.01, y + 0.01)
-        est = estimate_contraction(
-            SimplexParams(2, 4), box, SolverConfig(k1=8.0, k2=10.0)
-        )
-        assert est.k1 == pytest.approx(8.0)
-        assert est.k2 == pytest.approx(10.0)
 
     def test_map_stays_inside_box_and_approaches_root(self):
         params = SimplexParams(2, 4)
