@@ -23,10 +23,9 @@ from . import solver as solver_lib
 from .conditions import (
     compute_bmax,
     corner_value,
-    edge_condition1_deriv_raw,
     edge_condition1_raw,
-    edge_condition2_deriv_raw,
     edge_condition2_raw,
+    edge_jacobian_raw,
     realizability_inequality,
 )
 from .errors import (
@@ -38,12 +37,10 @@ from .errors import (
 )
 from .matrices import (
     Geometry,
-    MinorSpec,
-    SymMatrix4,
     determinant,
     inverse,
-    jacobi_minor_identity,
     projective_distance,
+    run_minor_identity_suite,
     signature,
 )
 from .model import (
@@ -150,13 +147,15 @@ def _parse_range(text: str, label: str) -> tuple[int, int]:
 
 
 def _solver_options(func):
+    defaults = SolverConfig()
     options = [
-        click.option("--tol", type=float, default=1e-11, show_default=True,
+        click.option("--tol", type=float, default=defaults.tolerance, show_default=True,
                      help="Residual tolerance on both edge conditions."),
-        click.option("--angle-tol", type=float, default=1e-12, show_default=True,
+        click.option("--angle-tol", type=float, default=defaults.angle_tolerance,
+                     show_default=True,
                      help="Newton stops once a step is at most this large."),
-        click.option("--max-iter", type=int, default=2000, show_default=True,
-                     help="Newton step budget."),
+        click.option("--max-iter", type=int, default=defaults.max_iterations,
+                     show_default=True, help="Newton step budget."),
     ]
     for option in reversed(options):
         func = option(func)
@@ -410,8 +409,7 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
     aa, bb = np.meshgrid(al, be, indexing="ij")
     c1 = edge_condition1_raw(aa, bb, params.a, params.b)
     c2 = edge_condition2_raw(aa, bb, params.a, params.b)
-    d1 = edge_condition1_deriv_raw(aa, bb, params.a, params.b)
-    d2 = edge_condition2_deriv_raw(aa, bb, params.a, params.b)
+    (d1, _), (_, d2) = edge_jacobian_raw(aa, bb, params.a, params.b)
     scale = 180.0 / pi if degrees else 1.0
     rows = (
         [
@@ -426,66 +424,6 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
         for j in range(resolution)
     )
     _emit(rows, fmt)
-
-
-def run_minor_identity_suite(
-    trials: int,
-    seed: int,
-    identity_only: bool = False,
-    relative_tol: float = 1e-9,
-    singular_tol: float = 1e-8,
-) -> dict:
-    """Sweep the minor/cofactor identity over seeded random matrices.
-
-    Each trial draws a random symmetric 4x4 matrix and random row/column
-    index sets for a minor, evaluates both sides of the identity
-    independently, and compares them at ``relative_tol``.  Draws whose determinant magnitude
-    falls below ``singular_tol`` violate the regularity precondition and are
-    skipped (recorded in ``notes``), not failed.  With ``identity_only`` the
-    identity matrix replaces the random draw, which makes every trial exact.
-    """
-    rng = np.random.default_rng(seed)
-    passes = failures = skipped = 0
-    worst_gap = 0.0
-    notes: list[str] = []
-    for index in range(trials):
-        if identity_only:
-            matrix = SymMatrix4(np.eye(4))
-        else:
-            raw = rng.uniform(-2.0, 2.0, size=(4, 4))
-            matrix = SymMatrix4((raw + raw.T) / 2.0)
-        size = int(rng.integers(1, 4))
-        rows = tuple(sorted(int(v) for v in rng.choice(4, size=size, replace=False)))
-        cols = tuple(sorted(int(v) for v in rng.choice(4, size=size, replace=False)))
-        det = determinant(matrix)
-        if abs(det) < singular_tol:
-            skipped += 1
-            notes.append(
-                f"SingularMatrix: trial {index} skipped (determinant {det:.3e})"
-            )
-            continue
-        try:
-            lhs, rhs = jacobi_minor_identity(matrix, MinorSpec(rows, cols))
-        except SingularMatrix as exc:
-            skipped += 1
-            notes.append(f"SingularMatrix: trial {index} skipped ({exc})")
-            continue
-        gap = abs(lhs - rhs) / max(1.0, abs(lhs))
-        worst_gap = max(worst_gap, gap)
-        if gap <= relative_tol:
-            passes += 1
-        else:
-            failures += 1
-    return {
-        "trials": trials,
-        "seed": seed,
-        "identity_only": identity_only,
-        "passes": passes,
-        "failures": failures,
-        "skipped": skipped,
-        "worst_relative_gap": worst_gap,
-        "notes": notes,
-    }
 
 
 @cli.command(name="check")

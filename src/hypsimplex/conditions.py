@@ -4,13 +4,15 @@ With the linear constraints substituted, the whole system lives on two
 coordinates: alpha1 in [0, pi/a] and beta1 in [0, pi/b].  This module keeps
 the scalar machinery: the two vertex minors as closed trig polynomials, the
 two edge conditions whose common zero is the solved simplex, their
-constrained derivatives (the derivative along a coordinate with the
-companion angle eliminated through the constraint, i.e. the combination
-(d/d alpha1) - 2 (d/d alpha2) and its beta twin), the realizability
-inequality, and the derived largest admissible second parameter.
+constrained Jacobian ``edge_jacobian_raw`` (each entry the derivative along
+a coordinate with the companion angle eliminated through the constraint,
+i.e. the combination (d/d alpha1) - 2 (d/d alpha2) and its beta twin), the
+realizability inequality, and the derived largest admissible second
+parameter.
 
-All kernels accept numpy arrays and broadcast; the public operations wrap
-them for scalar slices.
+The ``*_raw`` kernels take floats, numpy arrays (broadcasting) and
+``Interval`` boxes alike; the public operations wrap them for scalar
+slices.
 """
 
 from __future__ import annotations
@@ -60,16 +62,20 @@ def _derived(alpha1, beta1, a: int, b: int):
     return two_pi / a - 2 * alpha1, two_pi / b - 2 * beta1
 
 
+def _minor(x, y, z):
+    """The vertex minor 1 - x^2 - y^2 - z^2 - 2xyz in the cosines x, y, z
+    of the three dihedral angles at the vertex."""
+    return 1.0 - x * x - y * y - z * z - 2.0 * x * y * z
+
+
 def vertex_minor0_raw(alpha1, alpha2, beta1):
     """Closed form of the vertex minor shared by vertices 0 and 2."""
-    c1, c2, d1 = np.cos(alpha1), np.cos(alpha2), np.cos(beta1)
-    return 1.0 - c1 * c1 - c2 * c2 - d1 * d1 - 2.0 * c1 * c2 * d1
+    return _minor(np.cos(alpha1), np.cos(alpha2), np.cos(beta1))
 
 
 def vertex_minor1_raw(alpha1, beta1, beta2):
     """Closed form of the vertex minor shared by vertices 1 and 3."""
-    c1, d1, d2 = np.cos(alpha1), np.cos(beta1), np.cos(beta2)
-    return 1.0 - c1 * c1 - d1 * d1 - d2 * d2 - 2.0 * c1 * d1 * d2
+    return _minor(np.cos(alpha1), np.cos(beta1), np.cos(beta2))
 
 
 def edge_condition1_raw(alpha1, beta1, a: int, b: int):
@@ -86,71 +92,66 @@ def edge_condition2_raw(alpha1, beta1, a: int, b: int):
     return m1 * np.sin(alpha1) ** 2 - m0 * np.sin(beta2) ** 2
 
 
-def edge_condition1_deriv_raw(alpha1, beta1, a: int, b: int):
-    """Constrained derivative of the first edge condition along alpha1."""
+def edge_jacobian_raw(alpha1, beta1, a: int, b: int):
+    """Constrained Jacobian of the two edge conditions,
+    ((dc1/dalpha1, dc1/dbeta1), (dc2/dalpha1, dc2/dbeta1)).
+
+    With s, t the sines and c, d the cosines of the alpha and beta angles,
+    c1 = m0 t1^2 - m1 s2^2 and c2 = m1 s1^2 - m0 t2^2; each entry is the
+    chain-rule expansion d/dx1 - 2 d/dx2.  The cross entries have no printed
+    closed form and are validated against central finite differences in the
+    test suite.  Some products are spelled in one factor order in the
+    diagonal entries and in another in the cross entries; on an Interval
+    each order rounds differently, so both are kept.
+    """
     alpha2, beta2 = _derived(alpha1, beta1, a, b)
     s1, c1 = np.sin(alpha1), np.cos(alpha1)
     s2, c2 = np.sin(alpha2), np.cos(alpha2)
     t1, d1 = np.sin(beta1), np.cos(beta1)
-    d2 = np.cos(beta2)
-    m1 = 1.0 - c1 * c1 - d1 * d1 - d2 * d2 - 2.0 * c1 * d1 * d2
-    part1 = (2 * s1 * c1 + 2 * s1 * c2 * d1) * t1**2 - (
-        2 * s1 * c1 + 2 * s1 * d1 * d2
-    ) * s2**2
-    part2 = (2 * s2 * c2 + 2 * s2 * c1 * d1) * t1**2 - 2 * s2 * c2 * m1
-    return part1 - 2.0 * part2
+    t2, d2 = np.sin(beta2), np.cos(beta2)
+    m0, m1 = _minor(c1, c2, d1), _minor(c1, d1, d2)
+    s1sq, s2sq, t1sq, t2sq = s1**2, s2**2, t1**2, t2**2
+    sc1, sc2, td1, td2 = 2 * s1 * c1, 2 * s2 * c2, 2 * t1 * d1, 2 * t2 * d2
+    dm0_da1 = sc1 + 2 * s1 * c2 * d1
+    dm1_da1 = sc1 + 2 * s1 * d1 * d2
+    dc1_da1 = (
+        dm0_da1 * t1sq - dm1_da1 * s2sq
+        - 2.0 * ((sc2 + 2 * s2 * c1 * d1) * t1sq - sc2 * m1)
+    )
+    dc1_db1 = (
+        (td1 + 2 * c1 * c2 * t1) * t1sq + 2 * m0 * t1 * d1
+        - (td1 + 2 * c1 * t1 * d2) * s2sq
+        - 2.0 * (-(td2 + 2 * c1 * d1 * t2) * s2sq)
+    )
+    dc2_da1 = (
+        dm1_da1 * s1sq + 2 * m1 * s1 * c1 - dm0_da1 * t2sq
+        - 2.0 * (-(sc2 + 2 * c1 * s2 * d1) * t2sq)
+    )
+    dc2_db1 = (
+        (td1 + 2 * t1 * c1 * d2) * s1sq - (td1 + 2 * t1 * c1 * c2) * t2sq
+        - 2.0 * ((td2 + 2 * t2 * c1 * d1) * s1sq - td2 * m0)
+    )
+    return (dc1_da1, dc1_db1), (dc2_da1, dc2_db1)
+
+
+def edge_condition1_deriv_raw(alpha1, beta1, a: int, b: int):
+    """Constrained derivative of the first edge condition along alpha1."""
+    return edge_jacobian_raw(alpha1, beta1, a, b)[0][0]
 
 
 def edge_condition2_deriv_raw(alpha1, beta1, a: int, b: int):
     """Constrained derivative of the second edge condition along beta1."""
-    alpha2, beta2 = _derived(alpha1, beta1, a, b)
-    s1, c1 = np.sin(alpha1), np.cos(alpha1)
-    c2 = np.cos(alpha2)
-    t1, d1 = np.sin(beta1), np.cos(beta1)
-    t2, d2 = np.sin(beta2), np.cos(beta2)
-    m0 = 1.0 - c1 * c1 - c2 * c2 - d1 * d1 - 2.0 * c1 * c2 * d1
-    part1 = (2 * t1 * d1 + 2 * t1 * c1 * d2) * s1**2 - (
-        2 * t1 * d1 + 2 * t1 * c1 * c2
-    ) * t2**2
-    part2 = (2 * t2 * d2 + 2 * t2 * c1 * d1) * s1**2 - 2 * t2 * d2 * m0
-    return part1 - 2.0 * part2
+    return edge_jacobian_raw(alpha1, beta1, a, b)[1][1]
 
 
 def edge_condition1_cross_deriv_raw(alpha1, beta1, a: int, b: int):
-    """Constrained derivative of the first edge condition along beta1.
-
-    No printed closed form exists for this direction; the expression below
-    is the chain-rule expansion, validated against central finite
-    differences in the test suite.
-    """
-    alpha2, beta2 = _derived(alpha1, beta1, a, b)
-    c1 = np.cos(alpha1)
-    s2, c2 = np.sin(alpha2), np.cos(alpha2)
-    t1, d1 = np.sin(beta1), np.cos(beta1)
-    t2, d2 = np.sin(beta2), np.cos(beta2)
-    m0 = 1.0 - c1 * c1 - c2 * c2 - d1 * d1 - 2.0 * c1 * c2 * d1
-    dm0_db1 = 2 * t1 * d1 + 2 * c1 * c2 * t1
-    dm1_db1 = 2 * t1 * d1 + 2 * c1 * t1 * d2
-    dm1_db2 = 2 * t2 * d2 + 2 * c1 * d1 * t2
-    partial_b1 = dm0_db1 * t1**2 + 2 * m0 * t1 * d1 - dm1_db1 * s2**2
-    partial_b2 = -dm1_db2 * s2**2
-    return partial_b1 - 2.0 * partial_b2
+    """Constrained derivative of the first edge condition along beta1."""
+    return edge_jacobian_raw(alpha1, beta1, a, b)[0][1]
 
 
 def edge_condition2_cross_deriv_raw(alpha1, beta1, a: int, b: int):
     """Constrained derivative of the second edge condition along alpha1."""
-    alpha2, beta2 = _derived(alpha1, beta1, a, b)
-    s1, c1 = np.sin(alpha1), np.cos(alpha1)
-    s2, c2 = np.sin(alpha2), np.cos(alpha2)
-    d1 = np.cos(beta1)
-    t2, d2 = np.sin(beta2), np.cos(beta2)
-    m1 = 1.0 - c1 * c1 - d1 * d1 - d2 * d2 - 2.0 * c1 * d1 * d2
-    dm1_da1 = 2 * s1 * c1 + 2 * s1 * d1 * d2
-    dm0_da1 = 2 * s1 * c1 + 2 * s1 * c2 * d1
-    dm0_da2 = 2 * s2 * c2 + 2 * c1 * s2 * d1
-    partial_a1 = dm1_da1 * s1**2 + 2 * m1 * s1 * c1 - dm0_da1 * t2**2
-    partial_a2 = -dm0_da2 * t2**2
-    return partial_a1 - 2.0 * partial_a2
+    return edge_jacobian_raw(alpha1, beta1, a, b)[1][0]
 
 
 def vertex_minor0(s: AngleSlice) -> float:

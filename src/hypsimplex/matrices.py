@@ -4,7 +4,8 @@ Everything here is exact-shape: determinants and minors come from cofactor
 expansion rather than a general LU path, the inverse is the adjugate divided
 by the determinant, and the classical Jacobi identity relating a minor of a
 regular matrix to the complementary minor of its inverse is exposed as a
-checkable pair of numbers.  Distances between points of projective space are
+checkable pair of numbers, which ``run_minor_identity_suite`` compares over
+seeded random matrices.  Distances between points of projective space are
 evaluated from a Gram matrix in either the elliptic or the hyperbolic form.
 """
 
@@ -257,6 +258,66 @@ def jacobi_minor_identity(m: SymMatrix4, spec: MinorSpec) -> tuple[float, float]
     sign = (-1.0) ** (sum(spec.rows) + sum(spec.cols))
     rhs = float(_det4(m.entries) * comp * sign)
     return lhs, rhs
+
+
+def run_minor_identity_suite(
+    trials: int,
+    seed: int,
+    identity_only: bool = False,
+    relative_tol: float = 1e-9,
+    singular_tol: float = 1e-8,
+) -> dict:
+    """Sweep the minor/cofactor identity over seeded random matrices.
+
+    Each trial draws a random symmetric 4x4 matrix and random row/column
+    index sets for a minor, evaluates both sides of the identity
+    independently, and compares them at ``relative_tol``.  Draws whose
+    determinant magnitude falls below ``singular_tol`` violate the regularity
+    precondition and are skipped (recorded in ``notes``), not failed.  With ``identity_only`` the
+    identity matrix replaces the random draw, which makes every trial exact.
+    """
+    rng = np.random.default_rng(seed)
+    passes = failures = skipped = 0
+    worst_gap = 0.0
+    notes: list[str] = []
+    for index in range(trials):
+        if identity_only:
+            matrix = SymMatrix4(np.eye(4))
+        else:
+            raw = rng.uniform(-2.0, 2.0, size=(4, 4))
+            matrix = SymMatrix4((raw + raw.T) / 2.0)
+        size = int(rng.integers(1, 4))
+        rows = tuple(sorted(int(v) for v in rng.choice(4, size=size, replace=False)))
+        cols = tuple(sorted(int(v) for v in rng.choice(4, size=size, replace=False)))
+        det = determinant(matrix)
+        if abs(det) < singular_tol:
+            skipped += 1
+            notes.append(
+                f"SingularMatrix: trial {index} skipped (determinant {det:.3e})"
+            )
+            continue
+        try:
+            lhs, rhs = jacobi_minor_identity(matrix, MinorSpec(rows, cols))
+        except SingularMatrix as exc:
+            skipped += 1
+            notes.append(f"SingularMatrix: trial {index} skipped ({exc})")
+            continue
+        gap = abs(lhs - rhs) / max(1.0, abs(lhs))
+        worst_gap = max(worst_gap, gap)
+        if gap <= relative_tol:
+            passes += 1
+        else:
+            failures += 1
+    return {
+        "trials": trials,
+        "seed": seed,
+        "identity_only": identity_only,
+        "passes": passes,
+        "failures": failures,
+        "skipped": skipped,
+        "worst_relative_gap": worst_gap,
+        "notes": notes,
+    }
 
 
 def projective_distance(

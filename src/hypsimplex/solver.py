@@ -21,13 +21,10 @@ import numpy as np
 
 from . import matrices
 from .conditions import (
-    edge_condition1_cross_deriv_raw,
-    edge_condition1_deriv_raw,
-    edge_condition1_raw,
-    edge_condition2_cross_deriv_raw,
-    edge_condition2_deriv_raw,
-    edge_condition2_raw,
     corner_value,
+    edge_condition1_raw,
+    edge_condition2_raw,
+    edge_jacobian_raw,
 )
 from .errors import AmbiguousSignature, InvalidClass, NoContraction
 from .interval import Interval
@@ -108,12 +105,12 @@ class SolverConfig:
     def __post_init__(self) -> None:
         for name in ("tolerance", "angle_tolerance"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and isfinite(value) and value > 0):
+            real = isinstance(value, Real) and not isinstance(value, bool)
+            if not (real and isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be an int of at least 1, got {self.max_iterations!r}"
-            )
+        steps = self.max_iterations
+        if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 1):
+            raise ValueError(f"max_iterations must be an int of at least 1, got {steps!r}")
 
 
 @dataclass(frozen=True)
@@ -229,17 +226,12 @@ def estimate_contraction(
         x = Interval(al[i], al[i + 1])
         for j in range(resolution):
             y = Interval(be[j], be[j + 1])
-            cells.append((
-                edge_condition1_deriv_raw(x, y, a, b),
-                edge_condition2_deriv_raw(x, y, a, b),
-                edge_condition1_cross_deriv_raw(x, y, a, b),
-                edge_condition2_cross_deriv_raw(x, y, a, b),
-            ))
-    k1 = max(2.0 * max(c[0].mag() for c in cells), 1e-3)
-    k2 = max(2.0 * max(c[1].mag() for c in cells), 1e-3)
+            cells.append(edge_jacobian_raw(x, y, a, b))
+    k1 = max(2.0 * max(d1.mag() for (d1, _), _ in cells), 1e-3)
+    k2 = max(2.0 * max(d2.mag() for _, (_, d2) in cells), 1e-3)
     row_sum = max(
         max((1 + d1 / k1).mag() + (e1 / k1).mag(), (e2 / k2).mag() + (1 + d2 / k2).mag())
-        for d1, d2, e1, e2 in cells
+        for (d1, e1), (e2, d2) in cells
     )
     # The sum of the two magnitudes rounds to nearest; step up past it.
     bound = nextafter(row_sum, inf)
@@ -284,22 +276,6 @@ def contraction_map(
     return step
 
 
-def _jacobian(
-    alpha1: float, beta1: float, a: int, b: int
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Analytic Jacobian of (cond1, cond2) with respect to (alpha1, beta1)."""
-    return (
-        (
-            float(edge_condition1_deriv_raw(alpha1, beta1, a, b)),
-            float(edge_condition1_cross_deriv_raw(alpha1, beta1, a, b)),
-        ),
-        (
-            float(edge_condition2_cross_deriv_raw(alpha1, beta1, a, b)),
-            float(edge_condition2_deriv_raw(alpha1, beta1, a, b)),
-        ),
-    )
-
-
 def _newton(
     params: SimplexParams, start: tuple[float, float], config: SolverConfig
 ) -> tuple[tuple[float, float], int, bool]:
@@ -314,7 +290,9 @@ def _newton(
     x, y = start
     for step in range(1, config.max_iterations + 1):
         f1, f2 = _eval_conditions(x, y, a, b)
-        (j11, j12), (j21, j22) = _jacobian(x, y, a, b)
+        (j11, j12), (j21, j22) = edge_jacobian_raw(x, y, a, b)
+        # The kernel returns numpy scalars; solve() reports Python floats.
+        j11, j12, j21, j22 = float(j11), float(j12), float(j21), float(j22)
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not isfinite(det):
             return (x, y), step - 1, False
@@ -496,7 +474,7 @@ def _improper_scan(
     for root in grid_oracle(params, resolution=400, box=full, config=config):
         if hypot(root.alpha1 - proper[0], root.beta1 - proper[1]) < 1e-6:
             continue
-        (j11, j12), (j21, j22) = _jacobian(root.alpha1, root.beta1, a, b)
+        (j11, j12), (j21, j22) = edge_jacobian_raw(root.alpha1, root.beta1, a, b)
         if abs(j11 * j22 - j12 * j21) < 1e-8:
             continue
         extras.append((float(root.alpha1), float(root.beta1)))

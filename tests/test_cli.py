@@ -8,7 +8,8 @@ from math import pi
 import pytest
 from click.testing import CliRunner
 
-from hypsimplex.cli import _emit, cli
+from hypsimplex.cli import _emit, cli, cmd_solve, cmd_table
+from hypsimplex.solver import SolverConfig
 
 from oracles import TRUE_ROOTS
 
@@ -184,6 +185,14 @@ class TestSolveCommand:
             assert result.stdout == ""
             assert "error:" in result.stderr, (command, option)
 
+    def test_option_defaults_are_the_solver_config_defaults(self):
+        for command in (cmd_solve, cmd_table):
+            defaults = {p.name: p.default for p in command.params}
+            config = SolverConfig(
+                defaults["tol"], defaults["angle_tol"], defaults["max_iter"]
+            )
+            assert config == SolverConfig(), command.name
+
 
 class TestTableCommand:
     def test_default_range_covers_reference_rows(self, runner):
@@ -323,10 +332,10 @@ class TestCheckCommand:
         assert run(runner, "check", "--trials", "0").exit_code == 2
 
     def test_failure_exit_code(self, runner, monkeypatch):
-        import hypsimplex.cli as cli_module
+        import hypsimplex.matrices as matrices_module
 
         monkeypatch.setattr(
-            cli_module, "jacobi_minor_identity", lambda m, spec: (1.0, 2.0)
+            matrices_module, "jacobi_minor_identity", lambda m, spec: (1.0, 2.0)
         )
         result = run(runner, "check", "--trials", "3")
         assert result.exit_code == 4
@@ -336,7 +345,7 @@ class TestCheckCommand:
 
 class TestMinorIdentitySuite:
     def test_near_singular_draws_are_skipped_not_failed(self):
-        from hypsimplex.cli import run_minor_identity_suite
+        from hypsimplex.matrices import run_minor_identity_suite
 
         summary = run_minor_identity_suite(20, seed=3, singular_tol=float("inf"))
         assert summary["skipped"] == 20
@@ -345,7 +354,7 @@ class TestMinorIdentitySuite:
         assert all(note.startswith("SingularMatrix") for note in summary["notes"])
 
     def test_random_suite_counts_are_consistent(self):
-        from hypsimplex.cli import run_minor_identity_suite
+        from hypsimplex.matrices import run_minor_identity_suite
 
         summary = run_minor_identity_suite(200, seed=11)
         assert summary["passes"] + summary["failures"] + summary["skipped"] == 200

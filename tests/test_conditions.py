@@ -30,6 +30,7 @@ from hypsimplex.conditions import (
     edge_condition2_raw,
     edge_condition1_deriv_raw,
     edge_condition2_deriv_raw,
+    edge_jacobian_raw,
 )
 
 from oracles import BMAX_TABLE, TRUE_ROOTS
@@ -184,7 +185,8 @@ class TestDerivatives:
 
     def test_cross_direction_derivatives(self):
         for (a, b) in SAMPLE_PAIRS:
-            for s in random_slices(a, b, 60, seed=a * 400 + b):
+            slices = random_slices(a, b, 60, seed=a * 400 + b)
+            for s in slices:
                 x, y = s.alpha1, s.beta1
                 fd1 = self._fd(edge_condition1_raw, x, y, a, b, axis=1)
                 fd2 = self._fd(edge_condition2_raw, x, y, a, b, axis=0)
@@ -192,6 +194,15 @@ class TestDerivatives:
                 got2 = float(edge_condition2_cross_deriv_raw(x, y, a, b))
                 assert got1 == pytest.approx(fd1, abs=1e-5)
                 assert got2 == pytest.approx(fd2, abs=1e-5)
+            # The Jacobian kernel on an array gives its scalar values.
+            xs = np.array([s.alpha1 for s in slices])
+            ys = np.array([s.beta1 for s in slices])
+            (j11, j12), (j21, j22) = edge_jacobian_raw(xs, ys, a, b)
+            for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+                (s11, s12), (s21, s22) = edge_jacobian_raw(x, y, a, b)
+                assert (j11[k], j12[k], j21[k], j22[k]) == pytest.approx(
+                    (s11, s12, s21, s22), rel=1e-14, abs=1e-15
+                ), (a, b, k)
 
     def test_derivatives_negative_at_roots(self):
         # The damped iteration relies on decreasing conditions at the root.

@@ -18,6 +18,8 @@ KERNELS = (
     conditions.edge_condition1_cross_deriv_raw,
     conditions.edge_condition2_cross_deriv_raw,
 )
+# The entry of edge_jacobian_raw that each of KERNELS returns.
+ENTRIES = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
 def _random_interval(rng: random.Random, scale: float) -> Interval:
@@ -127,12 +129,15 @@ def test_kernels_contain_50_digit_values_on_random_boxes(monkeypatch):
             x0, y0 = rng.uniform(0, math.pi / a), rng.uniform(0, math.pi / b)
             width = rng.choice((0.0, 1e-6, 1e-3, 0.1))
             x, y = Interval(x0, x0 + width / a), Interval(y0, y0 + width / b)
-            for kernel in KERNELS:
+            jacobian = conditions.edge_jacobian_raw(x, y, a, b)
+            for kernel, (i, j) in zip(KERNELS, ENTRIES):
                 enclosure = kernel(x, y, a, b)
                 for _ in range(3):
                     p, q = rng.uniform(x.lo, x.hi), rng.uniform(y.lo, y.hi)
                     exact = kernel(Mpf(p), Mpf(q), a, b)
                     assert _contains(enclosure, exact), (kernel.__name__, a, b, p, q)
+                    exact = conditions.edge_jacobian_raw(Mpf(p), Mpf(q), a, b)[i][j]
+                    assert _contains(jacobian[i][j], exact), ((i, j), a, b, p, q)
 
 
 def test_float_and_array_kernels_ignore_the_interval_path():

@@ -157,12 +157,14 @@ class TestSolveStatuses:
 
 class TestSolverConfig:
     @pytest.mark.parametrize("name", ["tolerance", "angle_tolerance"])
-    @pytest.mark.parametrize("value", [0.0, -1e-12, float("nan"), float("inf"), None])
+    @pytest.mark.parametrize(
+        "value", [0.0, -1e-12, float("nan"), float("inf"), None, True, False]
+    )
     def test_rejects_bad_tolerance(self, name, value):
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: value})
 
-    @pytest.mark.parametrize("value", [0, -5, 10.0, None])
+    @pytest.mark.parametrize("value", [0, -5, 10.0, None, True, False])
     def test_rejects_bad_max_iterations(self, value):
         with pytest.raises(ValueError, match="max_iterations"):
             SolverConfig(max_iterations=value)
