@@ -23,8 +23,7 @@ from . import solver as solver_lib
 from .conditions import (
     compute_bmax,
     corner_value,
-    edge_condition1_raw,
-    edge_condition2_raw,
+    edge_conditions_raw,
     edge_jacobian_raw,
     realizability_inequality,
 )
@@ -406,15 +405,14 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
     box = solver_lib.domain_for(params)
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution)
     be = np.linspace(box.beta1_lo, box.beta1_hi, resolution)
-    aa, bb = np.meshgrid(al, be, indexing="ij")
-    c1 = edge_condition1_raw(aa, bb, params.a, params.b)
-    c2 = edge_condition2_raw(aa, bb, params.a, params.b)
-    (d1, _), (_, d2) = edge_jacobian_raw(aa, bb, params.a, params.b)
+    axes = (al[:, None], be[None, :], params.a, params.b)
+    c1, c2 = edge_conditions_raw(*axes)
+    (d1, _), (_, d2) = edge_jacobian_raw(*axes)
     scale = 180.0 / pi if degrees else 1.0
     rows = (
         [
-            ("alpha1", float(aa[i, j]) * scale),
-            ("beta1", float(bb[i, j]) * scale),
+            ("alpha1", float(al[i]) * scale),
+            ("beta1", float(be[j]) * scale),
             ("cond1", float(c1[i, j])),
             ("cond2", float(c2[i, j])),
             ("dcond1", float(d1[i, j])),

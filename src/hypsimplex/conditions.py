@@ -3,12 +3,13 @@
 With the linear constraints substituted, the whole system lives on two
 coordinates: alpha1 in [0, pi/a] and beta1 in [0, pi/b].  This module keeps
 the scalar machinery: the two vertex minors as closed trig polynomials, the
-two edge conditions whose common zero is the solved simplex, their
-constrained Jacobian ``edge_jacobian_raw`` (each entry the derivative along
-a coordinate with the companion angle eliminated through the constraint,
-i.e. the combination (d/d alpha1) - 2 (d/d alpha2) and its beta twin), the
-realizability inequality, and the derived largest admissible second
-parameter.
+two edge conditions whose common zero is the solved simplex (singly, and as
+the pair ``edge_conditions_raw`` that shares one evaluation of the minors),
+their constrained Jacobian ``edge_jacobian_raw`` (each entry the derivative
+along a coordinate with the companion angle eliminated through the
+constraint, i.e. the combination (d/d alpha1) - 2 (d/d alpha2) and its beta
+twin), the realizability inequality, and the derived largest admissible
+second parameter.
 
 The ``*_raw`` kernels take floats, numpy arrays (broadcasting) and
 ``Interval`` boxes alike; the public operations wrap them for scalar
@@ -90,6 +91,23 @@ def edge_condition2_raw(alpha1, beta1, a: int, b: int):
     m0 = vertex_minor0_raw(alpha1, alpha2, beta1)
     m1 = vertex_minor1_raw(alpha1, beta1, beta2)
     return m1 * np.sin(alpha1) ** 2 - m0 * np.sin(beta2) ** 2
+
+
+def edge_conditions_raw(alpha1, beta1, a: int, b: int):
+    """Both edge conditions (c1, c2) from one evaluation of the minors.
+
+    Each formula is spelled as in the single kernels, so the pair equals
+    ``(edge_condition1_raw(...), edge_condition2_raw(...))`` bit for bit on
+    floats, arrays and Interval boxes.  Broadcast axes (``alpha1[:, None]``,
+    ``beta1[None, :]``) take the trig once per axis value instead of once
+    per grid node.
+    """
+    alpha2, beta2 = _derived(alpha1, beta1, a, b)
+    m0 = vertex_minor0_raw(alpha1, alpha2, beta1)
+    m1 = vertex_minor1_raw(alpha1, beta1, beta2)
+    c1 = m0 * np.sin(beta1) ** 2 - m1 * np.sin(alpha2) ** 2
+    c2 = m1 * np.sin(alpha1) ** 2 - m0 * np.sin(beta2) ** 2
+    return c1, c2
 
 
 def edge_jacobian_raw(alpha1, beta1, a: int, b: int):

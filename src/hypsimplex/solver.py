@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import hypot, inf, isfinite, nextafter, pi
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .conditions import (
     corner_value,
     edge_condition1_raw,
     edge_condition2_raw,
+    edge_conditions_raw,
     edge_jacobian_raw,
 )
 from .errors import AmbiguousSignature, InvalidClass, NoContraction
@@ -188,10 +189,17 @@ def domain_for(params: SimplexParams) -> DomainBox:
 
 
 def _eval_conditions(alpha1: float, beta1: float, a: int, b: int) -> tuple[float, float]:
-    return (
-        float(edge_condition1_raw(alpha1, beta1, a, b)),
-        float(edge_condition2_raw(alpha1, beta1, a, b)),
-    )
+    c1, c2 = edge_conditions_raw(alpha1, beta1, a, b)
+    return float(c1), float(c2)
+
+
+def _check_resolution(resolution) -> None:
+    if not (
+        isinstance(resolution, Integral)
+        and not isinstance(resolution, bool)
+        and resolution >= 1
+    ):
+        raise ValueError(f"resolution must be an int of at least 1, got {resolution!r}")
 
 
 def estimate_contraction(
@@ -215,8 +223,10 @@ def estimate_contraction(
     bound.  Raises NoContraction when the bound is not below one; on the
     full domain box it never is, since the first condition's derivative
     loses its sign on the alpha1 = pi/a edge — certificates exist only on
-    smaller boxes around the root.
+    smaller boxes around the root.  Raises ValueError unless
+    ``resolution`` is an int of at least 1.
     """
+    _check_resolution(resolution)
     box = box or domain_for(params)
     a, b = params.a, params.b
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
@@ -308,6 +318,11 @@ def _newton(
 
 
 def _bisect_1d(func, lo: float, hi: float, steps: int = 100) -> float | None:
+    """Bisect a sign change of func on [lo, hi]; None if there is none.
+
+    Stops early once the midpoint rounds to an endpoint: from then on no
+    step can change what is returned.
+    """
     flo, fhi = func(lo), func(hi)
     if flo == 0.0:
         return lo
@@ -317,6 +332,8 @@ def _bisect_1d(func, lo: float, hi: float, steps: int = 100) -> float | None:
         return None
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         fmid = func(mid)
         if fmid == 0.0:
             return mid
@@ -396,15 +413,16 @@ def grid_oracle(
     Flags every grid cell on which both edge conditions change sign (the
     four-corner min/max test), digs the root out of each flagged cell, and
     keeps deduplicated points whose residuals clear the oracle tolerance.
+    The bisection stops at float resolution.  Raises ValueError unless
+    ``resolution`` (cells per side) is an int of at least 1.
     """
+    _check_resolution(resolution)
     cfg = config or SolverConfig()
     box = box or domain_for(params)
     a, b = params.a, params.b
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
     be = np.linspace(box.beta1_lo, box.beta1_hi, resolution + 1)
-    aa, bb = np.meshgrid(al, be, indexing="ij")
-    g1 = edge_condition1_raw(aa, bb, a, b)
-    g2 = edge_condition2_raw(aa, bb, a, b)
+    g1, g2 = edge_conditions_raw(al[:, None], be[None, :], a, b)
 
     def corner_stack(g):
         return np.stack(

@@ -30,8 +30,10 @@ from hypsimplex.conditions import (
     edge_condition2_raw,
     edge_condition1_deriv_raw,
     edge_condition2_deriv_raw,
+    edge_conditions_raw,
     edge_jacobian_raw,
 )
+from hypsimplex.interval import Interval
 
 from oracles import BMAX_TABLE, TRUE_ROOTS
 
@@ -220,6 +222,41 @@ class TestDerivatives:
                 assert grid1[i, j] == pytest.approx(
                     float(edge_condition1_raw(float(x), float(y), a, b)), abs=1e-15
                 )
+
+
+class TestPairKernel:
+    """edge_conditions_raw is the two single kernels, bit for bit."""
+
+    def test_floats(self):
+        for (a, b) in SAMPLE_PAIRS:
+            for s in random_slices(a, b, 50, seed=a * 500 + b):
+                x, y = s.alpha1, s.beta1
+                c1, c2 = edge_conditions_raw(x, y, a, b)
+                assert c1 == edge_condition1_raw(x, y, a, b), (a, b, x, y)
+                assert c2 == edge_condition2_raw(x, y, a, b), (a, b, x, y)
+
+    def test_broadcast_axes_match_meshgrid(self):
+        # Also checks that numpy's sin/cos give the same bits whatever the
+        # array shape, which the grid oracle's broadcasting relies on.
+        for (a, b) in SAMPLE_PAIRS:
+            al = np.linspace(0.0, pi / a, 201)
+            be = np.linspace(0.0, pi / b, 201)
+            aa, bb = np.meshgrid(al, be, indexing="ij")
+            c1, c2 = edge_conditions_raw(al[:, None], be[None, :], a, b)
+            assert np.array_equal(c1, edge_condition1_raw(aa, bb, a, b)), (a, b)
+            assert np.array_equal(c2, edge_condition2_raw(aa, bb, a, b)), (a, b)
+
+    def test_interval_boxes(self):
+        for (a, b) in SAMPLE_PAIRS:
+            for s in random_slices(a, b, 20, seed=a * 600 + b):
+                for r in (1e-9, 1e-4, 1e-2):
+                    x = Interval(s.alpha1 - r, s.alpha1 + r)
+                    y = Interval(s.beta1 - r, s.beta1 + r)
+                    c1, c2 = edge_conditions_raw(x, y, a, b)
+                    e1 = edge_condition1_raw(x, y, a, b)
+                    e2 = edge_condition2_raw(x, y, a, b)
+                    assert (c1.lo, c1.hi) == (e1.lo, e1.hi), (a, b, r)
+                    assert (c2.lo, c2.hi) == (e2.lo, e2.hi), (a, b, r)
 
 
 class TestRealizabilityInequality:

@@ -1,6 +1,6 @@
 """Tests for the solve pipeline, grid oracle, and contraction estimates."""
 
-from math import pi
+from math import nextafter, pi, sqrt
 
 import pytest
 
@@ -19,6 +19,8 @@ from hypsimplex import (
     grid_oracle,
     solve,
 )
+
+from hypsimplex.solver import _bisect_1d
 
 from oracles import IMPROPER_ROOT_23, LARGE_A_ROOTS, TRUE_ROOTS
 
@@ -218,7 +220,91 @@ class TestGridOracle:
         assert roots[0].beta1 == pytest.approx(TRUE_ROOTS[(3, 8)][1], abs=1e-8)
 
 
+    @pytest.mark.parametrize("resolution", [0, -3, 2.0, None, True, False])
+    def test_rejects_bad_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            grid_oracle(SimplexParams(2, 4), resolution=resolution)
+
+
+def _bisect_reference(func, lo, hi, steps=100):
+    """The bisection without its early exit: always all steps."""
+    flo, fhi = func(lo), func(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        return None
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fmid = func(mid)
+        if fmid == 0.0:
+            return mid
+        if flo * fmid < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def _sign_step(at):
+    """A function that changes sign at ``at`` and is never zero, so
+    bisection runs until its bracket is two adjacent floats."""
+    return lambda x: -1.0 if x < at else 1.0
+
+
+class TestBisect1d:
+    FUNCS = (
+        # The final bracket's midpoint rounds to lo or to hi depending on
+        # the parity of the step point; take both parities.
+        _sign_step(sqrt(0.5)),
+        _sign_step(nextafter(sqrt(0.5), 1.0)),
+        _sign_step(0.5 + 1e-12),
+        _sign_step(nextafter(0.5 + 1e-12, 1.0)),
+        _sign_step(0.1 + 1e-17),
+        _sign_step(1e-300),
+        _sign_step(-3e-310),
+        lambda x: x - sqrt(0.5),
+        lambda x: 0.25 - x * x,
+        lambda x: x**3 - 1e-30,
+        lambda x: x - 1e-300,
+        lambda x: -x - 5e-324,
+        lambda x: 1.0 - 3.0 * x,
+        lambda x: (x - 0.1) ** 3,
+    )
+    BRACKETS = (
+        (0.495, 0.505), (0.0, 1.0), (-1.0, 1.0), (0.0, 1e-2), (-1e-2, 0.0),
+        (-1e-300, 1e-300), (0.1, 0.1 + 2e-17), (0.3, 0.4), (0.0, 5e-324),
+    )
+
+    def test_matches_full_length_reference(self):
+        for k, func in enumerate(self.FUNCS):
+            for lo, hi in self.BRACKETS:
+                got = _bisect_1d(func, lo, hi)
+                want = _bisect_reference(func, lo, hi)
+                assert repr(got) == repr(want), (k, lo, hi)
+
+    @pytest.mark.parametrize("at", [0.5 + 1e-9, nextafter(0.5 + 1e-9, 1.0)])
+    def test_stops_at_float_resolution(self, at):
+        step = _sign_step(at)
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return step(x)
+
+        assert _bisect_1d(func, 0.495, 0.505) == _bisect_reference(step, 0.495, 0.505)
+        assert len(calls) <= 60
+
+
 class TestContraction:
+    @pytest.mark.parametrize("resolution", [0, -1, 1.5, None, True, False])
+    def test_rejects_bad_resolution(self, resolution):
+        x, y = TRUE_ROOTS[(2, 4)]
+        box = DomainBox(x - 0.02, x + 0.02, y - 0.02, y + 0.02)
+        with pytest.raises(ValueError, match="resolution"):
+            estimate_contraction(SimplexParams(2, 4), box, resolution=resolution)
+
     def test_full_domain_box_fails(self):
         # The first condition's derivative changes sign on the far alpha
         # edge, so no damping certifies the whole box.
