@@ -20,13 +20,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import matrices
-from .conditions import (
-    corner_value,
-    edge_condition1_raw,
-    edge_condition2_raw,
-    edge_conditions_raw,
-    edge_jacobian_raw,
-)
+from .conditions import corner_value, edge_conditions_raw, edge_jacobian_raw
 from .errors import AmbiguousSignature, InvalidClass, NoContraction
 from .interval import Interval
 from .model import (
@@ -317,89 +311,19 @@ def _newton(
     return (x, y), config.max_iterations, False
 
 
-def _bisect_1d(func, lo: float, hi: float, steps: int = 100) -> float | None:
-    """Bisect a sign change of func on [lo, hi]; None if there is none.
+def _sign_change_cells(grid: np.ndarray) -> np.ndarray:
+    """Cells of a grid of values with some corner <= 0 and some corner >= 0.
 
-    Stops early once the midpoint rounds to an endpoint: from then on no
-    step can change what is returned.
+    The boolean masks are reduced over views of neighbouring rows, then of
+    neighbouring columns; on finite values this is the four-corner test
+    min <= 0 <= max.
     """
-    flo, fhi = func(lo), func(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        return None
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = func(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
 
+    def any_corner(mask):
+        rows = mask[:-1] | mask[1:]
+        return rows[:, :-1] | rows[:, 1:]
 
-def _cell_root(
-    params: SimplexParams,
-    alo: float,
-    ahi: float,
-    blo: float,
-    bhi: float,
-    config: SolverConfig,
-) -> tuple[float, float] | None:
-    """Locate a common zero inside one flagged grid cell.
-
-    Tries nested bisection in both orientations (inner root of one
-    condition along one coordinate, outer bisection of the other condition
-    along the other), then falls back to Newton from the cell center.
-    """
-    a, b = params.a, params.b
-
-    def root_alpha(beta: float) -> float | None:
-        return _bisect_1d(lambda al: float(edge_condition1_raw(al, beta, a, b)), alo, ahi)
-
-    def outer_beta(beta: float) -> float | None:
-        al = root_alpha(beta)
-        if al is None:
-            return None
-        return float(edge_condition2_raw(al, beta, a, b))
-
-    lo_val, hi_val = outer_beta(blo), outer_beta(bhi)
-    if lo_val is not None and hi_val is not None and lo_val * hi_val <= 0.0:
-        beta = _bisect_1d(lambda bt: outer_beta(bt) or 0.0, blo, bhi)
-        if beta is not None:
-            al = root_alpha(beta)
-            if al is not None:
-                return al, beta
-
-    def root_beta(alpha: float) -> float | None:
-        return _bisect_1d(lambda bt: float(edge_condition2_raw(alpha, bt, a, b)), blo, bhi)
-
-    def outer_alpha(alpha: float) -> float | None:
-        bt = root_beta(alpha)
-        if bt is None:
-            return None
-        return float(edge_condition1_raw(alpha, bt, a, b))
-
-    lo_val, hi_val = outer_alpha(alo), outer_alpha(ahi)
-    if lo_val is not None and hi_val is not None and lo_val * hi_val <= 0.0:
-        alpha = _bisect_1d(lambda al: outer_alpha(al) or 0.0, alo, ahi)
-        if alpha is not None:
-            bt = root_beta(alpha)
-            if bt is not None:
-                return alpha, bt
-
-    center = (0.5 * (alo + ahi), 0.5 * (blo + bhi))
-    (x, y), _, converged = _newton(params, center, config)
-    diag = hypot(ahi - alo, bhi - blo)
-    if converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag:
-        return x, y
-    return None
+    return any_corner(grid <= 0.0) & any_corner(grid >= 0.0)
 
 
 def grid_oracle(
@@ -408,13 +332,15 @@ def grid_oracle(
     box: DomainBox | None = None,
     config: SolverConfig | None = None,
 ) -> list[GridRoot]:
-    """Independent root locator: sign-change cells plus nested bisection.
+    """Independent root locator: sign-change cells plus Newton per cell.
 
-    Flags every grid cell on which both edge conditions change sign (the
-    four-corner min/max test), digs the root out of each flagged cell, and
-    keeps deduplicated points whose residuals clear the oracle tolerance.
-    The bisection stops at float resolution.  Raises ValueError unless
-    ``resolution`` (cells per side) is an int of at least 1.
+    Flags every grid cell on which both edge conditions change sign (some
+    corner <= 0 and some corner >= 0), runs Newton from the centre of each
+    flagged cell, accepts a converged point at most three cell diagonals
+    from that centre, polishes it with a second Newton run, and keeps
+    deduplicated points inside the box whose residuals clear the oracle
+    tolerance.  Raises ValueError unless ``resolution`` (cells per side) is
+    an int of at least 1.
     """
     _check_resolution(resolution)
     cfg = config or SolverConfig()
@@ -423,26 +349,15 @@ def grid_oracle(
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
     be = np.linspace(box.beta1_lo, box.beta1_hi, resolution + 1)
     g1, g2 = edge_conditions_raw(al[:, None], be[None, :], a, b)
-
-    def corner_stack(g):
-        return np.stack(
-            [g[:-1, :-1], g[1:, :-1], g[:-1, 1:], g[1:, 1:]], axis=0
-        )
-
-    s1 = corner_stack(g1)
-    s2 = corner_stack(g2)
-    flagged = (
-        (s1.min(axis=0) <= 0.0)
-        & (s1.max(axis=0) >= 0.0)
-        & (s2.min(axis=0) <= 0.0)
-        & (s2.max(axis=0) >= 0.0)
-    )
+    flagged = _sign_change_cells(g1) & _sign_change_cells(g2)
     roots: list[GridRoot] = []
     for i, j in zip(*np.nonzero(flagged)):
-        found = _cell_root(params, al[i], al[i + 1], be[j], be[j + 1], cfg)
-        if found is None:
+        center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
+        (x, y), _, converged = _newton(params, center, cfg)
+        diag = hypot(al[i + 1] - al[i], be[j + 1] - be[j])
+        if not (converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag):
             continue
-        (x, y), _, _ = _newton(params, found, cfg)
+        (x, y), _, _ = _newton(params, (x, y), cfg)
         r1, r2 = _eval_conditions(x, y, a, b)
         if max(abs(r1), abs(r2)) >= ORACLE_RESIDUAL_TOL:
             continue

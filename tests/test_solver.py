@@ -1,7 +1,8 @@
 """Tests for the solve pipeline, grid oracle, and contraction estimates."""
 
-from math import nextafter, pi, sqrt
+from math import pi
 
+import numpy as np
 import pytest
 
 from hypsimplex import (
@@ -20,7 +21,8 @@ from hypsimplex import (
     solve,
 )
 
-from hypsimplex.solver import _bisect_1d
+from hypsimplex import conditions
+from hypsimplex.solver import _sign_change_cells
 
 from oracles import IMPROPER_ROOT_23, LARGE_A_ROOTS, TRUE_ROOTS
 
@@ -181,8 +183,8 @@ class TestImproperRootScan:
         report = solved_reports[(2, 3)]
         assert len(report.improper_roots) == 1
         x, y = report.improper_roots[0]
-        assert x == pytest.approx(IMPROPER_ROOT_23[0], abs=1e-9)
-        assert y == pytest.approx(IMPROPER_ROOT_23[1], abs=1e-9)
+        assert x == pytest.approx(IMPROPER_ROOT_23[0], abs=1e-15)
+        assert y == pytest.approx(IMPROPER_ROOT_23[1], abs=1e-15)
 
     def test_improper_root_fails_properness(self):
         params = SimplexParams(2, 3)
@@ -225,76 +227,81 @@ class TestGridOracle:
         with pytest.raises(ValueError, match="resolution"):
             grid_oracle(SimplexParams(2, 4), resolution=resolution)
 
+    # Second transversal roots of a = 2 pairs in the full box, as listed in
+    # the ROADMAP findings; _improper_scan relies on the scan finding them.
+    SECOND_ROOTS = {
+        (2, 4): (0.0324050, 0.6347995),
+        (2, 5): (0.016370, 0.505929),
+        (2, 7): (0.0058828, 0.3602157),
+    }
 
-def _bisect_reference(func, lo, hi, steps=100):
-    """The bisection without its early exit: always all steps."""
-    flo, fhi = func(lo), func(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        return None
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        fmid = func(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    @pytest.mark.parametrize("pair", sorted(SECOND_ROOTS))
+    def test_full_box_scan_finds_the_second_root(self, pair):
+        a, b = pair
+        full = DomainBox(0.0, pi / a, 0.0, pi / b)
+        roots = grid_oracle(SimplexParams(a, b), resolution=400, box=full)
+        x, y = self.SECOND_ROOTS[pair]
+        assert any(
+            abs(r.alpha1 - x) <= 1e-6 and abs(r.beta1 - y) <= 1e-6 for r in roots
+        ), (pair, roots)
 
-
-def _sign_step(at):
-    """A function that changes sign at ``at`` and is never zero, so
-    bisection runs until its bracket is two adjacent floats."""
-    return lambda x: -1.0 if x < at else 1.0
-
-
-class TestBisect1d:
-    FUNCS = (
-        # The final bracket's midpoint rounds to lo or to hi depending on
-        # the parity of the step point; take both parities.
-        _sign_step(sqrt(0.5)),
-        _sign_step(nextafter(sqrt(0.5), 1.0)),
-        _sign_step(0.5 + 1e-12),
-        _sign_step(nextafter(0.5 + 1e-12, 1.0)),
-        _sign_step(0.1 + 1e-17),
-        _sign_step(1e-300),
-        _sign_step(-3e-310),
-        lambda x: x - sqrt(0.5),
-        lambda x: 0.25 - x * x,
-        lambda x: x**3 - 1e-30,
-        lambda x: x - 1e-300,
-        lambda x: -x - 5e-324,
-        lambda x: 1.0 - 3.0 * x,
-        lambda x: (x - 0.1) ** 3,
-    )
-    BRACKETS = (
-        (0.495, 0.505), (0.0, 1.0), (-1.0, 1.0), (0.0, 1e-2), (-1e-2, 0.0),
-        (-1e-300, 1e-300), (0.1, 0.1 + 2e-17), (0.3, 0.4), (0.0, 5e-324),
-    )
-
-    def test_matches_full_length_reference(self):
-        for k, func in enumerate(self.FUNCS):
-            for lo, hi in self.BRACKETS:
-                got = _bisect_1d(func, lo, hi)
-                want = _bisect_reference(func, lo, hi)
-                assert repr(got) == repr(want), (k, lo, hi)
-
-    @pytest.mark.parametrize("at", [0.5 + 1e-9, nextafter(0.5 + 1e-9, 1.0)])
-    def test_stops_at_float_resolution(self, at):
-        step = _sign_step(at)
+    def test_kernel_calls_are_what_newton_per_flagged_cell_needs(self, monkeypatch):
+        """One array evaluation for the grid, then at most two Newton runs
+        of NEWTON_STEPS steps (residual and Jacobian per step, one final
+        residual each) and one residual check per flagged cell.  Every
+        kernel goes through conditions._derived, so a per-cell search
+        through any kernel counts here."""
+        NEWTON_STEPS = 10
+        params = SimplexParams(3, 7)
+        box = domain_for(params)
+        al = np.linspace(box.alpha1_lo, box.alpha1_hi, 201)
+        be = np.linspace(box.beta1_lo, box.beta1_hi, 201)
+        g1, g2 = conditions.edge_conditions_raw(al[:, None], be[None, :], 3, 7)
+        flagged = int((_reference_cells(g1) & _reference_cells(g2)).sum())
+        assert flagged >= 1
         calls = []
+        derived = conditions._derived
 
-        def func(x):
-            calls.append(x)
-            return step(x)
+        def counting(*args):
+            calls.append(args)
+            return derived(*args)
 
-        assert _bisect_1d(func, 0.495, 0.505) == _bisect_reference(step, 0.495, 0.505)
-        assert len(calls) <= 60
+        monkeypatch.setattr(conditions, "_derived", counting)
+        (root,) = grid_oracle(params)
+        assert root.alpha1 == pytest.approx(TRUE_ROOTS[(3, 7)][0], abs=1e-15)
+        assert len(calls) <= 1 + flagged * (2 * (2 * NEWTON_STEPS + 1) + 1)
+
+
+def _reference_cells(grid):
+    """The four-corner test min <= 0 <= max over stacked corner copies."""
+    corners = np.stack([grid[:-1, :-1], grid[1:, :-1], grid[:-1, 1:], grid[1:, 1:]])
+    return (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
+
+
+class TestSignChangeCells:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_corner_min_max_test(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(2, 40, size=2))
+        grid = rng.standard_normal(shape)
+        # Exact zeros of both signs, and regions of one sign only.
+        picks = rng.random(shape)
+        grid[picks < 0.15] = 0.0
+        grid[picks > 0.85] = -0.0
+        grid[: shape[0] // 3] = np.abs(grid[: shape[0] // 3]) + 1.0
+        if seed % 2:
+            grid[:, : shape[1] // 4] *= -1.0
+        got = _sign_change_cells(grid)
+        want = _reference_cells(grid)
+        assert got.shape == want.shape == (shape[0] - 1, shape[1] - 1)
+        assert np.array_equal(got, want), seed
+
+    def test_signed_zero_corners(self):
+        for grid in ([[0.0, 1.0], [1.0, 1.0]], [[-0.0, -1.0], [-1.0, -1.0]],
+                     [[-0.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]],
+                     [[-1.0, -2.0], [-3.0, -4.0]], [[-1.0, 2.0], [3.0, 4.0]]):
+            g = np.array(grid)
+            assert np.array_equal(_sign_change_cells(g), _reference_cells(g)), grid
 
 
 class TestContraction:
