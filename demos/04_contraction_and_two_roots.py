@@ -5,8 +5,8 @@ a small multiple of each edge condition to its own coordinate.  Both
 conditions decrease along their own coordinate near the root, so with
 damping constants above twice the steepest slope the map is a local
 contraction — something the package proves with interval arithmetic: an
-outward-rounded bound on the map's Jacobian over every point of a box
-around the solved root, shrunk until the bound drops below one.  solve()
+outward-rounded bound on the map's Jacobian over every point of one box
+around the solved root, of radius 2**-30 times each coordinate.  solve()
 itself finds the root by Newton's method; this damped map is the iteration
 the certificate is about, traced here next to the root solve() returns.
 
@@ -70,8 +70,8 @@ def certificates() -> None:
     box = report.certificate_box
     print(
         f"  solve() records : {report.contraction_norm_estimate:.3f} on the box "
-        f"alpha1 in [{box.alpha1_lo:.4f}, {box.alpha1_hi:.4f}], "
-        f"beta1 in [{box.beta1_lo:.4f}, {box.beta1_hi:.4f}]"
+        f"of half-widths {0.5 * (box.alpha1_hi - box.alpha1_lo):.3e} in alpha1 "
+        f"and {0.5 * (box.beta1_hi - box.beta1_lo):.3e} in beta1"
     )
     print()
 

@@ -220,8 +220,9 @@ def compute_bmax(a: int, b_limit: int | None = None) -> int | None:
     """Largest b in (a, b_limit] satisfying the strict inequality.
 
     Returns None ("unbounded at the scan ceiling") if the inequality is
-    still strict at b_limit itself; with the default ceiling of 4a this
-    cannot happen, since the admissible range never reaches past 2.5a.
+    still strict at b_limit itself.  With the default ceiling of 4a this
+    does not happen for a = 2..400, where b_max <= 3.5a, with equality only
+    at a = 2 (b_max = 7), and b_max = 2a for a = 6..400.
     """
     if a < 2:
         raise InvalidParams(f"need a >= 2, got {a}")

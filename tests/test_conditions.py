@@ -286,6 +286,17 @@ class TestComputeBmax:
         for a, want in BMAX_TABLE.items():
             assert compute_bmax(a) == want
 
+    def test_default_ceiling_is_never_reached(self):
+        # The docstring's bound: b_max <= 3.5a, reached only at a = 2, and
+        # b_max = 2a from a = 6 on.
+        for a in range(2, 401):
+            b_max = compute_bmax(a)
+            assert b_max is not None, a
+            assert b_max <= 3.5 * a, (a, b_max)
+            assert (b_max == 3.5 * a) == (a == 2), (a, b_max)
+            if a >= 6:
+                assert b_max == 2 * a, (a, b_max)
+
     def test_unbounded_sentinel_at_scan_ceiling(self):
         # Strict inequality still holding at the ceiling itself -> None,
         # since the admissible range may continue past the scan.

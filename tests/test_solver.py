@@ -14,6 +14,7 @@ from hypsimplex import (
     SolveStatus,
     SolverConfig,
     check_properness,
+    compute_bmax,
     contraction_map,
     domain_for,
     estimate_contraction,
@@ -21,7 +22,7 @@ from hypsimplex import (
     solve,
 )
 
-from hypsimplex import conditions
+from hypsimplex import conditions, solver
 from hypsimplex.solver import _sign_change_cells
 
 from oracles import IMPROPER_ROOT_23, LARGE_A_ROOTS, TRUE_ROOTS
@@ -122,6 +123,32 @@ class TestLargeA:
     def test_carries_a_certificate(self, pair):
         report = solve(SimplexParams(*pair))
         assert 0.0 < report.contraction_norm_estimate < 1.0, pair
+        assert report.certificate_box.contains(report.angles.alpha1, report.angles.beta1)
+
+
+class TestOneCertificateBox:
+    @pytest.mark.parametrize("pair", [(2, 7), (200, 400)])
+    def test_one_estimate_per_solve(self, pair, monkeypatch):
+        calls = []
+        original = solver.estimate_contraction
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "estimate_contraction", counting)
+        report = solve(SimplexParams(*pair))
+        assert report.status is SolveStatus.SOLVED
+        assert len(calls) == 1, pair
+
+    def test_every_pair_up_to_a_20_is_certified(self):
+        for a in range(2, 21):
+            for b in range(a + 1, compute_bmax(a) + 1):
+                report = solve(SimplexParams(a, b))
+                assert report.status is SolveStatus.SOLVED, (a, b)
+                assert report.contraction_norm_estimate < 1.0, (a, b)
+                root = (report.angles.alpha1, report.angles.beta1)
+                assert report.certificate_box.contains(*root), (a, b)
 
 
 class TestSolveStatuses:
