@@ -37,15 +37,15 @@ def main() -> None:
     for a, b in [(2, 7), (2, 8), (2, 9), (5, 11), (5, 12)]:
         lhs, rhs, strict = realizability_inequality(SimplexParams(a, b))
         print(f"  ({a:2d}, {b:2d})   {lhs:12.8f}  {rhs:12.8f}  {strict}")
-    print("  ((2, 8) is the exact equality case: lhs - rhs is zero to")
-    print("   machine precision, which is why its range ends at b = 7.)")
+    print("  ((2, 8) is the exact equality case: lhs - rhs = sin(pi/4) - cos(pi/4)")
+    print("   is zero, which is why its range ends at b = 7.)")
 
     print()
     print("Equivalent corner-value discriminant")
     print("=" * 54)
-    print("  The same decision can be read off one number: the value of the")
-    print("  second edge condition at the corner (pi/a, 0).  Positive means")
-    print("  solvable, zero degenerate, negative unsolvable.")
+    print("  The value of the second edge condition at the corner (pi/a, 0)")
+    print("  equals (lhs - rhs)(lhs + rhs), so its sign repeats the decision:")
+    print("  positive means solvable, zero degenerate, negative unsolvable.")
     for a, b in [(2, 7), (2, 8), (2, 9)]:
         print(f"  corner value ({a}, {b}) = {corner_value(SimplexParams(a, b)):+.3e}")
 
@@ -57,8 +57,9 @@ def main() -> None:
         count = bmax - a
         print(f"  a = {a:2d}:  b in ({a}, {bmax}]   ({count} admissible values)")
     print()
-    print("  The range grows roughly like 2a: the corner value at b = 2a + 1")
-    print("  stays positive while pushing much beyond drives it negative.")
+    print("  From a = 6 on, b_max = 2a exactly: lhs - rhs falls as b grows, is")
+    print("  positive at b = 2a and negative at b = 2a + 1 (model._b_max proves")
+    print("  it), so the corner value at b = 2a + 1 is negative for every a >= 6.")
 
 
 if __name__ == "__main__":

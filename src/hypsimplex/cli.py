@@ -183,13 +183,9 @@ def _make_config(tol, angle_tol, max_iter) -> SolverConfig:
         _fail(str(exc), EXIT_INVALID_PARAMS)
 
 
-def _b_max_field(a: int) -> object:
-    """Largest admissible second parameter, or a sentinel when a scan ceiling
-    is reached without the bound ever failing."""
-    if a < 2:
-        return None
-    limit = compute_bmax(a)
-    return "Unbounded" if limit is None else limit
+def _b_max_field(a: int) -> int | None:
+    """Largest admissible second parameter; None for a = 1."""
+    return compute_bmax(a) if a >= 2 else None
 
 
 def _geometry_fields(angles: DihedralAngles | None) -> list:
@@ -361,8 +357,7 @@ def cmd_table(a_range, b_range, b_upto, tol, angle_tol, max_iter, fmt,
         else:
             if a < 2:
                 continue
-            limit = compute_bmax(a)
-            b_lo, b_hi = a + 1, limit if limit is not None else 4 * a
+            b_lo, b_hi = a + 1, compute_bmax(a)
         for b in range(b_lo, b_hi + 1):
             if b <= a:
                 continue

@@ -19,13 +19,13 @@ slices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import cos, pi, sin
 
 import numpy as np
 
 from .errors import InvalidParams
 from .interval import PI, Interval
-from .model import SimplexParams, _inequality_sides
+from .model import SimplexParams, _b_max
 
 _BOX_TOL = 1e-12
 
@@ -79,28 +79,11 @@ def vertex_minor1_raw(alpha1, beta1, beta2):
     return _minor(np.cos(alpha1), np.cos(beta1), np.cos(beta2))
 
 
-def edge_condition1_raw(alpha1, beta1, a: int, b: int):
-    alpha2, beta2 = _derived(alpha1, beta1, a, b)
-    m0 = vertex_minor0_raw(alpha1, alpha2, beta1)
-    m1 = vertex_minor1_raw(alpha1, beta1, beta2)
-    return m0 * np.sin(beta1) ** 2 - m1 * np.sin(alpha2) ** 2
-
-
-def edge_condition2_raw(alpha1, beta1, a: int, b: int):
-    alpha2, beta2 = _derived(alpha1, beta1, a, b)
-    m0 = vertex_minor0_raw(alpha1, alpha2, beta1)
-    m1 = vertex_minor1_raw(alpha1, beta1, beta2)
-    return m1 * np.sin(alpha1) ** 2 - m0 * np.sin(beta2) ** 2
-
-
 def edge_conditions_raw(alpha1, beta1, a: int, b: int):
     """Both edge conditions (c1, c2) from one evaluation of the minors.
 
-    Each formula is spelled as in the single kernels, so the pair equals
-    ``(edge_condition1_raw(...), edge_condition2_raw(...))`` bit for bit on
-    floats, arrays and Interval boxes.  Broadcast axes (``alpha1[:, None]``,
-    ``beta1[None, :]``) take the trig once per axis value instead of once
-    per grid node.
+    Broadcast axes (``alpha1[:, None]``, ``beta1[None, :]``) take the trig
+    once per axis value instead of once per grid node.
     """
     alpha2, beta2 = _derived(alpha1, beta1, a, b)
     m0 = vertex_minor0_raw(alpha1, alpha2, beta1)
@@ -108,6 +91,16 @@ def edge_conditions_raw(alpha1, beta1, a: int, b: int):
     c1 = m0 * np.sin(beta1) ** 2 - m1 * np.sin(alpha2) ** 2
     c2 = m1 * np.sin(alpha1) ** 2 - m0 * np.sin(beta2) ** 2
     return c1, c2
+
+
+def edge_condition1_raw(alpha1, beta1, a: int, b: int):
+    """The first edge condition alone, as edge_conditions_raw computes it."""
+    return edge_conditions_raw(alpha1, beta1, a, b)[0]
+
+
+def edge_condition2_raw(alpha1, beta1, a: int, b: int):
+    """The second edge condition alone, as edge_conditions_raw computes it."""
+    return edge_conditions_raw(alpha1, beta1, a, b)[1]
 
 
 def edge_jacobian_raw(alpha1, beta1, a: int, b: int):
@@ -205,24 +198,27 @@ def edge_condition2_deriv(s: AngleSlice) -> float:
 
 
 def realizability_inequality(params: SimplexParams) -> tuple[float, float, bool]:
-    """Both sides of the strict realizability inequality and its truth.
+    """Both sides of the strict realizability inequality, as floats, and its
+    truth, decided exactly by the b_max lemma (see classify_realization).
 
     Raises InvalidParams unless b > a >= 2.
     """
     a, b = params.a, params.b
     if a < 2 or b <= a:
         raise InvalidParams(f"inequality requires b > a >= 2, got ({a}, {b})")
-    lhs, rhs = _inequality_sides(a, b)
-    return lhs, rhs, lhs > rhs
+    lhs = (1.0 + cos(pi / a)) * sin(2.0 * pi / b)
+    rhs = (cos(pi / a) + cos(2.0 * pi / b)) * sin(pi / a)
+    return lhs, rhs, b <= _b_max(a)
 
 
 def compute_bmax(a: int, b_limit: int | None = None) -> int | None:
     """Largest b in (a, b_limit] satisfying the strict inequality.
 
+    That is 7, 8, 9, 11 for a = 2..5 and 2a from a = 6 on (model._b_max
+    proves it); every b in (a, b_max] is admissible and no larger one is.
     Returns None ("unbounded at the scan ceiling") if the inequality is
-    still strict at b_limit itself.  With the default ceiling of 4a this
-    does not happen for a = 2..400, where b_max <= 3.5a, with equality only
-    at a = 2 (b_max = 7), and b_max = 2a for a = 6..400.
+    still strict at b_limit itself, which the default ceiling of 4a never
+    is.
     """
     if a < 2:
         raise InvalidParams(f"need a >= 2, got {a}")
@@ -230,26 +226,17 @@ def compute_bmax(a: int, b_limit: int | None = None) -> int | None:
         b_limit = 4 * a
     if b_limit < a + 1:
         raise InvalidParams(f"b_limit must be at least a+1, got {b_limit}")
-    best: int | None = None
-    for b in range(a + 1, b_limit + 1):
-        lhs, rhs = _inequality_sides(a, b)
-        if lhs > rhs:
-            best = b
-    if best == b_limit:
-        return None
-    if best is None:
-        raise InvalidParams(f"no admissible b in ({a}, {b_limit}]")
-    return best
+    best = _b_max(a)
+    return best if best < b_limit else None
 
 
 def corner_value(params: SimplexParams) -> float:
     """Second edge condition evaluated at the corner (pi/a, 0).
 
-    Its sign discriminates solvability: positive means the edge-condition
-    system has a proper root, negative means none, and zero means the only
-    root is the degenerate corner itself.  Zero is an exact trigonometric
-    identity at (2, 8); no other pair with b <= 5a and a < 60 comes within
-    1e-6 of it.
+    It equals (lhs - rhs)(lhs + rhs) for the two sides of the realizability
+    inequality, so its sign repeats the class; it is printed as data, and
+    solve() does not read it.  Zero is an exact trigonometric identity at
+    (2, 8), the one pair on the boundary.
     """
     a, b = params.a, params.b
     if a < 2 or b <= a:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import cos, pi, sin
+from math import cos, pi
 
 import numpy as np
 
@@ -142,11 +142,20 @@ def classify_vertex(B: SymMatrix4, i: int) -> VertexClass:
         ) from None
 
 
-def _inequality_sides(a: int, b: int) -> tuple[float, float]:
-    """lhs and rhs of the strict realizability inequality for b > a >= 2."""
-    lhs = (1.0 + cos(pi / a)) * sin(2.0 * pi / b)
-    rhs = (cos(pi / a) + cos(2.0 * pi / b)) * sin(pi / a)
-    return lhs, rhs
+def _b_max(a: int) -> int:
+    """Largest b > a >= 2 with (1 + cos x) sin y > (cos x + cos y) sin x,
+    for x = pi/a and y = 2 pi/b: 7, 8, 9, 11 for a = 2..5, else 2a.
+
+    Write g(y) for lhs - rhs at fixed x.  g'(y) = (1 + cos x) cos y +
+    sin x sin y > 0 on (0, pi/2], so g falls as b >= 4 grows, and
+    g(x) = sin x (1 - cos x) > 0 admits every b in (a, 2a] for a >= 3.
+    With delta = x - 2 pi/(2a+1) = x^2/(2 pi + x),
+    g(2 pi/(2a+1)) <= x^3/2 - delta (1 + cos x) cos x < 0 for a >= 7,
+    because x (2 pi + x) <= 3.03 < 2 (1 + cos x) cos x for x <= pi/7.
+    a = 2..6 is a finite check.  The inequality is strict: at a = 2,
+    g = sin y - cos y vanishes at b = 8, the only integer zero of g.
+    """
+    return {2: 7, 3: 8, 4: 9, 5: 11}.get(a, 2 * a)
 
 
 def classify_realization(params: SimplexParams) -> RealizationClass:
@@ -154,9 +163,10 @@ def classify_realization(params: SimplexParams) -> RealizationClass:
 
     a = 1 is spherical; (2,2) is hyperbolic with ideal vertices; a = b >= 3
     has extra symmetries and is excluded from this family's analysis; for
-    b > a >= 2 the strict inequality decides between a hyperbolic simplex
-    with all vertices beyond the absolute and no proper solution at all
-    (equality counts as failure: the only root is a degenerate corner).
+    b > a >= 2 the strict realizability inequality, decided exactly by
+    b <= _b_max(a), separates a hyperbolic simplex with all vertices beyond
+    the absolute from no proper solution at all (equality counts as
+    failure: the only root is a degenerate corner).
     """
     a, b = params.a, params.b
     if a == 1:
@@ -165,8 +175,7 @@ def classify_realization(params: SimplexParams) -> RealizationClass:
         return RealizationClass.HYPERBOLIC_IDEAL
     if a == b:
         return RealizationClass.EXCLUDED_SYMMETRIC
-    lhs, rhs = _inequality_sides(a, b)
-    if lhs > rhs:
+    if b <= _b_max(a):
         return RealizationClass.HYPERBOLIC_OUTER
     return RealizationClass.NO_PROPER_SOLUTION
 

@@ -1,11 +1,11 @@
 """Root finding for the edge-condition system.
 
-The solve pipeline is: gate on the realization class, decide solvability
-from the sign of the corner value, then locate the root of the two edge
-conditions by Newton's method with the analytic Jacobian, started from the
-centre of the reduced domain box, and finally verify the solved angles
-geometrically (positivity, determinant sign, vertex classes, inverse-matrix
-sign pattern).  A grid-based oracle provides an independent root locator
+The solve pipeline is: gate on the realization class, which alone decides
+solvability, then locate the root of the two edge conditions by Newton's
+method with the analytic Jacobian, started from the centre of the reduced
+domain box, and finally verify the solved angles geometrically
+(positivity, determinant sign, vertex classes, inverse-matrix sign
+pattern).  A grid-based oracle provides an independent root locator
 for cross-checking, and an interval-arithmetic bound proves the paper's
 damped fixed-point map a contraction on a box around the root.
 """
@@ -20,8 +20,8 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import matrices
-from .conditions import corner_value, edge_conditions_raw, edge_jacobian_raw
-from .errors import AmbiguousSignature, InvalidClass, NoContraction
+from .conditions import edge_conditions_raw, edge_jacobian_raw
+from .errors import AmbiguousSignature, InvalidClass, NoContraction, SingularMatrix
 from .interval import Interval
 from .model import (
     DihedralAngles,
@@ -34,7 +34,6 @@ from .model import (
     gram_sign_check,
 )
 
-CORNER_ZERO_TOL = 1e-12
 ORACLE_RESIDUAL_TOL = 1e-9
 # solve() certifies each root on one box of radius _CERTIFICATE_RADIUS *
 # |coordinate|.  2**-30 is wide next to the few ulps of rounding in the
@@ -360,7 +359,11 @@ def grid_oracle(
 
 
 def check_properness(params: SimplexParams, angles: DihedralAngles) -> PropernessReport:
-    """Geometric verification of a solved angle tuple."""
+    """Geometric verification of a solved angle tuple.
+
+    gram_signs is False when the determinant is not negative, or when the
+    matrix is too near singular for matrices.inverse to invert it.
+    """
     tup = angles.as_tuple()
     angles_positive = all(0.0 < v < pi for v in tup)
     matrix = build_coxeter_schlafli(angles)
@@ -373,9 +376,10 @@ def check_properness(params: SimplexParams, angles: DihedralAngles) -> Propernes
                 vertices_outer = False
         except AmbiguousSignature:
             vertices_outer = False
-    gram_ok = False
-    if determinant_negative:
-        gram_ok = gram_sign_check(matrices.inverse(matrix))
+    try:
+        gram_ok = determinant_negative and gram_sign_check(matrices.inverse(matrix))
+    except SingularMatrix:
+        gram_ok = False
     return PropernessReport(angles_positive, determinant_negative, vertices_outer, gram_ok)
 
 
@@ -441,12 +445,11 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
     """Decide solvability and solve the edge-condition system.
 
     Raises InvalidClass unless the pair classifies as hyperbolic with
-    vertices out of the absolute or as the unsolvable remainder; the
-    boundary between those two (corner value exactly zero, which the float
-    evaluation attains to machine precision) reports the degenerate corner
-    root as a boundary solution.  Otherwise Newton runs from the domain
-    box centre, and the result is DIVERGED unless it converges inside the
-    box.
+    vertices out of the absolute or as the unsolvable remainder.  The class
+    decides solvability exactly (see classify_realization); the one pair on
+    the boundary between the two reports the degenerate corner root as a
+    boundary solution.  Otherwise Newton runs from the domain box centre,
+    and the result is DIVERGED unless it converges inside the box.
     """
     cfg = config or SolverConfig()
     cls = classify_realization(params)
@@ -455,8 +458,10 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
             f"solve applies to hyperbolic pairs with outer vertices; "
             f"(a, b) = ({params.a}, {params.b}) classifies as {cls.value}"
         )
-    corner = corner_value(params)
-    if abs(corner) < CORNER_ZERO_TOL:
+    # At a = 2 the realizability inequality reads sin y > cos y, y = 2 pi/b,
+    # with equality only at b = 8, where the corner (pi/2, 0) is the only
+    # root.  For a >= 3 equality holds at no integer b (model._b_max).
+    if params.a == 2 and params.b == 8:
         angles = DihedralAngles.from_reduced(params, pi / params.a, 0.0)
         r1, r2 = _eval_conditions(pi / params.a, 0.0, params.a, params.b)
         return SolveReport(
@@ -466,7 +471,7 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
             residual_cond2=r2,
             properness=check_properness(params, angles),
         )
-    if corner < 0.0:
+    if cls is RealizationClass.NO_PROPER_SOLUTION:
         return SolveReport(SolveStatus.NO_PROPER_SOLUTION)
 
     box = domain_for(params)

@@ -1,9 +1,10 @@
 """Regenerate the frozen oracle data of tests/oracles.py at 50 digits.
 
-Run from the repository root (needs mpmath):
+Run from the repository root (needs mpmath; --check also imports
+hypsimplex, hence PYTHONPATH=src unless the package is installed):
 
-    python3 tests/regen_oracles.py            # print the tables as Python literals
-    python3 tests/regen_oracles.py --check    # compare with tests/oracles.py
+    PYTHONPATH=src python3 tests/regen_oracles.py          # print the tables as Python literals
+    PYTHONPATH=src python3 tests/regen_oracles.py --check  # compare with tests/oracles.py
 
 The roots come from bench/regen_refs.py, which states the edge conditions
 and the realizability inequality from the paper without importing
@@ -21,7 +22,9 @@ tabulation, the value as printed, the root rounded to the seven significant
 digits the tabulation carries, how far the printed value is from the root,
 the edge-condition residual and the two edge-length gaps at the printed
 value, and the largest gap at the root; it then lists every frozen value
-the regeneration does not reproduce (exit status 1).
+the regeneration does not reproduce, and every a = 2..60 where the closed
+form hypsimplex.compute_bmax differs from the 50-digit b_max (exit
+status 1).
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ import time
 from pathlib import Path
 
 import mpmath as mp
+
+from hypsimplex.conditions import compute_bmax
 
 _BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 if _BENCH not in sys.path:
@@ -47,9 +52,10 @@ from regen_refs import (  # noqa: E402
 )
 
 # oracles.py tabulates the proper roots for a = 2..6 (every b up to b_max)
-# and b_max for a = 2..12.
+# and b_max for a = 2..12; compute_bmax is checked for a = 2..60.
 TRUE_ROOT_A = range(2, 7)
 BMAX_A = range(2, 13)
+CLOSED_FORM_A = range(2, 61)
 
 # Regression rows for large a, where the conditions shrink with a.
 LARGE_A_PAIRS = ((40, 80), (80, 156), (80, 160), (200, 381), (200, 391), (200, 400))
@@ -84,8 +90,9 @@ def edge_length_gaps(alpha1, beta1, a: int, b: int) -> tuple[mp.mpf, mp.mpf]:
 
 def compute() -> dict:
     """Every table of oracles.py except LEGACY_TABLE_AS_PRINTED, at 50
-    digits (roots as mpf pairs)."""
-    bmax = {a: b_max(a) for a in BMAX_A}
+    digits (roots as mpf pairs), and b_max for every a of CLOSED_FORM_A."""
+    bmax_50_digits = {a: b_max(a) for a in CLOSED_FORM_A}
+    bmax = {a: bmax_50_digits[a] for a in BMAX_A}
     true_roots = {
         (a, b): reference_root(a, b)
         for a in TRUE_ROOT_A
@@ -93,6 +100,7 @@ def compute() -> dict:
     }
     return {
         "BMAX_TABLE": bmax,
+        "BMAX_50_DIGITS": bmax_50_digits,
         "TRUE_ROOTS": true_roots,
         "LEGACY_TABLE": {pair: seven_digits(root) for pair, root in true_roots.items()},
         "LARGE_A_ROOTS": {pair: reference_root(*pair) for pair in LARGE_A_PAIRS},
@@ -123,8 +131,13 @@ def _ulps(got: float, want) -> float:
 
 def compare(tables: dict, oracles) -> list[str]:
     """Frozen values that the regeneration does not reproduce: LEGACY_TABLE
-    and BMAX_TABLE exactly, the double-precision roots within one ulp."""
-    problems = []
+    and BMAX_TABLE exactly, the double-precision roots within one ulp; and
+    every a where compute_bmax differs from the 50-digit b_max."""
+    problems = [
+        f"compute_bmax({a}) = {compute_bmax(a)}, 50-digit b_max = {want}"
+        for a, want in tables["BMAX_50_DIGITS"].items()
+        if compute_bmax(a) != want
+    ]
     for name in ("LEGACY_TABLE", "BMAX_TABLE"):
         if getattr(oracles, name) != tables[name]:
             problems.append(f"{name} differs from the regenerated table")

@@ -126,6 +126,14 @@ class TestSolveCommand:
         assert row["alpha1"] == pytest.approx(pi / 2)
         assert row["beta1"] == 0.0
 
+    def test_large_a_pair_at_b_max_is_solved(self, runner):
+        result = run(runner, "solve", 3737, 7474)
+        assert result.exit_code == 0
+        (row,) = json_lines(result)
+        assert row["status"] == "Solved"
+        assert row["b_max"] == 7474
+        assert row["proper_all_pass"] is True
+
     def test_unsolvable_pair_exit_code(self, runner):
         result = run(runner, "solve", 2, 9)
         assert result.exit_code == 1

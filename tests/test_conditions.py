@@ -10,8 +10,10 @@ from hypsimplex import (
     DihedralAngles,
     InvalidParams,
     MinorSpec,
+    RealizationClass,
     SimplexParams,
     build_coxeter_schlafli,
+    classify_realization,
     compute_bmax,
     corner_value,
     edge_condition1,
@@ -33,7 +35,7 @@ from hypsimplex.conditions import (
     edge_conditions_raw,
     edge_jacobian_raw,
 )
-from hypsimplex.interval import Interval
+from hypsimplex.interval import PI, Interval
 
 from oracles import BMAX_TABLE, TRUE_ROOTS
 
@@ -326,3 +328,84 @@ class TestCornerValue:
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParams):
             corner_value(SimplexParams(2, 2))
+
+
+def _float_sides(a, b):
+    """lhs and rhs of the realizability inequality in floats."""
+    lhs = (1.0 + cos(pi / a)) * sin(2.0 * pi / b)
+    rhs = (cos(pi / a) + cos(2.0 * pi / b)) * sin(pi / a)
+    return lhs, rhs
+
+
+def _interval_g(a, b):
+    """An Interval enclosure of lhs - rhs; 0 outside it decides the sign."""
+    x, y = PI / a, 2 * PI / b
+    return (1 + np.cos(x)) * np.sin(y) - (np.cos(x) + np.cos(y)) * np.sin(x)
+
+
+def _scanned_bmax(a, b_limit=None):
+    """compute_bmax as a scan of the float inequality over (a, b_limit]."""
+    if b_limit is None:
+        b_limit = 4 * a
+    best = None
+    for b in range(a + 1, b_limit + 1):
+        lhs, rhs = _float_sides(a, b)
+        if lhs > rhs:
+            best = b
+    if best == b_limit:
+        return None
+    if best is None:
+        raise InvalidParams(f"no admissible b in ({a}, {b_limit}]")
+    return best
+
+
+class TestBmaxLemma:
+    """The closed-form b_max against the inequality evaluated directly."""
+
+    def test_interval_enclosure_decides_a_up_to_6(self):
+        for a in range(2, 7):
+            for b in range(a + 1, 5 * a + 1):
+                g = _interval_g(a, b)
+                if (a, b) == (2, 8):
+                    assert g.lo <= 0.0 <= g.hi
+                    continue
+                assert not g.lo <= 0.0 <= g.hi, (a, b, g)
+                assert (g.lo > 0.0) == (b <= compute_bmax(a)), (a, b, g)
+
+    def test_b_max_is_2a_from_a_7_on(self):
+        for a in [*range(7, 401), 10**3, 10**4, 10**5, 10**6, 10**7]:
+            assert _interval_g(a, 2 * a).lo > 0.0 > _interval_g(a, 2 * a + 1).hi, a
+            assert compute_bmax(a) == 2 * a, a
+
+    def test_compute_bmax_equals_the_scan(self):
+        for a in range(2, 401):
+            assert compute_bmax(a) == _scanned_bmax(a), a
+        for a in range(2, 41):
+            for b_limit in range(a + 1, 4 * a + 2):
+                assert compute_bmax(a, b_limit) == _scanned_bmax(a, b_limit), (a, b_limit)
+
+    def test_class_and_strict_equal_the_float_inequality(self):
+        for a in range(2, 401):
+            for b in range(a + 1, 5 * a + 1):
+                params = SimplexParams(a, b)
+                lhs, rhs = _float_sides(a, b)
+                outer = classify_realization(params) is RealizationClass.HYPERBOLIC_OUTER
+                assert outer == (lhs > rhs), (a, b)
+                assert realizability_inequality(params) == (lhs, rhs, outer), (a, b)
+
+    def test_corner_value_is_the_product_of_the_sides_at_50_digits(self):
+        mp = pytest.importorskip("mpmath")
+        from regen_oracles import conditions  # stated without hypsimplex
+
+        with mp.workdps(50):
+            for a in range(2, 31):
+                for b in range(a + 1, 5 * a + 1):
+                    x, y = mp.pi / a, 2 * mp.pi / b
+                    lhs = (1 + mp.cos(x)) * mp.sin(y)
+                    rhs = (mp.cos(x) + mp.cos(y)) * mp.sin(x)
+                    corner = conditions(x, mp.mpf(0), a, b, lib=mp)[1]
+                    assert abs(corner - (lhs - rhs) * (lhs + rhs)) < mp.mpf(10) ** -45
+                    if (a, b) == (2, 8):
+                        assert abs(corner) < mp.mpf(10) ** -45
+                    else:
+                        assert (corner > 0) == (b <= compute_bmax(a)), (a, b)

@@ -30,3 +30,12 @@ def test_identified_edges_agree_at_the_roots_and_not_at_the_printed_rows(regen, 
         assert max(regen.edge_length_gaps(*root, *pair)) < 1e-40, pair
         printed = oracles.LEGACY_TABLE_AS_PRINTED[pair]
         assert max(regen.edge_length_gaps(*printed, *pair)) > 1e-5, pair
+
+
+def test_check_compares_compute_bmax_with_the_50_digit_b_max(regen, tables, monkeypatch):
+    assert list(tables["BMAX_50_DIGITS"]) == list(range(2, 61))
+    monkeypatch.setattr(regen, "compute_bmax", lambda a: 2 * a)
+    assert regen.compare(tables, oracles) == [
+        f"compute_bmax({a}) = {2 * a}, 50-digit b_max = {want}"
+        for a, want in ((2, 7), (3, 8), (4, 9), (5, 11))
+    ]

@@ -186,6 +186,46 @@ class TestSolveStatuses:
             assert all(type(v) is float for v in angles.as_tuple()), pair
 
 
+class TestDecidedByTheClass:
+    """solve() takes solvability from the class, not from a corner value
+    compared with an absolute tolerance."""
+
+    @pytest.mark.parametrize(
+        "pair", [(3737, 7474), (5000, 10000), (20000, 40000), (100000, 200000)]
+    )
+    def test_b_2a_is_solved_and_certified_at_large_a(self, pair):
+        report = solve(SimplexParams(*pair))
+        assert report.status is SolveStatus.SOLVED
+        assert report.properness.all_pass
+        assert report.contraction_norm_estimate < 1.0
+        assert report.certificate_box.contains(report.angles.alpha1, report.angles.beta1)
+
+    @pytest.mark.parametrize("pair", [(40000, 80001), (50000, 100001)])
+    def test_b_2a_plus_1_has_no_proper_solution_at_large_a(self, pair):
+        assert solve(SimplexParams(*pair)).status is SolveStatus.NO_PROPER_SOLUTION
+
+    def test_boundary_status_only_at_2_8(self):
+        for a in range(2, 13):
+            for b in range(a + 1, 5 * a + 1):
+                status = solve(SimplexParams(a, b)).status
+                boundary = status is SolveStatus.BOUNDARY_SOLUTION
+                assert boundary == ((a, b) == (2, 8)), (a, b, status)
+
+
+class TestCheckProperness:
+    def test_near_singular_matrix_fails_the_gram_check(self):
+        # A valley point of the (2, 3) full-box scan at resolution 400; the
+        # float determinant is -4.2e-17, too near zero for matrices.inverse.
+        params = SimplexParams(2, 3)
+        angles = DihedralAngles.from_reduced(
+            params, 4.946449916383121e-13, 0.00010207191566560464
+        )
+        report = check_properness(params, angles)
+        assert report.determinant_negative
+        assert not report.gram_signs
+        assert not report.all_pass
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize("name", ["tolerance", "angle_tolerance"])
     @pytest.mark.parametrize(
