@@ -27,28 +27,13 @@ from .conditions import (
     edge_jacobian_raw,
     realizability_inequality,
 )
-from .errors import (
-    AmbiguousSignature,
-    DomainError,
-    InvalidClass,
-    InvalidParams,
-    SingularMatrix,
-)
-from .matrices import (
-    Geometry,
-    determinant,
-    inverse,
-    projective_distance,
-    run_minor_identity_suite,
-    signature,
-)
+from .errors import InvalidClass, InvalidParams
+from .matrices import run_minor_identity_suite, signature
 from .model import (
-    DihedralAngles,
     RealizationClass,
     SimplexParams,
     build_coxeter_schlafli,
     classify_realization,
-    classify_vertex,
     normalize_params,
 )
 from .solver import SolverConfig, SolveStatus
@@ -67,10 +52,6 @@ _STATUS_EXIT = {
 }
 
 _SOLVABLE = (RealizationClass.HYPERBOLIC_OUTER, RealizationClass.NO_PROPER_SOLUTION)
-
-# The two vertex pairs whose mutual distances the geometry must equate; each
-# inner pair lists the two edges whose lengths are compared.
-_VERIFIED_EDGE_PAIRS = (((0, 1), (0, 2)), ((0, 3), (1, 3)))
 
 
 def _fmt(value: float) -> str:
@@ -188,32 +169,19 @@ def _b_max_field(a: int) -> int | None:
     return compute_bmax(a) if a >= 2 else None
 
 
-def _geometry_fields(angles: DihedralAngles | None) -> list:
-    """Metric data at the given angles: determinant, inertia, vertex types,
-    and the two verified edge-length pairs.  Fields degrade to null for
-    degenerate configurations (singular matrix, unclassifiable vertex)."""
-    det = sig = classes = lengths = None
-    if angles is not None:
-        matrix = build_coxeter_schlafli(angles)
-        det = determinant(matrix)
-        sig = list(signature(matrix).as_tuple())
-        try:
-            classes = [classify_vertex(matrix, i).value for i in range(4)]
-        except AmbiguousSignature:
-            classes = None
-        try:
-            gram = inverse(matrix)
-            lengths = [
-                [projective_distance(gram, i, j, Geometry.HYPERBOLIC) for i, j in pair]
-                for pair in _VERIFIED_EDGE_PAIRS
-            ]
-        except (SingularMatrix, DomainError):
-            lengths = None
+def _geometry_fields(report) -> list:
+    """The determinant, the inertia of the angle matrix, the vertex classes
+    and the two verified edge-length pairs, read from the report's
+    properness check: all null for a report without angles, and the edge
+    lengths null outside their domain (see PropernessReport)."""
+    properness = getattr(report, "properness", None)
+    if properness is None:
+        return [(k, None) for k in ("determinant", "signature", "vertex_classes", "edge_lengths")]
     return [
-        ("determinant", det),
-        ("signature", sig),
-        ("vertex_classes", classes),
-        ("edge_lengths", lengths),
+        ("determinant", properness.determinant),
+        ("signature", list(signature(build_coxeter_schlafli(report.angles)).as_tuple())),
+        ("vertex_classes", [c.value for c in properness.vertex_classes]),
+        ("edge_lengths", properness.edge_lengths),
     ]
 
 
@@ -278,7 +246,7 @@ def _solve_row(params: SimplexParams, report, degrees: bool) -> list:
         ("swapped", params.swapped),
         ("class", classify_realization(params).value),
         *_report_fields(report, degrees),
-        *_geometry_fields(report.angles),
+        *_geometry_fields(report),
         ("b_max", _b_max_field(params.a)),
         ("contraction_norm_estimate", report.contraction_norm_estimate),
         *[(f"proper_{name}", getattr(report.properness, name, None))
@@ -315,7 +283,7 @@ def _table_row(a: int, b: int, cls: RealizationClass, report, degrees: bool) -> 
         ("b", b),
         ("class", cls.value),
         *_report_fields(report, degrees),
-        *_geometry_fields(getattr(report, "angles", None)),
+        *_geometry_fields(report),
         ("b_max", _b_max_field(a)),
     ]
 

@@ -8,8 +8,9 @@ the pair ``edge_conditions_raw`` that shares one evaluation of the minors),
 their constrained Jacobian ``edge_jacobian_raw`` (each entry the derivative
 along a coordinate with the companion angle eliminated through the
 constraint, i.e. the combination (d/d alpha1) - 2 (d/d alpha2) and its beta
-twin), the realizability inequality, and the derived largest admissible
-second parameter.
+twin), the determinant and Gram cofactors of the angle matrix
+(``gram_raw``), the realizability inequality, and the derived largest
+admissible second parameter.
 
 The ``*_raw`` kernels take floats, numpy arrays (broadcasting) and
 ``Interval`` boxes alike; the public operations wrap them for scalar
@@ -69,14 +70,23 @@ def _minor(x, y, z):
     return 1.0 - x * x - y * y - z * z - 2.0 * x * y * z
 
 
-def vertex_minor0_raw(alpha1, alpha2, beta1):
-    """Closed form of the vertex minor shared by vertices 0 and 2."""
-    return _minor(np.cos(alpha1), np.cos(alpha2), np.cos(beta1))
+def gram_raw(alpha1, alpha2, beta1, beta2):
+    """(det, m0, m1, (cof01, cof02, cof03, cof13)) of the Coxeter-Schlafli
+    matrix of the four angles, as polynomials in their cosines c1, c2, d1, d2.
 
-
-def vertex_minor1_raw(alpha1, beta1, beta2):
-    """Closed form of the vertex minor shared by vertices 1 and 3."""
-    return _minor(np.cos(alpha1), np.cos(beta1), np.cos(beta2))
+    The vertex minors are m0 = cof00 = cof22 and m1 = cof11 = cof33.  By the
+    adjugate identity cof_ii cof_jj - cof_ij^2 = det sin^2 theta, where theta
+    is beta1 for (0, 1), alpha2 for (0, 2), alpha1 for (0, 3), beta2 for (1, 3).
+    """
+    c1, c2, d1, d2 = np.cos(alpha1), np.cos(alpha2), np.cos(beta1), np.cos(beta2)
+    det = ((c1 - d1) ** 2 - (1 + c2) * (1 + d2)) * ((c1 + d1) ** 2 - (1 - c2) * (1 - d2))
+    c1sq, d1sq, c2d2, cd = c1**2, d1**2, c2 * d2, 2 * c1 * d1
+    return det, _minor(c1, c2, d1), _minor(c1, d1, d2), (
+        d1 * (1 + c1sq - d1sq) + c1 * (c2 + d2) + c2d2 * d1,
+        c2 * (c1sq + d1sq - c2d2) + cd + d2,
+        c1 * (1 + c2d2 + d1sq - c1sq) + d1 * (c2 + d2),
+        d2 * (c1sq + d1sq - c2d2) + cd + c2,
+    )
 
 
 def edge_conditions_raw(alpha1, beta1, a: int, b: int):
@@ -86,8 +96,8 @@ def edge_conditions_raw(alpha1, beta1, a: int, b: int):
     once per axis value instead of once per grid node.
     """
     alpha2, beta2 = _derived(alpha1, beta1, a, b)
-    m0 = vertex_minor0_raw(alpha1, alpha2, beta1)
-    m1 = vertex_minor1_raw(alpha1, beta1, beta2)
+    ca1, cb1 = np.cos(alpha1), np.cos(beta1)
+    m0, m1 = _minor(ca1, np.cos(alpha2), cb1), _minor(ca1, cb1, np.cos(beta2))
     c1 = m0 * np.sin(beta1) ** 2 - m1 * np.sin(alpha2) ** 2
     c2 = m1 * np.sin(alpha1) ** 2 - m0 * np.sin(beta2) ** 2
     return c1, c2
@@ -166,11 +176,13 @@ def edge_condition2_cross_deriv_raw(alpha1, beta1, a: int, b: int):
 
 
 def vertex_minor0(s: AngleSlice) -> float:
-    return float(vertex_minor0_raw(s.alpha1, s.alpha2, s.beta1))
+    """The vertex minor shared by vertices 0 and 2 (m0 of gram_raw)."""
+    return float(_minor(np.cos(s.alpha1), np.cos(s.alpha2), np.cos(s.beta1)))
 
 
 def vertex_minor1(s: AngleSlice) -> float:
-    return float(vertex_minor1_raw(s.alpha1, s.beta1, s.beta2))
+    """The vertex minor shared by vertices 1 and 3 (m1 of gram_raw)."""
+    return float(_minor(np.cos(s.alpha1), np.cos(s.beta1), np.cos(s.beta2)))
 
 
 def edge_condition1(s: AngleSlice) -> float:

@@ -7,6 +7,9 @@ regular matrix to the complementary minor of its inverse is exposed as a
 checkable pair of numbers, which ``run_minor_identity_suite`` compares over
 seeded random matrices.  Distances between points of projective space are
 evaluated from a Gram matrix in either the elliptic or the hyperbolic form.
+This general path is the reference for the closed forms of
+``conditions.gram_raw`` and serves ``hypsimplex check``; solve() does not
+use it.
 """
 
 from __future__ import annotations

@@ -4,34 +4,32 @@ The solve pipeline is: gate on the realization class, which alone decides
 solvability, then locate the root of the two edge conditions by Newton's
 method with the analytic Jacobian, started from the centre of the reduced
 domain box, and finally verify the solved angles geometrically
-(positivity, determinant sign, vertex classes, inverse-matrix sign
-pattern).  A grid-based oracle provides an independent root locator
-for cross-checking, and an interval-arithmetic bound proves the paper's
-damped fixed-point map a contraction on a box around the root.
+(positivity, determinant sign, vertex classes, Gram sign pattern) from
+the closed forms of conditions.gram_raw.  A grid-based oracle provides an
+independent root locator for cross-checking, and an interval-arithmetic
+bound proves the paper's damped fixed-point map a contraction on a box
+around the root.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import hypot, inf, isfinite, nextafter, pi
+from math import asinh, hypot, inf, isfinite, nextafter, pi, sin, sqrt
 from numbers import Integral, Real
 
 import numpy as np
 
 from . import matrices
-from .conditions import edge_conditions_raw, edge_jacobian_raw
-from .errors import AmbiguousSignature, InvalidClass, NoContraction, SingularMatrix
+from .conditions import edge_conditions_raw, edge_jacobian_raw, gram_raw
+from .errors import InvalidClass, NoContraction
 from .interval import Interval
 from .model import (
     DihedralAngles,
     RealizationClass,
     SimplexParams,
     VertexClass,
-    build_coxeter_schlafli,
     classify_realization,
-    classify_vertex,
-    gram_sign_check,
 )
 
 ORACLE_RESIDUAL_TOL = 1e-9
@@ -133,19 +131,28 @@ class ContractionEstimate:
 
 @dataclass(frozen=True)
 class PropernessReport:
+    """Geometric verification of one angle tuple.
+
+    The flags: every angle lies in (0, pi), the angle matrix has a negative
+    ``determinant``, every vertex is OUTER, and the Gram entries g01, g02,
+    g03, g13 of its inverse are negative.  ``vertex_classes`` lists vertices
+    0..3 by the sign of their minor (m0 for vertices 0 and 2, m1 for 1 and
+    3): OUTER below zero, PROPER above, IDEAL at zero.  ``edge_lengths`` is
+    ((d01, d02), (d03, d13)) when gram_signs holds and m0 m1 > 0, else None.
+    """
+
     angles_positive: bool
     determinant_negative: bool
     vertices_outer: bool
     gram_signs: bool
+    determinant: float
+    vertex_classes: tuple[VertexClass, VertexClass, VertexClass, VertexClass]
+    edge_lengths: tuple[tuple[float, float], tuple[float, float]] | None
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.angles_positive
-            and self.determinant_negative
-            and self.vertices_outer
-            and self.gram_signs
-        )
+        return all((self.angles_positive, self.determinant_negative,
+                    self.vertices_outer, self.gram_signs))
 
 
 @dataclass(frozen=True)
@@ -359,28 +366,34 @@ def grid_oracle(
 
 
 def check_properness(params: SimplexParams, angles: DihedralAngles) -> PropernessReport:
-    """Geometric verification of a solved angle tuple.
+    """Geometric verification of an angle tuple from conditions.gram_raw.
 
-    gram_signs is False when the determinant is not negative, or when the
-    matrix is too near singular for matrices.inverse to invert it.
+    With det < 0, g_ij < 0 reads cof_ij > 0.  gram_signs also needs det below
+    -matrices.SINGULARITY_FACTOR, where matrices.inverse refuses the matrix
+    (no entry exceeds 1 in absolute value).  Each length is asinh(sqrt(-det)
+    sin theta / sqrt(m_i m_j)), theta as in gram_raw; arccosh of the Gram
+    ratio would lose the digits of short edges.
     """
-    tup = angles.as_tuple()
-    angles_positive = all(0.0 < v < pi for v in tup)
-    matrix = build_coxeter_schlafli(angles)
-    det = matrices.determinant(matrix)
-    determinant_negative = det < 0.0
-    vertices_outer = True
-    for vertex in range(4):
-        try:
-            if classify_vertex(matrix, vertex) is not VertexClass.OUTER:
-                vertices_outer = False
-        except AmbiguousSignature:
-            vertices_outer = False
-    try:
-        gram_ok = determinant_negative and gram_sign_check(matrices.inverse(matrix))
-    except SingularMatrix:
-        gram_ok = False
-    return PropernessReport(angles_positive, determinant_negative, vertices_outer, gram_ok)
+    det, m0, m1, cofactors = gram_raw(*angles.as_tuple())
+    det, m0, m1 = float(det), float(m0), float(m1)
+    outer, proper, ideal = VertexClass.OUTER, VertexClass.PROPER, VertexClass.IDEAL
+    classes = tuple(outer if m < 0 else proper if m > 0 else ideal for m in (m0, m1, m0, m1))
+    gram_signs = det < -matrices.SINGULARITY_FACTOR and all(c > 0 for c in cofactors)
+    lengths = None
+    if gram_signs and m0 * m1 > 0:
+        thetas = (angles.beta1, angles.alpha2, angles.alpha1, angles.beta2)
+        scales = (sqrt(m0 * m1), abs(m0), sqrt(m0 * m1), abs(m1))
+        d01, d02, d03, d13 = (asinh(sqrt(-det) * sin(t) / r) for t, r in zip(thetas, scales))
+        lengths = ((d01, d02), (d03, d13))
+    return PropernessReport(
+        angles_positive=all(0.0 < v < pi for v in angles.as_tuple()),
+        determinant_negative=det < 0.0,
+        vertices_outer=m0 < 0 and m1 < 0,
+        gram_signs=gram_signs,
+        determinant=det,
+        vertex_classes=classes,
+        edge_lengths=lengths,
+    )
 
 
 def _improper_scan(

@@ -66,26 +66,42 @@ def seven_digits(root) -> tuple[float, float]:
     return tuple(float(f"{float(v):.7g}") for v in root)
 
 
-def edge_length_gaps(alpha1, beta1, a: int, b: int) -> tuple[mp.mpf, mp.mpf]:
-    """|d01 - d02| and |d03 - d13| at 50 digits: hyperbolic distances
+def angle_matrix(alpha1, alpha2, beta1, beta2) -> mp.matrix:
+    """The Coxeter-Schlafli matrix of the four angles, at the working
+    precision."""
+    ca1, ca2, cb1, cb2 = (mp.cos(mp.mpf(t)) for t in (alpha1, alpha2, beta1, beta2))
+    return mp.matrix([
+        [1, -cb1, -cb2, -ca1],
+        [-cb1, 1, -ca1, -ca2],
+        [-cb2, -ca1, 1, -cb1],
+        [-ca1, -ca2, -cb1, 1],
+    ])
+
+
+def edge_lengths(alpha1, alpha2, beta1, beta2) -> tuple[mp.mpf, ...]:
+    """(d01, d02, d03, d13) at 50 digits: hyperbolic distances
     arccosh(-g_ij / sqrt(g_ii g_jj)) between the vertices, with g the
-    inverse of the Coxeter-Schlafli matrix of the angles."""
+    inverse of the Coxeter-Schlafli matrix of the four angles.  All four
+    angles are taken as given, so float angles are compared with the
+    lengths at exactly those angles."""
     with mp.workdps(DPS):
-        alpha1, beta1 = mp.mpf(alpha1), mp.mpf(beta1)
-        alpha2 = 2 * mp.pi / a - 2 * alpha1
-        beta2 = 2 * mp.pi / b - 2 * beta1
-        ca1, ca2, cb1, cb2 = (mp.cos(t) for t in (alpha1, alpha2, beta1, beta2))
-        g = mp.matrix([
-            [1, -cb1, -cb2, -ca1],
-            [-cb1, 1, -ca1, -ca2],
-            [-cb2, -ca1, 1, -cb1],
-            [-ca1, -ca2, -cb1, 1],
-        ]) ** -1
+        g = angle_matrix(alpha1, alpha2, beta1, beta2) ** -1
 
         def d(i: int, j: int) -> mp.mpf:
             return mp.acosh(-g[i, j] / mp.sqrt(g[i, i] * g[j, j]))
 
-        return abs(d(0, 1) - d(0, 2)), abs(d(0, 3) - d(1, 3))
+        return d(0, 1), d(0, 2), d(0, 3), d(1, 3)
+
+
+def edge_length_gaps(alpha1, beta1, a: int, b: int) -> tuple[mp.mpf, mp.mpf]:
+    """|d01 - d02| and |d03 - d13| at 50 digits, with alpha2 and beta2
+    derived from the constraints at 50 digits."""
+    with mp.workdps(DPS):
+        alpha1, beta1 = mp.mpf(alpha1), mp.mpf(beta1)
+        d01, d02, d03, d13 = edge_lengths(
+            alpha1, 2 * mp.pi / a - 2 * alpha1, beta1, 2 * mp.pi / b - 2 * beta1
+        )
+        return abs(d01 - d02), abs(d03 - d13)
 
 
 def compute() -> dict:

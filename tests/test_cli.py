@@ -134,6 +134,14 @@ class TestSolveCommand:
         assert row["b_max"] == 7474
         assert row["proper_all_pass"] is True
 
+    def test_short_edges_survive_at_large_a(self, runner):
+        # 9.9021544649e-11 is the 50-digit d01 at the printed angles, where
+        # arccosh of the Gram ratio (matrices.projective_distance) gives 0.
+        (row,) = json_lines(run(runner, "solve", 3737, 7474))
+        (d01, d02), _ = row["edge_lengths"]
+        assert d01 > 0 and d02 > 0
+        assert d01 == pytest.approx(9.9021544649e-11, rel=1e-10)
+
     def test_unsolvable_pair_exit_code(self, runner):
         result = run(runner, "solve", 2, 9)
         assert result.exit_code == 1

@@ -104,6 +104,7 @@ def test_sin_and_cos_contain_50_digit_values():
 def test_kernels_contain_50_digit_values_on_random_boxes(monkeypatch):
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
+    from regen_oracles import angle_matrix
 
     class Mpf(mpmath.mpf):
         """A 50-digit number that numpy's sin and cos accept."""
@@ -138,6 +139,34 @@ def test_kernels_contain_50_digit_values_on_random_boxes(monkeypatch):
                     assert _contains(enclosure, exact), (kernel.__name__, a, b, p, q)
                     exact = conditions.edge_jacobian_raw(Mpf(p), Mpf(q), a, b)[i][j]
                     assert _contains(jacobian[i][j], exact), ((i, j), a, b, p, q)
+            alpha2, beta2 = derived(x, y, a, b)
+            det, m0, m1, cofactors = conditions.gram_raw(x, alpha2, y, beta2)
+            for _ in range(3):
+                p, q = rng.uniform(x.lo, x.hi), rng.uniform(y.lo, y.hi)
+                exact_alpha2, exact_beta2 = derived(Mpf(p), Mpf(q), a, b)
+                matrix = angle_matrix(p, exact_alpha2, q, exact_beta2)
+                exact = (
+                    mp.det(matrix), _mp_cofactor(mp, matrix, 0, 0), _mp_cofactor(mp, matrix, 1, 1),
+                    *(_mp_cofactor(mp, matrix, i, j) for i, j in ((0, 1), (0, 2), (0, 3), (1, 3))),
+                )
+                for box, value in zip((det, m0, m1, *cofactors), exact):
+                    assert _contains(box, value), (a, b, p, q)
+
+
+def _mp_cofactor(mp, matrix, i, j):
+    keep_rows, keep_cols = [r for r in range(4) if r != i], [c for c in range(4) if c != j]
+    sub = mp.matrix([[matrix[r, c] for c in keep_cols] for r in keep_rows])
+    return (-1) ** (i + j) * mp.det(sub)
+
+
+def test_gram_kernel_on_arrays_equals_its_scalar_values():
+    rng = np.random.default_rng(3)
+    angles = rng.uniform(0.0, math.pi, size=(4, 50))
+    det, m0, m1, cofactors = conditions.gram_raw(*angles)
+    for k, point in enumerate(angles.T):
+        s_det, s_m0, s_m1, s_cofactors = conditions.gram_raw(*map(float, point))
+        assert (det[k], m0[k], m1[k]) == (s_det, s_m0, s_m1)
+        assert tuple(c[k] for c in cofactors) == s_cofactors
 
 
 def test_float_and_array_kernels_ignore_the_interval_path():

@@ -6,19 +6,29 @@ import numpy as np
 import pytest
 
 from hypsimplex import (
+    AmbiguousSignature,
     DihedralAngles,
     DomainBox,
+    DomainError,
     InvalidClass,
     NoContraction,
     SimplexParams,
+    SingularMatrix,
     SolveStatus,
     SolverConfig,
+    VertexClass,
+    build_coxeter_schlafli,
     check_properness,
+    classify_vertex,
     compute_bmax,
     contraction_map,
+    determinant,
     domain_for,
     estimate_contraction,
+    gram_sign_check,
     grid_oracle,
+    inverse,
+    projective_distance,
     solve,
 )
 
@@ -212,18 +222,136 @@ class TestDecidedByTheClass:
                 assert boundary == ((a, b) == (2, 8)), (a, b, status)
 
 
+def _matrix_path(angles):
+    """(flags, determinant, vertex classes, edge lengths) from the public
+    4x4 matrix functions: cofactor determinant, eigenvalue vertex classes
+    (None if one is unrecognized), adjugate inverse and arccosh distances
+    (None where the inverse or a distance is undefined)."""
+    matrix = build_coxeter_schlafli(angles)
+    det = determinant(matrix)
+    try:
+        classes = tuple(classify_vertex(matrix, i) for i in range(4))
+    except AmbiguousSignature:
+        classes = None
+    gram = lengths = None
+    try:
+        gram = inverse(matrix)
+        lengths = [projective_distance(gram, i, j) for i, j in ((0, 1), (0, 2), (0, 3), (1, 3))]
+    except (SingularMatrix, DomainError):
+        pass
+    flags = (
+        all(0.0 < v < pi for v in angles.as_tuple()),
+        det < 0.0,
+        classes is not None and all(c is VertexClass.OUTER for c in classes),
+        det < 0.0 and gram is not None and gram_sign_check(gram),
+    )
+    return flags, det, classes, lengths
+
+
+@pytest.fixture(scope="module")
+def a2_second_roots():
+    """The transversal second roots of every a = 2 pair with a proper root."""
+    return {
+        (2, b): solver._improper_scan(SimplexParams(2, b), TRUE_ROOTS[(2, b)], SolverConfig())
+        for b in range(3, 8)
+    }
+
+
+def _closed_form_cases(a2_second_roots):
+    """(params, angles) at the oracle roots, the a = 2 second roots, the
+    (2, 8) corner, seeded random points of the full boxes for a = 2..20 and
+    seeded free angle tuples."""
+    cases = [
+        (SimplexParams(*pair), DihedralAngles.from_reduced(SimplexParams(*pair), *root))
+        for pair, root in [
+            *TRUE_ROOTS.items(), *LARGE_A_ROOTS.items(), ((2, 3), IMPROPER_ROOT_23),
+            ((2, 8), (pi / 2, 0.0)),
+            *((pair, root) for pair, roots in a2_second_roots.items() for root in roots),
+        ]
+    ]
+    rng = np.random.default_rng(12)
+    for a in range(2, 21):
+        for b in range(a + 1, compute_bmax(a) + 1):
+            params = SimplexParams(a, b)
+            for x, y in rng.uniform(0.0, 1.0, size=(4, 2)):
+                cases.append((params, DihedralAngles.from_reduced(params, x * pi / a, y * pi / b)))
+    cases += [
+        (SimplexParams(3, 7), DihedralAngles(*angles))
+        for angles in rng.uniform(0.0, pi, size=(500, 4))
+    ]
+    return cases
+
+
 class TestCheckProperness:
     def test_near_singular_matrix_fails_the_gram_check(self):
-        # A valley point of the (2, 3) full-box scan at resolution 400; the
-        # float determinant is -4.2e-17, too near zero for matrices.inverse.
+        # A valley point of the (2, 3) full-box scan at resolution 400.  At
+        # 50 digits the determinant of its matrix is +2.7147e-17; the 4x4
+        # cofactor expansion reads -4.2e-17, rounding noise of the wrong
+        # sign.  Both are too near zero for matrices.inverse, so the Gram
+        # check fails.  m0 is -2.7137e-17 at 50 digits and rounds to 0.0,
+        # so vertices 0 and 2 read IDEAL; only an interval evaluation could
+        # call that sign undecided.
+        mp = pytest.importorskip("mpmath").mp
+        from regen_oracles import angle_matrix
+
         params = SimplexParams(2, 3)
         angles = DihedralAngles.from_reduced(
             params, 4.946449916383121e-13, 0.00010207191566560464
         )
         report = check_properness(params, angles)
-        assert report.determinant_negative
+        with mp.workdps(50):
+            exact_det = mp.det(angle_matrix(*angles.as_tuple()))
+        assert report.determinant_negative == (exact_det < 0)
         assert not report.gram_signs
         assert not report.all_pass
+
+    def test_a2_second_roots_are_found(self, a2_second_roots):
+        assert all(len(found) == 1 for found in a2_second_roots.values()), a2_second_roots
+        assert a2_second_roots[(2, 3)][0] == pytest.approx(IMPROPER_ROOT_23, abs=1e-15)
+
+    def test_closed_forms_match_the_matrix_path(self, a2_second_roots):
+        """Flags, determinant, vertex classes and where the edge lengths
+        exist, against the 4x4 matrix functions; points with a determinant
+        or vertex minor below 1e-12 in magnitude are skipped, as their float
+        signs are rounding noise."""
+        compared = 0
+        for params, angles in _closed_form_cases(a2_second_roots):
+            det, m0, m1, _ = conditions.gram_raw(*angles.as_tuple())
+            if min(abs(det), abs(m0), abs(m1)) < 1e-12:
+                continue
+            report = check_properness(params, angles)
+            flags, ref_det, classes, lengths = _matrix_path(angles)
+            where = (params, angles)
+            assert (
+                report.angles_positive, report.determinant_negative,
+                report.vertices_outer, report.gram_signs,
+            ) == flags, where
+            assert report.determinant == pytest.approx(ref_det, rel=1e-12, abs=1e-13), where
+            assert report.vertex_classes == classes, where
+            assert (report.edge_lengths is None) == (lengths is None), where
+            compared += 1
+        assert compared > 1300
+
+    @pytest.mark.parametrize("pair", [
+        *sorted(TRUE_ROOTS), *sorted(LARGE_A_ROOTS), (1000, 2000), (3737, 7474),
+    ])
+    def test_edge_lengths_match_50_digit_lengths(self, pair):
+        """At the same float angles.  matrices.projective_distance, arccosh
+        of the Gram ratio, is off by 310% at (1000, 2000) and gives 0 for
+        d01 at (3737, 7474)."""
+        pytest.importorskip("mpmath")
+        import regen_oracles
+
+        params = SimplexParams(*pair)
+        root = {**TRUE_ROOTS, **LARGE_A_ROOTS}.get(pair)
+        if root is None:
+            angles = solve(params).angles
+        else:
+            angles = DihedralAngles.from_reduced(params, *root)
+        (d01, d02), (d03, d13) = check_properness(params, angles).edge_lengths
+        want = regen_oracles.edge_lengths(*angles.as_tuple())
+        for got, exact in zip((d01, d02, d03, d13), want):
+            assert abs(got - exact) <= 1e-14 * exact, (pair, got, exact)
 
 
 class TestSolverConfig:
