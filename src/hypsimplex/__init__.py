@@ -4,9 +4,9 @@ The package decides, for a pair of integer parameters, whether a
 one-parameter family of simplices bounded by identified faces can be
 realized in hyperbolic space with every vertex lying beyond the absolute,
 and solves the two nonlinear edge conditions that pin down the four
-dihedral angles.  Solutions are verified through the metric machinery of
-the bilinear form: determinant sign, vertex minors, minor identities,
-and projective distances.
+dihedral angles.  Solutions are verified from closed forms of the
+bilinear form: the sign of its determinant, the vertex minors, the signs of
+the Gram cofactors, and the edge lengths.
 """
 
 from .conditions import (

@@ -28,11 +28,10 @@ from .conditions import (
     realizability_inequality,
 )
 from .errors import InvalidClass, InvalidParams
-from .matrices import run_minor_identity_suite, signature
+from .matrices import run_minor_identity_suite
 from .model import (
     RealizationClass,
     SimplexParams,
-    build_coxeter_schlafli,
     classify_realization,
     normalize_params,
 )
@@ -54,10 +53,6 @@ _STATUS_EXIT = {
 _SOLVABLE = (RealizationClass.HYPERBOLIC_OUTER, RealizationClass.NO_PROPER_SOLUTION)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _token(value, fmt: str, depth: int = 0) -> str:
     """One value as a JSON token or a CSV cell.
 
@@ -72,7 +67,7 @@ def _token(value, fmt: str, depth: int = 0) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _fmt(value)
+        return format(float(value), ".17g")
     if isinstance(value, str):
         return json.dumps(value) if as_json else value
     if isinstance(value, (list, tuple)):
@@ -179,7 +174,7 @@ def _geometry_fields(report) -> list:
         return [(k, None) for k in ("determinant", "signature", "vertex_classes", "edge_lengths")]
     return [
         ("determinant", properness.determinant),
-        ("signature", list(signature(build_coxeter_schlafli(report.angles)).as_tuple())),
+        ("signature", list(properness.signature.as_tuple())),
         ("vertex_classes", [c.value for c in properness.vertex_classes]),
         ("edge_lengths", properness.edge_lengths),
     ]

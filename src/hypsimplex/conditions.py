@@ -2,15 +2,15 @@
 
 With the linear constraints substituted, the whole system lives on two
 coordinates: alpha1 in [0, pi/a] and beta1 in [0, pi/b].  This module keeps
-the scalar machinery: the two vertex minors as closed trig polynomials, the
-two edge conditions whose common zero is the solved simplex (singly, and as
-the pair ``edge_conditions_raw`` that shares one evaluation of the minors),
-their constrained Jacobian ``edge_jacobian_raw`` (each entry the derivative
-along a coordinate with the companion angle eliminated through the
-constraint, i.e. the combination (d/d alpha1) - 2 (d/d alpha2) and its beta
-twin), the determinant and Gram cofactors of the angle matrix
-(``gram_raw``), the realizability inequality, and the derived largest
-admissible second parameter.
+the scalar machinery: the two vertex minors m0, m1 as closed trig
+polynomials, the edge conditions m0 sin^2 beta1 - m1 sin^2 alpha2 and
+m1 sin^2 alpha1 - m0 sin^2 beta2 whose common zero is the solved simplex
+(singly, and as the pair ``edge_conditions_raw`` that shares one evaluation
+of the minors), their constrained Jacobian ``edge_jacobian_raw`` (the
+product rule on the minors and the squared sines, the constraints moving
+alpha2 and beta2 by -2 times alpha1 and beta1), the determinant and Gram
+cofactors of the angle matrix (``gram_raw``), the realizability
+inequality, and the derived largest admissible second parameter.
 
 The ``*_raw`` kernels take floats, numpy arrays (broadcasting) and
 ``Interval`` boxes alike; the public operations wrap them for scalar
@@ -117,13 +117,21 @@ def edge_jacobian_raw(alpha1, beta1, a: int, b: int):
     """Constrained Jacobian of the two edge conditions,
     ((dc1/dalpha1, dc1/dbeta1), (dc2/dalpha1, dc2/dbeta1)).
 
-    With s, t the sines and c, d the cosines of the alpha and beta angles,
-    c1 = m0 t1^2 - m1 s2^2 and c2 = m1 s1^2 - m0 t2^2; each entry is the
-    chain-rule expansion d/dx1 - 2 d/dx2.  The cross entries have no printed
-    closed form and are validated against central finite differences in the
-    test suite.  Some products are spelled in one factor order in the
-    diagonal entries and in another in the cross entries; on an Interval
-    each order rounds differently, so both are kept.
+    With s, c the sines and cosines of alpha1, alpha2 (s1, c1, s2, c2) and
+    t, d those of beta1, beta2 (t1, d1, t2, d2), the conditions are the
+    products c1 = m0 t1^2 - m1 s2^2 and c2 = m1 s1^2 - m0 t2^2, and the
+    constraints move alpha2 and beta2 by -2 times alpha1 and beta1.  The
+    minors' derivatives along alpha1 (m0a, m1a) and beta1 (m0b, m1b) are
+
+        m0a = 2 s1 (c1 + c2 d1) - 4 s2 (c2 + c1 d1),  m0b = 2 t1 (d1 + c1 c2),
+        m1a = 2 s1 (c1 + d1 d2),  m1b = 2 t1 (d1 + c1 d2) - 4 t2 (d2 + c1 d1),
+
+    and the product rule gives each entry as three terms:
+
+        J11 = m0a t1^2 - m1a s2^2 + 4 m1 s2 c2,
+        J12 = m0b t1^2 + 2 m0 t1 d1 - m1b s2^2,
+        J21 = m1a s1^2 + 2 m1 s1 c1 - m0a t2^2,
+        J22 = m1b s1^2 - m0b t2^2 + 4 m0 t2 d2.
     """
     alpha2, beta2 = _derived(alpha1, beta1, a, b)
     s1, c1 = np.sin(alpha1), np.cos(alpha1)
@@ -131,28 +139,16 @@ def edge_jacobian_raw(alpha1, beta1, a: int, b: int):
     t1, d1 = np.sin(beta1), np.cos(beta1)
     t2, d2 = np.sin(beta2), np.cos(beta2)
     m0, m1 = _minor(c1, c2, d1), _minor(c1, d1, d2)
+    m0a = 2 * s1 * (c1 + c2 * d1) - 4 * s2 * (c2 + c1 * d1)
+    m0b = 2 * t1 * (d1 + c1 * c2)
+    m1a = 2 * s1 * (c1 + d1 * d2)
+    m1b = 2 * t1 * (d1 + c1 * d2) - 4 * t2 * (d2 + c1 * d1)
     s1sq, s2sq, t1sq, t2sq = s1**2, s2**2, t1**2, t2**2
-    sc1, sc2, td1, td2 = 2 * s1 * c1, 2 * s2 * c2, 2 * t1 * d1, 2 * t2 * d2
-    dm0_da1 = sc1 + 2 * s1 * c2 * d1
-    dm1_da1 = sc1 + 2 * s1 * d1 * d2
-    dc1_da1 = (
-        dm0_da1 * t1sq - dm1_da1 * s2sq
-        - 2.0 * ((sc2 + 2 * s2 * c1 * d1) * t1sq - sc2 * m1)
-    )
-    dc1_db1 = (
-        (td1 + 2 * c1 * c2 * t1) * t1sq + 2 * m0 * t1 * d1
-        - (td1 + 2 * c1 * t1 * d2) * s2sq
-        - 2.0 * (-(td2 + 2 * c1 * d1 * t2) * s2sq)
-    )
-    dc2_da1 = (
-        dm1_da1 * s1sq + 2 * m1 * s1 * c1 - dm0_da1 * t2sq
-        - 2.0 * (-(sc2 + 2 * c1 * s2 * d1) * t2sq)
-    )
-    dc2_db1 = (
-        (td1 + 2 * t1 * c1 * d2) * s1sq - (td1 + 2 * t1 * c1 * c2) * t2sq
-        - 2.0 * ((td2 + 2 * t2 * c1 * d1) * s1sq - td2 * m0)
-    )
-    return (dc1_da1, dc1_db1), (dc2_da1, dc2_db1)
+    j11 = m0a * t1sq - m1a * s2sq + 4 * m1 * s2 * c2
+    j12 = m0b * t1sq + 2 * m0 * t1 * d1 - m1b * s2sq
+    j21 = m1a * s1sq + 2 * m1 * s1 * c1 - m0a * t2sq
+    j22 = m1b * s1sq - m0b * t2sq + 4 * m0 * t2 * d2
+    return (j11, j12), (j21, j22)
 
 
 def edge_condition1_deriv_raw(alpha1, beta1, a: int, b: int):
@@ -198,15 +194,11 @@ def edge_condition2(s: AngleSlice) -> float:
 
 
 def edge_condition1_deriv(s: AngleSlice) -> float:
-    return float(
-        edge_condition1_deriv_raw(s.alpha1, s.beta1, s.params.a, s.params.b)
-    )
+    return float(edge_condition1_deriv_raw(s.alpha1, s.beta1, s.params.a, s.params.b))
 
 
 def edge_condition2_deriv(s: AngleSlice) -> float:
-    return float(
-        edge_condition2_deriv_raw(s.alpha1, s.beta1, s.params.a, s.params.b)
-    )
+    return float(edge_condition2_deriv_raw(s.alpha1, s.beta1, s.params.a, s.params.b))
 
 
 def realizability_inequality(params: SimplexParams) -> tuple[float, float, bool]:
@@ -223,23 +215,16 @@ def realizability_inequality(params: SimplexParams) -> tuple[float, float, bool]
     return lhs, rhs, b <= _b_max(a)
 
 
-def compute_bmax(a: int, b_limit: int | None = None) -> int | None:
-    """Largest b in (a, b_limit] satisfying the strict inequality.
+def compute_bmax(a: int) -> int:
+    """Largest b satisfying the strict inequality.
 
     That is 7, 8, 9, 11 for a = 2..5 and 2a from a = 6 on (model._b_max
     proves it); every b in (a, b_max] is admissible and no larger one is.
-    Returns None ("unbounded at the scan ceiling") if the inequality is
-    still strict at b_limit itself, which the default ceiling of 4a never
-    is.
+    Raises InvalidParams for a < 2.
     """
     if a < 2:
         raise InvalidParams(f"need a >= 2, got {a}")
-    if b_limit is None:
-        b_limit = 4 * a
-    if b_limit < a + 1:
-        raise InvalidParams(f"b_limit must be at least a+1, got {b_limit}")
-    best = _b_max(a)
-    return best if best < b_limit else None
+    return _b_max(a)
 
 
 def corner_value(params: SimplexParams) -> float:

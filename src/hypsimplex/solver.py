@@ -154,6 +154,22 @@ class PropernessReport:
         return all((self.angles_positive, self.determinant_negative,
                     self.vertices_outer, self.gram_signs))
 
+    @property
+    def signature(self) -> matrices.Signature:
+        """Inertia of the angle matrix from the signs of det and m1.
+
+        Some angle lies inside (0, pi), so the matrix has a positive definite
+        2x2 principal block and, by Cauchy interlacing, at least two positive
+        eigenvalues.  The sign of det fixes the parity of the negative ones,
+        and the sign of m1 the inertia of the 3x3 block without vertex 1.
+        """
+        proper = self.vertex_classes[1] is VertexClass.PROPER
+        if self.determinant < 0:
+            return matrices.Signature(3, 1, 0)
+        if self.determinant > 0:
+            return matrices.Signature(*((4, 0, 0) if proper else (2, 2, 0)))
+        return matrices.Signature(*((3, 0, 1) if proper else (2, 1, 1)))
+
 
 @dataclass(frozen=True)
 class GridRoot:

@@ -5,6 +5,7 @@ import io
 import json
 from math import pi
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -117,6 +118,21 @@ class TestSolveCommand:
         assert first[0] == pytest.approx(first[1], abs=1e-9)
         assert second[0] == pytest.approx(second[1], abs=1e-9)
         assert first[0] < second[0]
+
+    def test_geometry_needs_no_eigenvalues(self, runner, monkeypatch):
+        # The signature column comes from the properness report, so no
+        # command that solves builds the matrix or diagonalizes it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        table = run(runner, "table", "--a", "2..3")
+        assert table.exit_code == 0, table.output
+        solved = run(runner, "solve", 3, 7)
+        assert solved.exit_code == 0, solved.output
+        rows = json_lines(table) + json_lines(solved)
+        assert len(rows) == 11
+        assert all(row["signature"] == [3, 1, 0] for row in rows)
 
     def test_boundary_pair_exit_code(self, runner):
         result = run(runner, "solve", 2, 8)

@@ -1,6 +1,8 @@
 """Tests for the solve pipeline, grid oracle, and contraction estimates."""
 
+import json
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from hypsimplex import (
     grid_oracle,
     inverse,
     projective_distance,
+    signature,
     solve,
 )
 
@@ -38,6 +41,7 @@ from hypsimplex.solver import _sign_change_cells
 from oracles import IMPROPER_ROOT_23, LARGE_A_ROOTS, TRUE_ROOTS
 
 ROOT_TOL = 1e-15
+REFS_JSON = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +335,22 @@ class TestCheckProperness:
             assert (report.edge_lengths is None) == (lengths is None), where
             compared += 1
         assert compared > 1300
+
+    def test_signature_matches_the_matrix_path(self, a2_second_roots):
+        """The inertia from the signs of det and m1, against the eigenvalues
+        of the 4x4 matrix, at every bench/refs.json root and at the cases
+        above (seeded full-box points and free angle tuples among them)."""
+        refs = json.loads(REFS_JSON.read_text())["roots"]
+        cases = _closed_form_cases(a2_second_roots)
+        for key, (x, y) in refs.items():
+            params = SimplexParams(*map(int, key.split(",")))
+            cases.append((params, DihedralAngles.from_reduced(params, float(x), float(y))))
+        seen = set()
+        for params, angles in cases:
+            got = check_properness(params, angles).signature
+            assert got == signature(build_coxeter_schlafli(angles)), (params, angles)
+            seen.add(got.as_tuple())
+        assert seen == {(3, 1, 0), (2, 2, 0), (4, 0, 0)}
 
     @pytest.mark.parametrize("pair", [
         *sorted(TRUE_ROOTS), *sorted(LARGE_A_ROOTS), (1000, 2000), (3737, 7474),
