@@ -12,7 +12,6 @@ the edge lengths forced equal must come out equal.
 from math import pi
 
 from hypsimplex import (
-    Geometry,
     SimplexParams,
     build_coxeter_schlafli,
     classify_vertex,
@@ -49,7 +48,7 @@ def show_pair(a: int, b: int) -> None:
     print(f"    gram signs  = {['%+.4f' % s for s in signs]} (all negative)")
 
     dist = {
-        (i, j): projective_distance(gram, i, j, Geometry.HYPERBOLIC)
+        (i, j): projective_distance(gram, i, j)
         for i, j in ((0, 1), (0, 2), (2, 3), (0, 3), (1, 2), (1, 3))
     }
     print("    edge lengths (identified edges must agree):")

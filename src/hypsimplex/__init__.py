@@ -31,7 +31,6 @@ from .errors import (
     SingularMatrix,
 )
 from .matrices import (
-    Geometry,
     MinorSpec,
     Signature,
     SymMatrix4,
@@ -78,7 +77,6 @@ __all__ = [
     "DihedralAngles",
     "DomainBox",
     "DomainError",
-    "Geometry",
     "GridRoot",
     "HypsimplexError",
     "InvalidClass",

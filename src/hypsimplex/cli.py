@@ -287,39 +287,25 @@ def _table_row(a: int, b: int, cls: RealizationClass, report, degrees: bool) -> 
 @click.option("--a", "a_range", default="2..6", show_default=True,
               help="First parameter, as N or LO..HI.")
 @click.option("--b", "b_range", default=None,
-              help="Second parameter, as N or LO..HI.")
-@click.option("--b-upto", "b_upto", default=None,
-              help='Largest second parameter per a: an integer, or "bmax" '
-                   "for the admissibility bound (the default).")
+              help="Second parameter, as N or LO..HI; default a+1..b_max.")
 @_solver_options
 @_format_option
 @_degrees_option
-def cmd_table(a_range, b_range, b_upto, tol, angle_tol, max_iter, fmt,
-              degrees) -> None:
+def cmd_table(a_range, b_range, tol, angle_tol, max_iter, fmt, degrees) -> None:
     """Tabulate solved angles over a parameter range."""
     a_lo, a_hi = _parse_range(a_range, "a")
     if a_lo < 1:
         _fail(f"a must be at least 1, got {a_lo}", EXIT_INVALID_PARAMS)
-    if b_range is not None and b_upto is not None:
-        _fail("--b and --b-upto are mutually exclusive", EXIT_INVALID_PARAMS)
-    b_ceiling = None
-    if b_upto is not None and b_upto != "bmax":
-        try:
-            b_ceiling = int(b_upto)
-        except ValueError:
-            _fail(f'cannot parse --b-upto value {b_upto!r}; expected an '
-                  'integer or "bmax"', EXIT_INVALID_PARAMS)
     config = _make_config(tol, angle_tol, max_iter)
+    b_span = None if b_range is None else _parse_range(b_range, "b")
     rows = []
     diverged = False
     for a in range(a_lo, a_hi + 1):
-        if b_range is not None:
-            b_lo, b_hi = _parse_range(b_range, "b")
-        elif b_ceiling is not None:
-            b_lo, b_hi = a + 1, b_ceiling
+        if b_span is not None:
+            b_lo, b_hi = b_span
+        elif a < 2:
+            continue
         else:
-            if a < 2:
-                continue
             b_lo, b_hi = a + 1, compute_bmax(a)
         for b in range(b_lo, b_hi + 1):
             if b <= a:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .interval import PI, Interval
-from .model import SimplexParams, _b_max
+from .model import SimplexParams, _b_max, _require_integers
 
 _BOX_TOL = 1e-12
 
@@ -220,11 +220,12 @@ def compute_bmax(a: int) -> int:
 
     That is 7, 8, 9, 11 for a = 2..5 and 2a from a = 6 on (model._b_max
     proves it); every b in (a, b_max] is admissible and no larger one is.
-    Raises InvalidParams for a < 2.
+    Raises InvalidParams for a < 2 or an ``a`` that is not an integer.
     """
+    _require_integers(a)
     if a < 2:
         raise InvalidParams(f"need a >= 2, got {a}")
-    return _b_max(a)
+    return _b_max(int(a))
 
 
 def corner_value(params: SimplexParams) -> float:

@@ -5,8 +5,8 @@ expansion rather than a general LU path, the inverse is the adjugate divided
 by the determinant, and the classical Jacobi identity relating a minor of a
 regular matrix to the complementary minor of its inverse is exposed as a
 checkable pair of numbers, which ``run_minor_identity_suite`` compares over
-seeded random matrices.  Distances between points of projective space are
-evaluated from a Gram matrix in either the elliptic or the hyperbolic form.
+seeded random matrices.  Hyperbolic distances between points of projective
+space are evaluated from a Gram matrix.
 This general path is the reference for the closed forms of
 ``conditions.gram_raw`` and serves ``hypsimplex check``; solve() does not
 use it.
@@ -15,8 +15,7 @@ use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from math import acos, acosh, sqrt
+from math import acosh, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,19 +28,11 @@ SINGULARITY_FACTOR = 1e-12
 #: eigenvalues with |lam| <= ZERO_EIG_FACTOR * (max absolute entry) count as zero.
 ZERO_EIG_FACTOR = 1e-9
 
-#: arccosh arguments in [1 - ARC_CLAMP_TOL, 1) are clamped to 1 (distance 0);
-#: arccos arguments within ARC_CLAMP_TOL outside [-1, 1] are clamped likewise.
+#: arccosh arguments in [1 - ARC_CLAMP_TOL, 1) are clamped to 1 (distance 0).
 ARC_CLAMP_TOL = 1e-9
 
 _SYMMETRY_TOL = 1e-12
 _ALL = (0, 1, 2, 3)
-
-
-class Geometry(Enum):
-    """Which distance formula applies along a projective line."""
-
-    ELLIPTIC = "elliptic"
-    HYPERBOLIC = "hyperbolic"
 
 
 @dataclass(frozen=True)
@@ -138,44 +129,29 @@ class MinorSpec:
         return cls.principal(j for j in _ALL if j != i)
 
 
-def _det2(m: np.ndarray) -> float:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def _without(m: list[list[float]], i: int, j: int) -> list[list[float]]:
+    """The nested-list matrix ``m`` with row ``i`` and column ``j`` deleted."""
+    return [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
 
 
-def _det3(m: np.ndarray) -> float:
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-def _det4(m: np.ndarray) -> float:
+def _det(m: list[list[float]]) -> float:
+    """Determinant of a square nested-list matrix by cofactor expansion
+    along row 0."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     total = 0.0
     sign = 1.0
-    rows = (1, 2, 3)
-    for c in range(4):
-        cols = tuple(j for j in range(4) if j != c)
-        total += sign * m[0, c] * _det3(m[np.ix_(rows, cols)])
+    for c, head in enumerate(m[0]):
+        total += sign * head * _det(_without(m, 0, c))
         sign = -sign
     return total
 
 
-def _subdet(m: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> float:
-    k = len(rows)
-    sub = m[np.ix_(rows, cols)]
-    if k == 1:
-        return float(sub[0, 0])
-    if k == 2:
-        return _det2(sub)
-    if k == 3:
-        return _det3(sub)
-    return _det4(sub)
-
-
 def determinant(m: SymMatrix4) -> float:
     """Determinant by cofactor expansion along the first row."""
-    return float(_det4(m.entries))
+    return float(_det(m.entries.tolist()))
 
 
 def minor(m: SymMatrix4, spec: MinorSpec) -> float:
@@ -184,7 +160,7 @@ def minor(m: SymMatrix4, spec: MinorSpec) -> float:
     The principal selection ``rows=cols={0,1,2,3}\\{i}`` is the vertex minor
     for vertex ``i``.
     """
-    return float(_subdet(m.entries, spec.rows, spec.cols))
+    return float(_det(m.entries[np.ix_(spec.rows, spec.cols)].tolist()))
 
 
 def _singularity_threshold(m: SymMatrix4) -> float:
@@ -199,16 +175,13 @@ def inverse(m: SymMatrix4) -> SymMatrix4:
     SingularMatrix
         When |det(m)| <= 1e-12 * (max absolute entry)**4.
     """
-    det = _det4(m.entries)
+    arr = m.entries.tolist()
+    det = _det(arr)
     if abs(det) <= _singularity_threshold(m):
         raise SingularMatrix(f"determinant {det:.3e} below singularity threshold")
-    arr = m.entries
-    cof = np.empty((4, 4))
-    for i in range(4):
-        rows = tuple(r for r in range(4) if r != i)
-        for j in range(4):
-            cols = tuple(c for c in range(4) if c != j)
-            cof[i, j] = (-1.0) ** (i + j) * _det3(arr[np.ix_(rows, cols)])
+    cof = np.array(
+        [[(-1.0) ** (i + j) * _det(_without(arr, i, j)) for j in _ALL] for i in _ALL]
+    )
     # adjugate is cof^T; for symmetric input the cofactor matrix is symmetric
     inv = cof.T / det
     inv = (inv + inv.T) / 2.0
@@ -257,9 +230,9 @@ def jacobi_minor_identity(m: SymMatrix4, spec: MinorSpec) -> tuple[float, float]
     inv = inverse(m)
     rows_c = _complement(spec.cols)
     cols_c = _complement(spec.rows)
-    comp = _subdet(inv.entries, rows_c, cols_c) if rows_c else 1.0
+    comp = _det(inv.entries[np.ix_(rows_c, cols_c)].tolist()) if rows_c else 1.0
     sign = (-1.0) ** (sum(spec.rows) + sum(spec.cols))
-    rhs = float(_det4(m.entries) * comp * sign)
+    rhs = float(_det(m.entries.tolist()) * comp * sign)
     return lhs, rhs
 
 
@@ -323,10 +296,8 @@ def run_minor_identity_suite(
     }
 
 
-def projective_distance(
-    gram: SymMatrix4, i: int, j: int, geometry: Geometry = Geometry.HYPERBOLIC
-) -> float:
-    """Distance between points ``i`` and ``j`` read off a Gram matrix.
+def projective_distance(gram: SymMatrix4, i: int, j: int) -> float:
+    """Hyperbolic distance between points ``i`` and ``j`` of a Gram matrix.
 
     Parameters
     ----------
@@ -334,16 +305,15 @@ def projective_distance(
         Gram matrix of the points (typically the inverse of an angle matrix).
     i, j : int
         Point indices in 0..3.  ``i == j`` returns 0 exactly.
-    geometry : Geometry
-        ELLIPTIC evaluates arccos(g_ij / sqrt(g_ii g_jj)); HYPERBOLIC
-        evaluates arccosh(-g_ij / sqrt(g_ii g_jj)).  For points beyond the
-        absolute the hyperbolic form is evaluated formally as written.
+
+    Returns arccosh(-g_ij / sqrt(g_ii g_jj)); for points beyond the absolute
+    it is evaluated formally as written.
 
     Raises
     ------
     DomainError
-        If g_ii * g_jj <= 0, or the arc argument is outside its valid range
-        by more than ARC_CLAMP_TOL.
+        If g_ii * g_jj <= 0, or the arccosh argument is below 1 by more
+        than ARC_CLAMP_TOL.
     """
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise DomainError(f"point indices must lie in 0..3, got ({i}, {j})")
@@ -355,12 +325,7 @@ def projective_distance(
         raise DomainError(
             f"diagonal product g[{i},{i}]*g[{j},{j}] = {prod:.3e} is not positive"
         )
-    ratio = g[i, j] / sqrt(prod)
-    if geometry is Geometry.ELLIPTIC:
-        if abs(ratio) > 1.0 + ARC_CLAMP_TOL:
-            raise DomainError(f"arccos argument {ratio!r} outside [-1, 1]")
-        return acos(min(1.0, max(-1.0, ratio)))
-    arg = -ratio
+    arg = -g[i, j] / sqrt(prod)
     if arg < 1.0 - ARC_CLAMP_TOL:
         raise DomainError(f"arccosh argument {arg!r} below 1")
     return acosh(max(1.0, arg))

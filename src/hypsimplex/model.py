@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import cos, pi
+from numbers import Integral
 
 import numpy as np
 
@@ -36,15 +37,25 @@ class VertexClass(Enum):
     OUTER = "Outer"
 
 
+def _require_integers(*values) -> None:
+    """Raise InvalidParams unless every value is an integer other than a bool."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InvalidParams(f"parameters must be integers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimplexParams:
-    """Normalized integer parameters with the duality swap recorded."""
+    """Normalized integer parameters, stored as int, with the swap recorded."""
 
     a: int
     b: int
     swapped: bool = False
 
     def __post_init__(self) -> None:
+        _require_integers(self.a, self.b)
+        object.__setattr__(self, "a", int(self.a))
+        object.__setattr__(self, "b", int(self.b))
         if self.a < 1 or self.b < 1:
             raise InvalidParams(f"parameters must be >= 1, got ({self.a}, {self.b})")
         if self.b < self.a:
@@ -53,6 +64,7 @@ class SimplexParams:
 
 def normalize_params(a: int, b: int) -> SimplexParams:
     """Order the pair so b >= a, recording whether a swap happened."""
+    _require_integers(a, b)
     if a < 1 or b < 1:
         raise InvalidParams(f"parameters must be >= 1, got ({a}, {b})")
     if b < a:

@@ -118,15 +118,13 @@ class ContractionEstimate:
     arithmetic, of the largest absolute row sum of the Jacobian of
     (alpha1, beta1) -> (alpha1 + c1/k1, beta1 + c2/k2) over every point of
     ``box``, with the damping ``k1``, ``k2`` that estimate_contraction
-    derived from that box; ``resolution`` is the number of cells per side
-    the box was split into.
+    derived from that box.
     """
 
     k1: float
     k2: float
     norm_bound: float
     box: DomainBox
-    resolution: int
 
 
 @dataclass(frozen=True)
@@ -214,27 +212,14 @@ def _eval_conditions(alpha1: float, beta1: float, a: int, b: int) -> tuple[float
     return float(c1), float(c2)
 
 
-def _check_resolution(resolution) -> None:
-    if not (
-        isinstance(resolution, Integral)
-        and not isinstance(resolution, bool)
-        and resolution >= 1
-    ):
-        raise ValueError(f"resolution must be an int of at least 1, got {resolution!r}")
-
-
-def estimate_contraction(
-    params: SimplexParams,
-    box: DomainBox | None = None,
-    resolution: int = 8,
-) -> ContractionEstimate:
+def estimate_contraction(params: SimplexParams, box: DomainBox) -> ContractionEstimate:
     """Prove the damped update map a sup-norm contraction on a box.
 
-    Splits the box into resolution x resolution cells (``resolution``
-    counts cells per side) and evaluates the Jacobian of
-    (alpha1, beta1) -> (alpha1 + c1/k1, beta1 + c2/k2) on each cell in
-    outward-rounded interval arithmetic, so the worst absolute row sum
-    bounds every point of the box, not only sampled ones.
+    Evaluates the Jacobian of (alpha1, beta1) -> (alpha1 + c1/k1,
+    beta1 + c2/k2) once on the whole box in outward-rounded interval
+    arithmetic, so the worst absolute row sum bounds every point of the
+    box, not only sampled ones.  The box is not split: callers that need a
+    smaller box pass one.
 
     The damping is k_i = max(2 * mag(d_i), 1e-3), with d_i the interval
     of dc_i/dx_i and e_i that of the cross derivative over the box.  Then
@@ -242,27 +227,18 @@ def estimate_contraction(
     1 + (max d_i + mag(e_i))/k_i: below one it grows with k_i, at or above
     one it stays there for every k_i, so no larger damping gives a tighter
     bound.  Raises NoContraction when the bound is not below one; on the
-    full domain box it never is, since the first condition's derivative
-    loses its sign on the alpha1 = pi/a edge — certificates exist only on
-    smaller boxes around the root.  Raises ValueError unless
-    ``resolution`` is an int of at least 1.
+    domain box of domain_for it never is, since the first condition's
+    derivative loses its sign on the alpha1 = pi/a edge — certificates
+    exist only on smaller boxes around the root.
     """
-    _check_resolution(resolution)
-    box = box or domain_for(params)
     a, b = params.a, params.b
-    al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
-    be = np.linspace(box.beta1_lo, box.beta1_hi, resolution + 1)
-    cells = []
-    for i in range(resolution):
-        x = Interval(al[i], al[i + 1])
-        for j in range(resolution):
-            y = Interval(be[j], be[j + 1])
-            cells.append(edge_jacobian_raw(x, y, a, b))
-    k1 = max(2.0 * max(d1.mag() for (d1, _), _ in cells), 1e-3)
-    k2 = max(2.0 * max(d2.mag() for _, (_, d2) in cells), 1e-3)
+    x = Interval(box.alpha1_lo, box.alpha1_hi)
+    y = Interval(box.beta1_lo, box.beta1_hi)
+    (d1, e1), (e2, d2) = edge_jacobian_raw(x, y, a, b)
+    k1 = max(2.0 * d1.mag(), 1e-3)
+    k2 = max(2.0 * d2.mag(), 1e-3)
     row_sum = max(
-        max((1 + d1 / k1).mag() + (e1 / k1).mag(), (e2 / k2).mag() + (1 + d2 / k2).mag())
-        for (d1, e1), (e2, d2) in cells
+        (1 + d1 / k1).mag() + (e1 / k1).mag(), (e2 / k2).mag() + (1 + d2 / k2).mag()
     )
     # The sum of the two magnitudes rounds to nearest; step up past it.
     bound = nextafter(row_sum, inf)
@@ -271,7 +247,7 @@ def estimate_contraction(
             f"damped-map bound {bound:.6g} is not below 1 on the given box "
             f"for (a, b) = ({a}, {b})"
         )
-    return ContractionEstimate(k1, k2, bound, box, resolution)
+    return ContractionEstimate(k1, k2, bound, box)
 
 
 def contraction_map(
@@ -353,7 +329,9 @@ def grid_oracle(
     tolerance.  Raises ValueError unless ``resolution`` (cells per side) is
     an int of at least 1.
     """
-    _check_resolution(resolution)
+    integral = isinstance(resolution, Integral) and not isinstance(resolution, bool)
+    if not (integral and resolution >= 1):
+        raise ValueError(f"resolution must be an int of at least 1, got {resolution!r}")
     cfg = config or SolverConfig()
     box = box or domain_for(params)
     a, b = params.a, params.b
@@ -450,7 +428,7 @@ def _solved_report(
     rx, ry = _CERTIFICATE_RADIUS * abs(x), _CERTIFICATE_RADIUS * abs(y)
     box = DomainBox(x - rx, min(pi / a, x + rx), y - ry, min(pi / b, y + ry))
     try:
-        certificate = estimate_contraction(params, box, resolution=1)
+        certificate = estimate_contraction(params, box)
         norm_bound, certificate_box = certificate.norm_bound, certificate.box
     except NoContraction:
         norm_bound = certificate_box = None

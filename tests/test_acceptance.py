@@ -19,7 +19,6 @@ import pytest
 
 from hypsimplex import (
     DihedralAngles,
-    Geometry,
     MinorSpec,
     SimplexParams,
     SolveStatus,
@@ -113,10 +112,10 @@ def test_criterion_04_geometric_verification_suite(reports):
         gram = inverse(matrix)
         for i, j in ((0, 1), (0, 2), (0, 3), (1, 3)):
             assert gram[i, j] < 0.0, (pair, i, j)
-        d01 = projective_distance(gram, 0, 1, Geometry.HYPERBOLIC)
-        d02 = projective_distance(gram, 0, 2, Geometry.HYPERBOLIC)
-        d03 = projective_distance(gram, 0, 3, Geometry.HYPERBOLIC)
-        d13 = projective_distance(gram, 1, 3, Geometry.HYPERBOLIC)
+        d01 = projective_distance(gram, 0, 1)
+        d02 = projective_distance(gram, 0, 2)
+        d03 = projective_distance(gram, 0, 3)
+        d13 = projective_distance(gram, 1, 3)
         assert abs(d01 - d02) < 1e-9, pair
         assert abs(d03 - d13) < 1e-9, pair
 

@@ -235,21 +235,15 @@ class TestTableCommand:
         assert pairs == set(TRUE_ROOTS)
         assert all(row["status"] == "Solved" for row in rows)
 
-    def test_b_upto_bmax_equals_default(self, runner):
-        explicit = run(runner, "table", "--a", "2..6", "--b-upto", "bmax")
-        default = run(runner, "table")
-        assert explicit.exit_code == 0
-        assert explicit.output == default.output
-
     def test_b_upto_integer_ceiling(self, runner):
-        rows = json_lines(run(runner, "table", "--a", "2..3", "--b-upto", "5"))
+        # Pairs with b <= a are skipped, so --b 1..N caps b at N for every a.
+        rows = json_lines(run(runner, "table", "--a", "2..3", "--b", "1..5"))
         assert [(row["a"], row["b"]) for row in rows] == [
             (2, 3), (2, 4), (2, 5), (3, 4), (3, 5),
         ]
 
-    def test_b_upto_conflicts_with_b(self, runner):
-        result = run(runner, "table", "--a", "2", "--b", "3..4", "--b-upto", "6")
-        assert result.exit_code == 2
+    def test_b_upto_is_not_an_option(self, runner):
+        assert run(runner, "table", "--b-upto", "6").exit_code == 2
 
     def test_explicit_range_mixes_statuses(self, runner):
         result = run(runner, "table", "--a", "2", "--b", "2..9", "--format", "csv")
@@ -278,7 +272,6 @@ class TestTableCommand:
     def test_bad_range_exit_code(self, runner):
         assert run(runner, "table", "--a", "6..2").exit_code == 2
         assert run(runner, "table", "--a", "x..3").exit_code == 2
-        assert run(runner, "table", "--a", "2", "--b-upto", "x").exit_code == 2
 
     def test_empty_range_exit_code(self, runner):
         assert run(runner, "table", "--a", "5", "--b", "2..3").exit_code == 2

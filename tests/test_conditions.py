@@ -328,6 +328,15 @@ class TestComputeBmax:
         with pytest.raises(InvalidParams):
             compute_bmax(1)
 
+    @pytest.mark.parametrize("a", [2.5, 5.0, True, np.float64(6)])
+    def test_rejects_non_integers(self, a):
+        with pytest.raises(InvalidParams, match="integers"):
+            compute_bmax(a)
+
+    def test_accepts_numpy_integers(self):
+        assert compute_bmax(np.int64(5)) == 11
+        assert type(compute_bmax(np.int32(7))) is int and compute_bmax(np.int32(7)) == 14
+
 
 class TestCornerValue:
     def test_positive_for_admissible(self):
@@ -421,3 +430,60 @@ class TestBmaxLemma:
                         assert abs(corner) < mp.mpf(10) ** -45
                     else:
                         assert (corner > 0) == (b <= compute_bmax(a)), (a, b)
+
+
+class TestSineProductCurve:
+    """Finding F8, at 50 digits: with s_i = sin alpha_i and t_i = sin beta_i,
+
+        t2^2 c1 + t1^2 c2 = m1 (s1 t1 - s2 t2)(s1 t1 + s2 t2),
+        s1^2 c1 + s2^2 c2 = m0 (s1 t1 - s2 t2)(s1 t1 + s2 t2),
+
+    so every root with m0 or m1 nonzero lies on s1 t1 = s2 t2.  The
+    conditions are those of bench/regen_refs.py and the minors are
+    determinants of the 50-digit angle matrix, both stated without
+    hypsimplex."""
+
+    @staticmethod
+    def _terms(mp, alpha1, beta1, a, b):
+        from regen_oracles import angle_matrix, conditions
+
+        alpha1, beta1 = mp.mpf(alpha1), mp.mpf(beta1)
+        alpha2, beta2 = 2 * mp.pi / a - 2 * alpha1, 2 * mp.pi / b - 2 * beta1
+        m = angle_matrix(alpha1, alpha2, beta1, beta2)
+        m0, m1 = (mp.det(mp.matrix([[m[i, j] for j in keep] for i in keep]))
+                  for keep in ((1, 2, 3), (0, 2, 3)))
+        s1, s2, t1, t2 = (mp.sin(v) for v in (alpha1, alpha2, beta1, beta2))
+        return conditions(alpha1, beta1, a, b, lib=mp), m0, m1, (s1, s2, t1, t2)
+
+    def test_identities_at_seeded_points(self):
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(50):
+            for a, b in ((2, 3), (2, 7), (3, 8), (5, 11), (10, 20), (12, 20)):
+                for s in random_slices(a, b, 20, seed=a * 800 + b):
+                    (c1, c2), m0, m1, (s1, s2, t1, t2) = self._terms(mp, s.alpha1, s.beta1, a, b)
+                    curve = (s1 * t1 - s2 * t2) * (s1 * t1 + s2 * t2)
+                    assert abs(t2**2 * c1 + t1**2 * c2 - m1 * curve) < mp.mpf(10) ** -45
+                    assert abs(s1**2 * c1 + s2**2 * c2 - m0 * curve) < mp.mpf(10) ** -45
+
+    def test_a_equals_2_factorization(self):
+        # alpha2 = pi - 2 alpha1, so s2 = 2 s1 cos alpha1: the double zero
+        # sin^2 alpha1 of the a = 2 valley along alpha1 = 0.
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(50):
+            for b in range(3, 8):
+                for s in random_slices(2, b, 20, seed=900 + b):
+                    (c1, c2), _, m1, (s1, _, t1, t2) = self._terms(mp, s.alpha1, s.beta1, 2, b)
+                    valley = m1 * s1**2 * (t1**2 - 4 * mp.cos(mp.mpf(s.alpha1)) ** 2 * t2**2)
+                    assert abs(t2**2 * c1 + t1**2 * c2 - valley) < mp.mpf(10) ** -45
+
+    def test_roots_lie_on_the_curve(self):
+        mp = pytest.importorskip("mpmath").mp
+        from regen_oracles import improper_root_23, reference_root
+
+        with mp.workdps(50):
+            roots = [(a, b, *reference_root(a, b)) for a, b in ((2, 4), (3, 7), (6, 12), (200, 400))]
+            roots.append((2, 3, *improper_root_23()))
+            for a, b, x, y in roots:
+                _, m0, m1, (s1, s2, t1, t2) = self._terms(mp, x, y, a, b)
+                assert m0 != 0 and m1 != 0, (a, b)
+                assert abs(s1 * t1 - s2 * t2) < mp.mpf(10) ** -40 * s1 * t1, (a, b)

@@ -5,7 +5,6 @@ import pytest
 
 from hypsimplex import (
     DomainError,
-    Geometry,
     MinorSpec,
     Signature,
     SingularMatrix,
@@ -175,35 +174,27 @@ class TestProjectiveDistance:
     def test_same_point_is_zero(self):
         assert projective_distance(SymMatrix4.identity(), 2, 2) == 0.0
 
-    def test_elliptic_right_angle(self):
-        # Orthonormal Gram: every pair of distinct points is a quarter turn.
-        m = SymMatrix4.identity()
-        d = projective_distance(m, 0, 1, Geometry.ELLIPTIC)
-        assert d == pytest.approx(np.pi / 2)
-
     def test_hyperbolic_known_distance(self):
         arr = np.eye(4)
         arr[0, 1] = arr[1, 0] = -np.cosh(1.0)
-        d = projective_distance(SymMatrix4(arr), 0, 1, Geometry.HYPERBOLIC)
+        d = projective_distance(SymMatrix4(arr), 0, 1)
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_hyperbolic_clamps_near_one(self):
         arr = np.eye(4)
         arr[0, 1] = arr[1, 0] = -(1.0 - 1e-12)
-        d = projective_distance(SymMatrix4(arr), 0, 1, Geometry.HYPERBOLIC)
+        d = projective_distance(SymMatrix4(arr), 0, 1)
         assert d == 0.0
 
     def test_hyperbolic_argument_below_one_raises(self):
         arr = np.eye(4)
         arr[0, 1] = arr[1, 0] = -0.5
         with pytest.raises(DomainError):
-            projective_distance(SymMatrix4(arr), 0, 1, Geometry.HYPERBOLIC)
+            projective_distance(SymMatrix4(arr), 0, 1)
 
     def test_nonpositive_diagonal_product_raises(self):
         with pytest.raises(DomainError):
-            projective_distance(
-                SymMatrix4.diagonal((1.0, -1.0, 1.0, 1.0)), 0, 1, Geometry.HYPERBOLIC
-            )
+            projective_distance(SymMatrix4.diagonal((1.0, -1.0, 1.0, 1.0)), 0, 1)
 
     def test_bad_index_raises(self):
         with pytest.raises(DomainError):

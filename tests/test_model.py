@@ -19,6 +19,7 @@ from hypsimplex import (
     gram_sign_check,
     inverse,
     normalize_params,
+    solve,
 )
 
 from oracles import TRUE_ROOTS
@@ -42,6 +43,24 @@ class TestParams:
     def test_direct_construction_requires_order(self):
         with pytest.raises(InvalidParams):
             SimplexParams(5, 3)
+
+    @pytest.mark.parametrize("a, b", [(2.5, 4), (3, 7.5), (3.0, 7), (True, 3), (2, np.float64(5))])
+    def test_rejects_non_integers(self, a, b):
+        with pytest.raises(InvalidParams, match="integers"):
+            SimplexParams(a, b)
+        with pytest.raises(InvalidParams, match="integers"):
+            normalize_params(a, b)
+        with pytest.raises(InvalidParams, match="integers"):
+            normalize_params(b, a)
+
+    def test_accepts_numpy_integers_as_python_ints(self):
+        # Stored as int, so solve() reports Python floats as for int input.
+        p = normalize_params(np.int64(7), np.int32(3))
+        assert (p.a, p.b, p.swapped) == (3, 7, True)
+        assert type(p.a) is int and type(p.b) is int
+        assert classify_realization(p) is RealizationClass.HYPERBOLIC_OUTER
+        angles = solve(p).angles.as_tuple()
+        assert all(type(v) is float for v in angles)
 
 
 class TestDihedralAngles:

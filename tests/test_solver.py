@@ -520,18 +520,12 @@ class TestSignChangeCells:
 
 
 class TestContraction:
-    @pytest.mark.parametrize("resolution", [0, -1, 1.5, None, True, False])
-    def test_rejects_bad_resolution(self, resolution):
-        x, y = TRUE_ROOTS[(2, 4)]
-        box = DomainBox(x - 0.02, x + 0.02, y - 0.02, y + 0.02)
-        with pytest.raises(ValueError, match="resolution"):
-            estimate_contraction(SimplexParams(2, 4), box, resolution=resolution)
-
     def test_full_domain_box_fails(self):
         # The first condition's derivative changes sign on the far alpha
         # edge, so no damping certifies the whole box.
+        params = SimplexParams(2, 4)
         with pytest.raises(NoContraction):
-            estimate_contraction(SimplexParams(2, 4))
+            estimate_contraction(params, domain_for(params))
 
     def test_local_box_certifies(self):
         x, y = TRUE_ROOTS[(2, 4)]
