@@ -7,6 +7,9 @@ and solves the two nonlinear edge conditions that pin down the four
 dihedral angles.  Solutions are verified from closed forms of the
 bilinear form: the sign of its determinant, the vertex minors, the signs of
 the Gram cofactors, and the edge lengths.
+
+Importing the package does not load numpy: the names of the general matrix
+path (``matrices``) are resolved on first access.
 """
 
 from .conditions import (
@@ -30,20 +33,10 @@ from .errors import (
     NoContraction,
     SingularMatrix,
 )
-from .matrices import (
-    MinorSpec,
-    Signature,
-    SymMatrix4,
-    determinant,
-    inverse,
-    jacobi_minor_identity,
-    minor,
-    projective_distance,
-    signature,
-)
 from .model import (
     DihedralAngles,
     RealizationClass,
+    Signature,
     SimplexParams,
     VertexClass,
     build_coxeter_schlafli,
@@ -69,6 +62,31 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+_MATRIX_NAMES = frozenset({
+    "MinorSpec",
+    "SymMatrix4",
+    "determinant",
+    "inverse",
+    "jacobi_minor_identity",
+    "minor",
+    "projective_distance",
+    "signature",
+})
+
+
+def __getattr__(name: str):
+    if name not in _MATRIX_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import matrices
+
+    value = getattr(matrices, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MATRIX_NAMES)
 
 __all__ = [
     "AmbiguousSignature",

@@ -17,7 +17,6 @@ import sys
 from math import pi
 
 import click
-import numpy as np
 
 from . import solver as solver_lib
 from .conditions import (
@@ -28,7 +27,6 @@ from .conditions import (
     realizability_inequality,
 )
 from .errors import InvalidClass, InvalidParams
-from .matrices import run_minor_identity_suite
 from .model import (
     RealizationClass,
     SimplexParams,
@@ -335,6 +333,8 @@ def cmd_table(a_range, b_range, tol, angle_tol, max_iter, fmt, degrees) -> None:
 @_degrees_option
 def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
     """Sample the edge conditions and their derivatives over the domain box."""
+    import numpy as np
+
     params = _normalized(a, b)
     if resolution < 2:
         _fail(f"resolution must be at least 2 nodes per axis, got {resolution}",
@@ -378,6 +378,8 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
 @_format_option
 def cmd_check(trials: int, seed: int, identity_only: bool, fmt: str) -> None:
     """Run the randomized minor-identity verification suite."""
+    from .matrices import run_minor_identity_suite
+
     if trials < 1:
         _fail(f"trials must be at least 1, got {trials}", EXIT_INVALID_PARAMS)
     summary = run_minor_identity_suite(trials, seed, identity_only)

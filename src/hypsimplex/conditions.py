@@ -13,7 +13,11 @@ cofactors of the angle matrix (``gram_raw``), the realizability
 inequality, and the derived largest admissible second parameter.
 
 The ``*_raw`` kernels take floats, numpy arrays (broadcasting) and
-``Interval`` boxes alike; the public operations wrap them for scalar
+``Interval`` boxes alike, and take the sine and cosine of each argument by
+its type: ``math`` for Python floats and ints (``np.float64`` is a float),
+the ``Interval``'s own enclosures for boxes, and numpy for anything else,
+numpy being imported only then.  So scalar calls return Python floats and
+never load numpy.  The public operations wrap the kernels for scalar
 slices.
 """
 
@@ -21,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, pi, sin
-
-import numpy as np
 
 from .errors import InvalidParams
 from .interval import PI, Interval
@@ -64,6 +66,27 @@ def _derived(alpha1, beta1, a: int, b: int):
     return two_pi / a - 2 * alpha1, two_pi / b - 2 * beta1
 
 
+def _trig(x):
+    """The (sin, cos) pair for the type of x: math's on Python numbers, the
+    Interval enclosures on a box, numpy's on anything else."""
+    if isinstance(x, (float, int)):
+        return sin, cos
+    if isinstance(x, Interval):
+        return Interval.sin, Interval.cos
+    import numpy as np
+
+    return np.sin, np.cos
+
+
+def _sincos(x):
+    sin_, cos_ = _trig(x)
+    return sin_(x), cos_(x)
+
+
+def _cos(x):
+    return _trig(x)[1](x)
+
+
 def _minor(x, y, z):
     """The vertex minor 1 - x^2 - y^2 - z^2 - 2xyz in the cosines x, y, z
     of the three dihedral angles at the vertex."""
@@ -78,7 +101,7 @@ def gram_raw(alpha1, alpha2, beta1, beta2):
     adjugate identity cof_ii cof_jj - cof_ij^2 = det sin^2 theta, where theta
     is beta1 for (0, 1), alpha2 for (0, 2), alpha1 for (0, 3), beta2 for (1, 3).
     """
-    c1, c2, d1, d2 = np.cos(alpha1), np.cos(alpha2), np.cos(beta1), np.cos(beta2)
+    c1, c2, d1, d2 = _cos(alpha1), _cos(alpha2), _cos(beta1), _cos(beta2)
     det = ((c1 - d1) ** 2 - (1 + c2) * (1 + d2)) * ((c1 + d1) ** 2 - (1 - c2) * (1 - d2))
     c1sq, d1sq, c2d2, cd = c1**2, d1**2, c2 * d2, 2 * c1 * d1
     return det, _minor(c1, c2, d1), _minor(c1, d1, d2), (
@@ -96,11 +119,12 @@ def edge_conditions_raw(alpha1, beta1, a: int, b: int):
     once per axis value instead of once per grid node.
     """
     alpha2, beta2 = _derived(alpha1, beta1, a, b)
-    ca1, cb1 = np.cos(alpha1), np.cos(beta1)
-    m0, m1 = _minor(ca1, np.cos(alpha2), cb1), _minor(ca1, cb1, np.cos(beta2))
-    c1 = m0 * np.sin(beta1) ** 2 - m1 * np.sin(alpha2) ** 2
-    c2 = m1 * np.sin(alpha1) ** 2 - m0 * np.sin(beta2) ** 2
-    return c1, c2
+    s1, c1 = _sincos(alpha1)
+    s2, c2 = _sincos(alpha2)
+    t1, d1 = _sincos(beta1)
+    t2, d2 = _sincos(beta2)
+    m0, m1 = _minor(c1, c2, d1), _minor(c1, d1, d2)
+    return m0 * t1**2 - m1 * s2**2, m1 * s1**2 - m0 * t2**2
 
 
 def edge_condition1_raw(alpha1, beta1, a: int, b: int):
@@ -134,10 +158,10 @@ def edge_jacobian_raw(alpha1, beta1, a: int, b: int):
         J22 = m1b s1^2 - m0b t2^2 + 4 m0 t2 d2.
     """
     alpha2, beta2 = _derived(alpha1, beta1, a, b)
-    s1, c1 = np.sin(alpha1), np.cos(alpha1)
-    s2, c2 = np.sin(alpha2), np.cos(alpha2)
-    t1, d1 = np.sin(beta1), np.cos(beta1)
-    t2, d2 = np.sin(beta2), np.cos(beta2)
+    s1, c1 = _sincos(alpha1)
+    s2, c2 = _sincos(alpha2)
+    t1, d1 = _sincos(beta1)
+    t2, d2 = _sincos(beta2)
     m0, m1 = _minor(c1, c2, d1), _minor(c1, d1, d2)
     m0a = 2 * s1 * (c1 + c2 * d1) - 4 * s2 * (c2 + c1 * d1)
     m0b = 2 * t1 * (d1 + c1 * c2)
@@ -173,12 +197,12 @@ def edge_condition2_cross_deriv_raw(alpha1, beta1, a: int, b: int):
 
 def vertex_minor0(s: AngleSlice) -> float:
     """The vertex minor shared by vertices 0 and 2 (m0 of gram_raw)."""
-    return float(_minor(np.cos(s.alpha1), np.cos(s.alpha2), np.cos(s.beta1)))
+    return float(_minor(_cos(s.alpha1), _cos(s.alpha2), _cos(s.beta1)))
 
 
 def vertex_minor1(s: AngleSlice) -> float:
     """The vertex minor shared by vertices 1 and 3 (m1 of gram_raw)."""
-    return float(_minor(np.cos(s.alpha1), np.cos(s.beta1), np.cos(s.beta2)))
+    return float(_minor(_cos(s.alpha1), _cos(s.beta1), _cos(s.beta2)))
 
 
 def edge_condition1(s: AngleSlice) -> float:

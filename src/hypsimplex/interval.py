@@ -6,9 +6,9 @@ each endpoint one float outward (``math.nextafter``) covers the rounding.
 ``sin`` and ``cos`` widen the libm values at the endpoints by a few ulps and
 open the bound to +-1 when an extremum of the function lies inside.
 
-numpy's ufuncs dispatch ``np.sin``/``np.cos`` on a Python object to its
-``sin``/``cos`` methods, so the kernels of ``conditions`` evaluate on an
-``Interval`` unchanged and return an enclosure of the kernel over the box.
+The kernels of ``conditions`` call an ``Interval`` argument's own ``sin``
+and ``cos``, so they evaluate on an ``Interval`` unchanged and return an
+enclosure of the kernel over the box.
 """
 
 from __future__ import annotations

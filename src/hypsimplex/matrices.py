@@ -15,15 +15,14 @@ use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import acosh, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SingularMatrix
-
-#: |det| below SINGULARITY_FACTOR * (max absolute entry)**4 counts as singular.
-SINGULARITY_FACTOR = 1e-12
+from .model import SINGULARITY_FACTOR, Signature
 
 #: eigenvalues with |lam| <= ZERO_EIG_FACTOR * (max absolute entry) count as zero.
 ZERO_EIG_FACTOR = 1e-9
@@ -79,17 +78,12 @@ class SymMatrix4:
     def max_abs_entry(self) -> float:
         return float(np.max(np.abs(self.entries)))
 
-
-@dataclass(frozen=True)
-class Signature:
-    """Inertia of a symmetric matrix: eigenvalue sign counts."""
-
-    positive: int
-    negative: int
-    zero: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.positive, self.negative, self.zero)
+    @cached_property
+    def _determinant(self) -> float:
+        """The determinant, expanded once per matrix: the minor-identity
+        suite reads it for its skip test, ``inverse`` and the identity's
+        right-hand side."""
+        return _det(self.entries.tolist())
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ def _det(m: list[list[float]]) -> float:
 
 def determinant(m: SymMatrix4) -> float:
     """Determinant by cofactor expansion along the first row."""
-    return float(_det(m.entries.tolist()))
+    return float(m._determinant)
 
 
 def minor(m: SymMatrix4, spec: MinorSpec) -> float:
@@ -176,7 +170,7 @@ def inverse(m: SymMatrix4) -> SymMatrix4:
         When |det(m)| <= 1e-12 * (max absolute entry)**4.
     """
     arr = m.entries.tolist()
-    det = _det(arr)
+    det = m._determinant
     if abs(det) <= _singularity_threshold(m):
         raise SingularMatrix(f"determinant {det:.3e} below singularity threshold")
     cof = np.array(
@@ -232,7 +226,7 @@ def jacobi_minor_identity(m: SymMatrix4, spec: MinorSpec) -> tuple[float, float]
     cols_c = _complement(spec.rows)
     comp = _det(inv.entries[np.ix_(rows_c, cols_c)].tolist()) if rows_c else 1.0
     sign = (-1.0) ** (sum(spec.rows) + sum(spec.cols))
-    rhs = float(_det(m.entries.tolist()) * comp * sign)
+    rhs = float(m._determinant * comp * sign)
     return lhs, rhs
 
 

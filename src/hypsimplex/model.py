@@ -6,6 +6,10 @@ Four dihedral-angle classes (alpha1 doubled, alpha2, beta1 doubled, beta2)
 are tied to the parameters by the linear constraints
 
     2*alpha1 + alpha2 = 2*pi/a,      2*beta1 + beta2 = 2*pi/b.
+
+The module needs no numpy: ``build_coxeter_schlafli`` and
+``classify_vertex``, which build and read a ``SymMatrix4``, load numpy and
+``matrices`` when called.
 """
 
 from __future__ import annotations
@@ -14,13 +18,17 @@ from dataclasses import dataclass
 from enum import Enum
 from math import cos, pi
 from numbers import Integral
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AmbiguousSignature, InvalidParams
-from .matrices import SymMatrix4, _inertia
+
+if TYPE_CHECKING:
+    from .matrices import SymMatrix4
 
 _ANGLE_TOL = 1e-12
+
+#: |det| below SINGULARITY_FACTOR * (max absolute entry)**4 counts as singular.
+SINGULARITY_FACTOR = 1e-12
 
 
 class RealizationClass(Enum):
@@ -35,6 +43,18 @@ class VertexClass(Enum):
     PROPER = "Proper"
     IDEAL = "Ideal"
     OUTER = "Outer"
+
+
+@dataclass(frozen=True)
+class Signature:
+    """Inertia of a symmetric matrix: eigenvalue sign counts."""
+
+    positive: int
+    negative: int
+    zero: int
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return (self.positive, self.negative, self.zero)
 
 
 def _require_integers(*values) -> None:
@@ -117,6 +137,10 @@ def build_coxeter_schlafli(angles: DihedralAngles) -> SymMatrix4:
     (0,2) = -cos beta2, (0,3) = -cos alpha1, (1,2) = -cos alpha1,
     (1,3) = -cos alpha2, (2,3) = -cos beta1.
     """
+    import numpy as np
+
+    from .matrices import SymMatrix4
+
     ca1, ca2 = cos(angles.alpha1), cos(angles.alpha2)
     cb1, cb2 = cos(angles.beta1), cos(angles.beta2)
     return SymMatrix4(
@@ -144,6 +168,10 @@ def classify_vertex(B: SymMatrix4, i: int) -> VertexClass:
     (3,0,0) is a proper vertex, (2,0,1) lies on the absolute, (2,1,0) lies
     beyond it.  Any other inertia raises AmbiguousSignature.
     """
+    import numpy as np
+
+    from .matrices import _inertia
+
     keep = [j for j in range(4) if j != i]
     sig = _inertia(B.entries[np.ix_(keep, keep)])
     try:

@@ -18,15 +18,14 @@ from dataclasses import dataclass
 from math import asinh, hypot, inf, isfinite, nextafter, pi, sin, sqrt
 from numbers import Integral, Real
 
-import numpy as np
-
-from . import matrices
 from .conditions import edge_conditions_raw, edge_jacobian_raw, gram_raw
 from .errors import InvalidClass, NoContraction
 from .interval import Interval
 from .model import (
+    SINGULARITY_FACTOR,
     DihedralAngles,
     RealizationClass,
+    Signature,
     SimplexParams,
     VertexClass,
     classify_realization,
@@ -153,7 +152,7 @@ class PropernessReport:
                     self.vertices_outer, self.gram_signs))
 
     @property
-    def signature(self) -> matrices.Signature:
+    def signature(self) -> Signature:
         """Inertia of the angle matrix from the signs of det and m1.
 
         Some angle lies inside (0, pi), so the matrix has a positive definite
@@ -163,10 +162,10 @@ class PropernessReport:
         """
         proper = self.vertex_classes[1] is VertexClass.PROPER
         if self.determinant < 0:
-            return matrices.Signature(3, 1, 0)
+            return Signature(3, 1, 0)
         if self.determinant > 0:
-            return matrices.Signature(*((4, 0, 0) if proper else (2, 2, 0)))
-        return matrices.Signature(*((3, 0, 1) if proper else (2, 1, 1)))
+            return Signature(*((4, 0, 0) if proper else (2, 2, 0)))
+        return Signature(*((3, 0, 1) if proper else (2, 1, 1)))
 
 
 @dataclass(frozen=True)
@@ -205,11 +204,6 @@ def domain_for(params: SimplexParams) -> DomainBox:
     else:
         alpha_lo, alpha_hi = 0.0, pi / a
     return DomainBox(alpha_lo, alpha_hi, 0.0, pi / b)
-
-
-def _eval_conditions(alpha1: float, beta1: float, a: int, b: int) -> tuple[float, float]:
-    c1, c2 = edge_conditions_raw(alpha1, beta1, a, b)
-    return float(c1), float(c2)
 
 
 def estimate_contraction(params: SimplexParams, box: DomainBox) -> ContractionEstimate:
@@ -261,7 +255,7 @@ def contraction_map(
     a, b = params.a, params.b
 
     def step(alpha1: float, beta1: float) -> tuple[float, float]:
-        c1, c2 = _eval_conditions(alpha1, beta1, a, b)
+        c1, c2 = edge_conditions_raw(alpha1, beta1, a, b)
         return box.clamp(alpha1 + c1 / k1, beta1 + c2 / k2)
 
     return step
@@ -280,10 +274,8 @@ def _newton(
     a, b = params.a, params.b
     x, y = start
     for step in range(1, config.max_iterations + 1):
-        f1, f2 = _eval_conditions(x, y, a, b)
+        f1, f2 = edge_conditions_raw(x, y, a, b)
         (j11, j12), (j21, j22) = edge_jacobian_raw(x, y, a, b)
-        # The kernel returns numpy scalars; solve() reports Python floats.
-        j11, j12, j21, j22 = float(j11), float(j12), float(j21), float(j22)
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not isfinite(det):
             return (x, y), step - 1, False
@@ -293,12 +285,12 @@ def _newton(
             return (x, y), step - 1, False
         x, y = x - dx, y - dy
         if max(abs(dx), abs(dy)) <= config.angle_tolerance:
-            r1, r2 = _eval_conditions(x, y, a, b)
+            r1, r2 = edge_conditions_raw(x, y, a, b)
             return (x, y), step, max(abs(r1), abs(r2)) < config.tolerance
     return (x, y), config.max_iterations, False
 
 
-def _sign_change_cells(grid: np.ndarray) -> np.ndarray:
+def _sign_change_cells(grid):
     """Cells of a grid of values with some corner <= 0 and some corner >= 0.
 
     The boolean masks are reduced over views of neighbouring rows, then of
@@ -329,6 +321,8 @@ def grid_oracle(
     tolerance.  Raises ValueError unless ``resolution`` (cells per side) is
     an int of at least 1.
     """
+    import numpy as np
+
     integral = isinstance(resolution, Integral) and not isinstance(resolution, bool)
     if not (integral and resolution >= 1):
         raise ValueError(f"resolution must be an int of at least 1, got {resolution!r}")
@@ -347,7 +341,7 @@ def grid_oracle(
         if not (converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag):
             continue
         (x, y), _, _ = _newton(params, (x, y), cfg)
-        r1, r2 = _eval_conditions(x, y, a, b)
+        r1, r2 = edge_conditions_raw(x, y, a, b)
         if max(abs(r1), abs(r2)) >= ORACLE_RESIDUAL_TOL:
             continue
         if not box.contains(x, y, slack=1e-9):
@@ -363,16 +357,15 @@ def check_properness(params: SimplexParams, angles: DihedralAngles) -> Propernes
     """Geometric verification of an angle tuple from conditions.gram_raw.
 
     With det < 0, g_ij < 0 reads cof_ij > 0.  gram_signs also needs det below
-    -matrices.SINGULARITY_FACTOR, where matrices.inverse refuses the matrix
+    -SINGULARITY_FACTOR, where matrices.inverse refuses the matrix
     (no entry exceeds 1 in absolute value).  Each length is asinh(sqrt(-det)
     sin theta / sqrt(m_i m_j)), theta as in gram_raw; arccosh of the Gram
     ratio would lose the digits of short edges.
     """
     det, m0, m1, cofactors = gram_raw(*angles.as_tuple())
-    det, m0, m1 = float(det), float(m0), float(m1)
     outer, proper, ideal = VertexClass.OUTER, VertexClass.PROPER, VertexClass.IDEAL
     classes = tuple(outer if m < 0 else proper if m > 0 else ideal for m in (m0, m1, m0, m1))
-    gram_signs = det < -matrices.SINGULARITY_FACTOR and all(c > 0 for c in cofactors)
+    gram_signs = det < -SINGULARITY_FACTOR and all(c > 0 for c in cofactors)
     lengths = None
     if gram_signs and m0 * m1 > 0:
         thetas = (angles.beta1, angles.alpha2, angles.alpha1, angles.beta2)
@@ -410,7 +403,7 @@ def _improper_scan(
         (j11, j12), (j21, j22) = edge_jacobian_raw(root.alpha1, root.beta1, a, b)
         if abs(j11 * j22 - j12 * j21) < 1e-8:
             continue
-        extras.append((float(root.alpha1), float(root.beta1)))
+        extras.append((root.alpha1, root.beta1))
     return tuple(extras)
 
 
@@ -422,7 +415,7 @@ def _solved_report(
 ) -> SolveReport:
     a, b = params.a, params.b
     x, y = root
-    r1, r2 = _eval_conditions(x, y, a, b)
+    r1, r2 = edge_conditions_raw(x, y, a, b)
     angles = DihedralAngles.from_reduced(params, x, y)
     properness = check_properness(params, angles)
     rx, ry = _CERTIFICATE_RADIUS * abs(x), _CERTIFICATE_RADIUS * abs(y)
@@ -470,7 +463,7 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
     # root.  For a >= 3 equality holds at no integer b (model._b_max).
     if params.a == 2 and params.b == 8:
         angles = DihedralAngles.from_reduced(params, pi / params.a, 0.0)
-        r1, r2 = _eval_conditions(pi / params.a, 0.0, params.a, params.b)
+        r1, r2 = edge_conditions_raw(pi / params.a, 0.0, params.a, params.b)
         return SolveReport(
             SolveStatus.BOUNDARY_SOLUTION,
             angles=angles,

@@ -34,6 +34,7 @@ from hypsimplex.conditions import (
     edge_condition2_deriv_raw,
     edge_conditions_raw,
     edge_jacobian_raw,
+    gram_raw,
 )
 from hypsimplex.interval import PI, Interval
 
@@ -241,15 +242,24 @@ class TestDerivatives:
             assert float(edge_condition2_deriv_raw(x, y, a, b)) < 0.0
 
     def test_vectorized_evaluation_matches_scalar(self):
-        a, b = 3, 5
-        xs = np.linspace(0.1, 1.0, 7)
-        ys = np.linspace(0.05, 0.6, 7)
-        grid1 = edge_condition1_raw(xs[:, None], ys[None, :], a, b)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                assert grid1[i, j] == pytest.approx(
-                    float(edge_condition1_raw(float(x), float(y), a, b)), abs=1e-15
-                )
+        # The array path (numpy's trig) is the reference for the float path
+        # (math's): both conditions, the four Jacobian entries and every
+        # output of gram_raw agree bit for bit, and floats give floats.
+        def outputs(x, y, a, b):
+            (j11, j12), (j21, j22) = edge_jacobian_raw(x, y, a, b)
+            det, m0, m1, cofactors = gram_raw(x, 2 * pi / a - 2 * x, y, 2 * pi / b - 2 * y)
+            return (*edge_conditions_raw(x, y, a, b), j11, j12, j21, j22,
+                    det, m0, m1, *cofactors)
+
+        for (a, b) in SAMPLE_PAIRS:
+            xs = np.linspace(0.02, pi / a - 0.02, 7)
+            ys = np.linspace(0.02, pi / b - 0.02, 7)
+            grids = [np.broadcast_to(g, (7, 7)) for g in outputs(xs[:, None], ys[None, :], a, b)]
+            for i, x in enumerate(xs):
+                for j, y in enumerate(ys):
+                    scalars = outputs(float(x), float(y), a, b)
+                    assert all(type(v) is float for v in scalars), (a, b, x, y)
+                    assert [g[i, j] for g in grids] == list(scalars), (a, b, x, y)
 
 
 class TestPairKernel:

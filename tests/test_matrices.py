@@ -169,6 +169,20 @@ class TestJacobiMinorIdentity:
                 SymMatrix4.diagonal((1.0, 1.0, 0.0, 1.0)), MinorSpec.principal((0,))
             )
 
+    def test_suite_expands_each_determinant_once(self, monkeypatch):
+        # The skip test, the inverse and the right-hand side share one
+        # expansion of each trial's 4x4 determinant.
+        import hypsimplex.matrices as matrices_module
+
+        expand = matrices_module._det
+        sizes = []
+        monkeypatch.setattr(
+            matrices_module, "_det", lambda m: sizes.append(len(m)) or expand(m)
+        )
+        summary = matrices_module.run_minor_identity_suite(50, seed=42)
+        assert summary["passes"] == 50
+        assert sizes.count(4) == 50
+
 
 class TestProjectiveDistance:
     def test_same_point_is_zero(self):
