@@ -2,16 +2,17 @@
 
 Subcommands: classify, solve, table, grid, check.  Output goes to stdout as
 JSON lines (default) or CSV; every float is printed with 17 significant
-digits and fields keep a fixed order, so the output is diffable.
-Diagnostics go to stderr.  Exit codes: 0 solved / all checks pass, 1 no
-proper or boundary solution, 2 invalid parameters, 3 diverged, 4 check
-failure.
+digits and fields keep a fixed order, so the output is diffable.  `grid`
+and `table` stream their rows: `table` writes each row once its pair is
+solved, and `grid` formats its rows from one precompiled template and writes
+them a block of one alpha1 node at a time.  Diagnostics go to stderr.  Exit
+codes: 0 solved / all checks pass, 1 no proper or boundary solution, 2
+invalid parameters, 3 diverged, 4 check failure.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 from math import pi
@@ -65,7 +66,7 @@ def _token(value, fmt: str, depth: int = 0) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return format(float(value), ".17g")
+        return format(value, ".17g")
     if isinstance(value, str):
         return json.dumps(value) if as_json else value
     if isinstance(value, (list, tuple)):
@@ -76,22 +77,32 @@ def _token(value, fmt: str, depth: int = 0) -> str:
     raise TypeError(f"unserializable value {value!r}")
 
 
-def _emit(rows, fmt: str) -> None:
-    """Write rows (lists of (key, value) pairs) in the requested format."""
-    rows = list(rows)
-    if not rows:
-        return
+def _emit(rows, fmt: str) -> bool:
+    """Write rows (lists of (key, value) pairs) in the requested format, each
+    as it comes; the keys are read from the first row.  Returns whether any
+    row was written."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return False
+    keys = [k for k, _ in first]
     if fmt == "json-lines":
-        for row in rows:
-            line = "{" + ",".join(f"{json.dumps(k)}:{_token(v, fmt)}" for k, v in row) + "}"
-            click.echo(line)
+        names = [json.dumps(k) + ":" for k in keys]
+
+        def write(row):
+            sys.stdout.write(
+                "{" + ",".join([n + _token(v, fmt) for n, (_, v) in zip(names, row)]) + "}\n"
+            )
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow([k for k, _ in rows[0]])
-        for row in rows:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(keys)
+
+        def write(row):
             writer.writerow([_token(v, fmt) for _, v in row])
-        click.echo(buffer.getvalue(), nl=False)
+    write(first)
+    for row in rows:
+        write(row)
+    return True
 
 
 def _fail(message: str, code: int) -> None:
@@ -296,30 +307,28 @@ def cmd_table(a_range, b_range, tol, angle_tol, max_iter, fmt, degrees) -> None:
         _fail(f"a must be at least 1, got {a_lo}", EXIT_INVALID_PARAMS)
     config = _make_config(tol, angle_tol, max_iter)
     b_span = None if b_range is None else _parse_range(b_range, "b")
-    rows = []
     diverged = False
-    for a in range(a_lo, a_hi + 1):
-        if b_span is not None:
-            b_lo, b_hi = b_span
-        elif a < 2:
-            continue
-        else:
-            b_lo, b_hi = a + 1, compute_bmax(a)
-        for b in range(b_lo, b_hi + 1):
-            if b <= a:
+
+    def rows():
+        nonlocal diverged
+        for a in range(a_lo, a_hi + 1):
+            if b_span is not None:
+                b_lo, b_hi = b_span
+            elif a < 2:
                 continue
-            params = SimplexParams(a, b)
-            cls = classify_realization(params)
-            if cls not in _SOLVABLE:
-                rows.append(_table_row(a, b, cls, None, degrees))
-                continue
-            report = solver_lib.solve(params, config)
-            if report.status is SolveStatus.DIVERGED:
-                diverged = True
-            rows.append(_table_row(a, b, cls, report, degrees))
-    if not rows:
+            else:
+                b_lo, b_hi = a + 1, compute_bmax(a)
+            for b in range(max(b_lo, a + 1), b_hi + 1):
+                params = SimplexParams(a, b)
+                cls = classify_realization(params)
+                report = None
+                if cls in _SOLVABLE:
+                    report = solver_lib.solve(params, config)
+                    diverged |= report.status is SolveStatus.DIVERGED
+                yield _table_row(a, b, cls, report, degrees)
+
+    if not _emit(rows(), fmt):
         _fail("empty parameter range: no pairs with b > a", EXIT_INVALID_PARAMS)
-    _emit(rows, fmt)
     sys.exit(EXIT_DIVERGED if diverged else EXIT_SOLVED)
 
 
@@ -333,6 +342,8 @@ def cmd_table(a_range, b_range, tol, angle_tol, max_iter, fmt, degrees) -> None:
 @_degrees_option
 def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
     """Sample the edge conditions and their derivatives over the domain box."""
+    from itertools import repeat
+
     import numpy as np
 
     params = _normalized(a, b)
@@ -353,19 +364,22 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
     c1, c2 = edge_conditions_raw(*axes)
     (d1, _), (_, d2) = edge_jacobian_raw(*axes)
     scale = 180.0 / pi if degrees else 1.0
-    rows = (
-        [
-            ("alpha1", float(al[i]) * scale),
-            ("beta1", float(be[j]) * scale),
-            ("cond1", float(c1[i, j])),
-            ("cond2", float(c2[i, j])),
-            ("dcond1", float(d1[i, j])),
-            ("dcond2", float(d2[i, j])),
-        ]
-        for i in range(resolution)
-        for j in range(resolution)
-    )
-    _emit(rows, fmt)
+    alpha = [format(x * scale, ".17g") for x in al.tolist()]
+    beta = [format(x * scale, ".17g") for x in be.tolist()]
+    # Each axis node is formatted once; "%.17g" prints a float as _token does.
+    keys = ("alpha1", "beta1", "cond1", "cond2", "dcond1", "dcond2")
+    specs = ("%s", "%s", "%.17g", "%.17g", "%.17g", "%.17g")
+    write = sys.stdout.write
+    if fmt == "json-lines":
+        template = "{" + ",".join(f"{json.dumps(k)}:{s}" for k, s in zip(keys, specs)) + "}\n"
+    else:
+        template = ",".join(specs) + "\n"
+        write(",".join(keys) + "\n")
+    # One write per block of rows sharing an alpha1 node; taking the samples
+    # a block at a time keeps no Python copy of the whole grid.
+    for i, a_text in enumerate(alpha):
+        block = [c[i].tolist() for c in (c1, c2, d1, d2)]
+        write("".join([template % row for row in zip(repeat(a_text), beta, *block)]))
 
 
 @cli.command(name="check")

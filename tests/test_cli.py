@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hypsimplex.cli as cli_module
 from hypsimplex.cli import _emit, cli, cmd_solve, cmd_table
-from hypsimplex.solver import SolverConfig
+from hypsimplex.conditions import edge_conditions_raw, edge_jacobian_raw
+from hypsimplex.model import SimplexParams
+from hypsimplex.solver import SolverConfig, domain_for
 
 from oracles import TRUE_ROOTS
 
@@ -65,6 +68,27 @@ class TestSerialization:
             ",false,6,HyperbolicOuter,true;false,3;1;0,0.10000000000000001,"
             "Outer;Ideal,0.5:0.25,1.5:1.5;2:2.5,\n"
         )
+
+    @pytest.mark.parametrize("fmt, first, second", [
+        ("json-lines", '{"a":1,"b":0.5}\n', '{"a":2,"b":null}\n'),
+        ("csv", "a,b\n1,0.5\n", "2,\n"),
+    ], ids=["json-lines", "csv"])
+    def test_rows_are_written_as_they_come(self, capsys, fmt, first, second):
+        before_second = []
+
+        def rows():
+            yield [("a", 1), ("b", 0.5)]
+            before_second.append(capsys.readouterr().out)
+            yield [("a", 2), ("b", None)]
+
+        assert _emit(rows(), fmt) is True
+        assert before_second == [first]
+        assert capsys.readouterr().out == second
+
+    @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+    def test_no_rows_write_nothing(self, capsys, fmt):
+        assert _emit(iter(()), fmt) is False
+        assert capsys.readouterr().out == ""
 
 
 class TestClassifyCommand:
@@ -274,10 +298,64 @@ class TestTableCommand:
         assert run(runner, "table", "--a", "x..3").exit_code == 2
 
     def test_empty_range_exit_code(self, runner):
-        assert run(runner, "table", "--a", "5", "--b", "2..3").exit_code == 2
+        result = run(runner, "table", "--a", "5", "--b", "2..3")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: empty parameter range: no pairs with b > a\n"
+
+
+GRID_KEYS = ("alpha1", "beta1", "cond1", "cond2", "dcond1", "dcond2")
+
+
+def expected_grid(a, b, resolution, fmt, degrees):
+    """The grid command's output, one value at a time: the same array calls,
+    each value printed with format(x, ".17g")."""
+    box = domain_for(SimplexParams(a, b))
+    al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution)
+    be = np.linspace(box.beta1_lo, box.beta1_hi, resolution)
+    axes = (al[:, None], be[None, :], a, b)
+    c1, c2 = edge_conditions_raw(*axes)
+    (d1, _), (_, d2) = edge_jacobian_raw(*axes)
+    scale = 180.0 / pi if degrees else 1.0
+    lines = [] if fmt == "json-lines" else [",".join(GRID_KEYS)]
+    for i in range(resolution):
+        for j in range(resolution):
+            values = [float(al[i]) * scale, float(be[j]) * scale] + [
+                float(c[i, j]) for c in (c1, c2, d1, d2)
+            ]
+            cells = [format(v, ".17g") for v in values]
+            if fmt == "json-lines":
+                lines.append("{" + ",".join(f'"{k}":{c}' for k, c in zip(GRID_KEYS, cells)) + "}")
+            else:
+                lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)
 
 
 class TestGridCommand:
+    @pytest.mark.parametrize("a, b", [(2, 3), (3, 7), (12, 24)])
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("degrees", [False, True])
+    def test_golden_bytes(self, runner, a, b, fmt, degrees):
+        args = ["grid", a, b, "--resolution", "7", "--format", fmt]
+        result = run(runner, *args, *(["--degrees"] if degrees else []))
+        assert result.exit_code == 0
+        expected = expected_grid(a, b, 7, fmt, degrees)
+        if (a, b) == (2, 3):
+            # cond1 is a negative zero at (pi/3, 0), the first node.
+            first = expected.splitlines()[1 if fmt == "csv" else 0]
+            assert first.split(",")[2] in ("-0", '"cond1":-0')
+        assert result.stdout == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_rows_are_not_formatted_per_value(self, runner, monkeypatch, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_token called")
+
+        monkeypatch.setattr(cli_module, "_token", refuse)
+        result = run(runner, "grid", 2, 4, "--resolution", "4", "--format", fmt)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == expected_grid(2, 4, 4, fmt, False)
+
     def test_csv_shape(self, runner):
         result = run(runner, "grid", 2, 4, "--resolution", "4")
         assert result.exit_code == 0
