@@ -23,8 +23,7 @@ from . import solver as solver_lib
 from .conditions import (
     compute_bmax,
     corner_value,
-    edge_conditions_raw,
-    edge_jacobian_raw,
+    edge_system_raw,
     realizability_inequality,
 )
 from .errors import InvalidClass, InvalidParams
@@ -361,8 +360,7 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution)
     be = np.linspace(box.beta1_lo, box.beta1_hi, resolution)
     axes = (al[:, None], be[None, :], params.a, params.b)
-    c1, c2 = edge_conditions_raw(*axes)
-    (d1, _), (_, d2) = edge_jacobian_raw(*axes)
+    (c1, c2), ((d1, _), (_, d2)) = edge_system_raw(*axes)
     scale = 180.0 / pi if degrees else 1.0
     alpha = [format(x * scale, ".17g") for x in al.tolist()]
     beta = [format(x * scale, ".17g") for x in be.tolist()]

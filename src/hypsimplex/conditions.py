@@ -6,11 +6,15 @@ the scalar machinery: the two vertex minors m0, m1 as closed trig
 polynomials, the edge conditions m0 sin^2 beta1 - m1 sin^2 alpha2 and
 m1 sin^2 alpha1 - m0 sin^2 beta2 whose common zero is the solved simplex
 (singly, and as the pair ``edge_conditions_raw`` that shares one evaluation
-of the minors), their constrained Jacobian ``edge_jacobian_raw`` (the
-product rule on the minors and the squared sines, the constraints moving
-alpha2 and beta2 by -2 times alpha1 and beta1), the determinant and Gram
-cofactors of the angle matrix (``gram_raw``), the realizability
-inequality, and the derived largest admissible second parameter.
+of the minors), the fused ``edge_system_raw`` that adds their constrained
+Jacobian from the same trig and minors (the product rule on the minors and
+the squared sines, the constraints moving alpha2 and beta2 by -2 times
+alpha1 and beta1; ``edge_jacobian_raw`` is its Jacobian alone), the
+determinant and Gram cofactors of the angle matrix (``gram_raw``), the
+realizability inequality, and the derived largest admissible second
+parameter.  Newton and ``hypsimplex grid`` call the fused kernel; the array
+grids of the oracle call ``edge_conditions_raw``, which stops before the
+Jacobian.
 
 The ``*_raw`` kernels take floats, numpy arrays (broadcasting) and
 ``Interval`` boxes alike, and take the sine and cosine of each argument by
@@ -112,19 +116,28 @@ def gram_raw(alpha1, alpha2, beta1, beta2):
     )
 
 
+def _conditions(alpha1, beta1, a: int, b: int):
+    """Both edge conditions, and the trig, minors and squared sines behind them."""
+    alpha2, beta2 = _derived(alpha1, beta1, a, b)
+    s1, c1 = _sincos(alpha1)
+    s2, c2 = _sincos(alpha2)
+    t1, d1 = _sincos(beta1)
+    t2, d2 = _sincos(beta2)
+    # Squares first: on broadcast axes they are small vectors, and made after
+    # the grid-sized minors they kept one more grid's memory resident.
+    s1sq, s2sq, t1sq, t2sq = s1**2, s2**2, t1**2, t2**2
+    m0, m1 = _minor(c1, c2, d1), _minor(c1, d1, d2)
+    conditions = m0 * t1sq - m1 * s2sq, m1 * s1sq - m0 * t2sq
+    return conditions, (s1, c1, s2, c2, t1, d1, t2, d2, m0, m1, s1sq, s2sq, t1sq, t2sq)
+
+
 def edge_conditions_raw(alpha1, beta1, a: int, b: int):
     """Both edge conditions (c1, c2) from one evaluation of the minors.
 
     Broadcast axes (``alpha1[:, None]``, ``beta1[None, :]``) take the trig
     once per axis value instead of once per grid node.
     """
-    alpha2, beta2 = _derived(alpha1, beta1, a, b)
-    s1, c1 = _sincos(alpha1)
-    s2, c2 = _sincos(alpha2)
-    t1, d1 = _sincos(beta1)
-    t2, d2 = _sincos(beta2)
-    m0, m1 = _minor(c1, c2, d1), _minor(c1, d1, d2)
-    return m0 * t1**2 - m1 * s2**2, m1 * s1**2 - m0 * t2**2
+    return _conditions(alpha1, beta1, a, b)[0]
 
 
 def edge_condition1_raw(alpha1, beta1, a: int, b: int):
@@ -137,9 +150,11 @@ def edge_condition2_raw(alpha1, beta1, a: int, b: int):
     return edge_conditions_raw(alpha1, beta1, a, b)[1]
 
 
-def edge_jacobian_raw(alpha1, beta1, a: int, b: int):
-    """Constrained Jacobian of the two edge conditions,
-    ((dc1/dalpha1, dc1/dbeta1), (dc2/dalpha1, dc2/dbeta1)).
+def edge_system_raw(alpha1, beta1, a: int, b: int):
+    """The edge conditions and their constrained Jacobian from one set of
+    sines, cosines and minors: ((c1, c2), ((dc1/dalpha1, dc1/dbeta1),
+    (dc2/dalpha1, dc2/dbeta1))).  The conditions are those of
+    edge_conditions_raw, bit for bit.
 
     With s, c the sines and cosines of alpha1, alpha2 (s1, c1, s2, c2) and
     t, d those of beta1, beta2 (t1, d1, t2, d2), the conditions are the
@@ -157,22 +172,22 @@ def edge_jacobian_raw(alpha1, beta1, a: int, b: int):
         J21 = m1a s1^2 + 2 m1 s1 c1 - m0a t2^2,
         J22 = m1b s1^2 - m0b t2^2 + 4 m0 t2 d2.
     """
-    alpha2, beta2 = _derived(alpha1, beta1, a, b)
-    s1, c1 = _sincos(alpha1)
-    s2, c2 = _sincos(alpha2)
-    t1, d1 = _sincos(beta1)
-    t2, d2 = _sincos(beta2)
-    m0, m1 = _minor(c1, c2, d1), _minor(c1, d1, d2)
+    conditions, terms = _conditions(alpha1, beta1, a, b)
+    s1, c1, s2, c2, t1, d1, t2, d2, m0, m1, s1sq, s2sq, t1sq, t2sq = terms
     m0a = 2 * s1 * (c1 + c2 * d1) - 4 * s2 * (c2 + c1 * d1)
     m0b = 2 * t1 * (d1 + c1 * c2)
     m1a = 2 * s1 * (c1 + d1 * d2)
     m1b = 2 * t1 * (d1 + c1 * d2) - 4 * t2 * (d2 + c1 * d1)
-    s1sq, s2sq, t1sq, t2sq = s1**2, s2**2, t1**2, t2**2
     j11 = m0a * t1sq - m1a * s2sq + 4 * m1 * s2 * c2
     j12 = m0b * t1sq + 2 * m0 * t1 * d1 - m1b * s2sq
     j21 = m1a * s1sq + 2 * m1 * s1 * c1 - m0a * t2sq
     j22 = m1b * s1sq - m0b * t2sq + 4 * m0 * t2 * d2
-    return (j11, j12), (j21, j22)
+    return conditions, ((j11, j12), (j21, j22))
+
+
+def edge_jacobian_raw(alpha1, beta1, a: int, b: int):
+    """The constrained Jacobian of edge_system_raw alone."""
+    return edge_system_raw(alpha1, beta1, a, b)[1]
 
 
 def edge_condition1_deriv_raw(alpha1, beta1, a: int, b: int):

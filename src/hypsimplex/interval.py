@@ -6,6 +6,11 @@ each endpoint one float outward (``math.nextafter``) covers the rounding.
 ``sin`` and ``cos`` widen the libm values at the endpoints by a few ulps and
 open the bound to +-1 when an extremum of the function lies inside.
 
+The operations work on the raw endpoint floats: a float or int operand
+enters them as it is, never wrapped in an interval, and ``_make`` builds
+every result without the public constructor's ``float()`` coercion but
+with its ``lo <= hi`` test, which also rejects a NaN endpoint (``inf - inf``).
+
 The kernels of ``conditions`` call an ``Interval`` argument's own ``sin``
 and ``cos``, so they evaluate on an ``Interval`` unchanged and return an
 enclosure of the kernel over the box.
@@ -18,14 +23,6 @@ from math import ceil, cos, floor, inf, nextafter, pi, sin, ulp
 # glibc documents at most 1 ulp of error for sin and cos on its supported
 # targets; widen by more to cover other libms.
 _LIBM_ULPS = 4
-
-
-def _down(x: float) -> float:
-    return nextafter(x, -inf)
-
-
-def _up(x: float) -> float:
-    return nextafter(x, inf)
 
 
 class Interval:
@@ -49,54 +46,70 @@ class Interval:
         return max(-self.lo, self.hi)
 
     def __add__(self, other) -> Interval:
-        other = _coerce(other)
-        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        if isinstance(other, Interval):
+            return _make(nextafter(self.lo + other.lo, -inf), nextafter(self.hi + other.hi, inf))
+        return _make(nextafter(self.lo + other, -inf), nextafter(self.hi + other, inf))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> Interval:
-        other = _coerce(other)
-        return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
+        if isinstance(other, Interval):
+            return _make(nextafter(self.lo - other.hi, -inf), nextafter(self.hi - other.lo, inf))
+        return _make(nextafter(self.lo - other, -inf), nextafter(self.hi - other, inf))
 
     def __rsub__(self, other) -> Interval:
-        return _coerce(other) - self
+        return _make(nextafter(other - self.hi, -inf), nextafter(other - self.lo, inf))
 
     def __neg__(self) -> Interval:
-        return Interval(-self.hi, -self.lo)
+        return _make(-self.hi, -self.lo)
 
     def __mul__(self, other) -> Interval:
-        other = _coerce(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(_down(min(products)), _up(max(products)))
+        lo, hi = self.lo, self.hi
+        if not isinstance(other, Interval):
+            p, q = lo * other, hi * other
+            return _make(nextafter(min(p, q), -inf), nextafter(max(p, q), inf))
+        olo, ohi = other.lo, other.hi
+        # Rounding is monotone, so the extreme products of two nonnegative
+        # intervals are those of their like endpoints.
+        if lo >= 0.0 and olo >= 0.0:
+            return _make(nextafter(lo * olo, -inf), nextafter(hi * ohi, inf))
+        products = (lo * olo, lo * ohi, hi * olo, hi * ohi)
+        return _make(nextafter(min(products), -inf), nextafter(max(products), inf))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: float) -> Interval:
-        ends = (self.lo / other, self.hi / other)
-        return Interval(_down(min(ends)), _up(max(ends)))
+        p, q = self.lo / other, self.hi / other
+        return _make(nextafter(min(p, q), -inf), nextafter(max(p, q), inf))
 
     def __pow__(self, exponent: int) -> Interval:
         if exponent != 2:
             return NotImplemented
         lo2, hi2 = self.lo * self.lo, self.hi * self.hi
         if self.lo <= 0.0 <= self.hi:
-            return Interval(0.0, _up(max(lo2, hi2)))
-        return Interval(_down(min(lo2, hi2)), _up(max(lo2, hi2)))
+            return _make(0.0, nextafter(max(lo2, hi2), inf))
+        return _make(nextafter(min(lo2, hi2), -inf), nextafter(max(lo2, hi2), inf))
 
     def _trig(self, func, max_phase: float, min_phase: float) -> Interval:
         """func's range, with its maxima at 2*pi*(k + max_phase) and its
         minima at 2*pi*(k + min_phase) for integers k."""
-        turns = self * _INV_TWO_PI
-        ends = (func(self.lo), func(self.hi))
+        x_lo, x_hi = self.lo, self.hi
+        # turns = x / (2 pi) over the box, rounded outward.  Both ends of the
+        # interval of 1/(2 pi) are positive, so the signs of x pick the products.
+        t0 = nextafter(x_lo * (_INV_TWO_PI_LO if x_lo >= 0.0 else _INV_TWO_PI_HI), -inf)
+        t1 = nextafter(x_hi * (_INV_TWO_PI_HI if x_hi >= 0.0 else _INV_TWO_PI_LO), inf)
+        ends = (func(x_lo), func(x_hi))
         lo, hi = min(ends), max(ends)
-        lo = -1.0 if _has_integer(turns - min_phase) else max(-1.0, lo - _LIBM_ULPS * ulp(lo))
-        hi = 1.0 if _has_integer(turns - max_phase) else min(1.0, hi + _LIBM_ULPS * ulp(hi))
-        return Interval(lo, hi)
+        # func has an extremum in the box where turns - phase holds an integer.
+        if floor(nextafter(t1 - min_phase, inf)) >= ceil(nextafter(t0 - min_phase, -inf)):
+            lo = -1.0
+        else:
+            lo = max(-1.0, lo - _LIBM_ULPS * ulp(lo))
+        if floor(nextafter(t1 - max_phase, inf)) >= ceil(nextafter(t0 - max_phase, -inf)):
+            hi = 1.0
+        else:
+            hi = min(1.0, hi + _LIBM_ULPS * ulp(hi))
+        return _make(lo, hi)
 
     def sin(self) -> Interval:
         return self._trig(sin, 0.25, -0.25)
@@ -105,14 +118,20 @@ class Interval:
         return self._trig(cos, 0.0, 0.5)
 
 
-def _has_integer(x: Interval) -> bool:
-    return floor(x.hi) >= ceil(x.lo)
+_new = object.__new__
 
 
-def _coerce(x) -> Interval:
-    return x if isinstance(x, Interval) else Interval(x)
+def _make(lo: float, hi: float) -> Interval:
+    """The interval [lo, hi] from two floats, without coercing them."""
+    if not lo <= hi:
+        raise ValueError(f"not an interval: [{lo!r}, {hi!r}]")
+    x = _new(Interval)
+    x.lo = lo
+    x.hi = hi
+    return x
 
 
 # pi lies strictly between the double math.pi and the next double up.
-PI = Interval(pi, _up(pi))
-_INV_TWO_PI = Interval(_down(1.0 / (2.0 * PI.hi)), _up(1.0 / (2.0 * PI.lo)))
+PI = Interval(pi, nextafter(pi, inf))
+_INV_TWO_PI_LO = nextafter(1.0 / (2.0 * PI.hi), -inf)
+_INV_TWO_PI_HI = nextafter(1.0 / (2.0 * PI.lo), inf)

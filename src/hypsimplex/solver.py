@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import asinh, hypot, inf, isfinite, nextafter, pi, sin, sqrt
 from numbers import Integral, Real
 
-from .conditions import edge_conditions_raw, edge_jacobian_raw, gram_raw
+from .conditions import edge_conditions_raw, edge_jacobian_raw, edge_system_raw, gram_raw
 from .errors import InvalidClass, NoContraction
 from .interval import Interval
 from .model import (
@@ -263,31 +263,32 @@ def contraction_map(
 
 def _newton(
     params: SimplexParams, start: tuple[float, float], config: SolverConfig
-) -> tuple[tuple[float, float], int, bool]:
-    """Newton's method on both edge conditions; returns (point, steps, converged).
+) -> tuple[tuple[float, float], int, bool, tuple[float, float]]:
+    """Newton's method on both edge conditions; returns (point, steps,
+    converged, residuals), the residuals being both conditions at the point.
 
-    Stops once a step is at most config.angle_tolerance in both coordinates
-    and converges only if both residuals are then below config.tolerance.
-    A singular or non-finite Jacobian or step ends it unconverged at the
-    last finite iterate.
+    Each step takes the conditions and the Jacobian from one edge_system_raw
+    call.  Newton stops once a step is at most config.angle_tolerance in
+    both coordinates and converges only if both residuals are then below
+    config.tolerance.  A singular or non-finite Jacobian or step ends it
+    unconverged at the last finite iterate.
     """
     a, b = params.a, params.b
     x, y = start
     for step in range(1, config.max_iterations + 1):
-        f1, f2 = edge_conditions_raw(x, y, a, b)
-        (j11, j12), (j21, j22) = edge_jacobian_raw(x, y, a, b)
+        (f1, f2), ((j11, j12), (j21, j22)) = edge_system_raw(x, y, a, b)
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not isfinite(det):
-            return (x, y), step - 1, False
+            return (x, y), step - 1, False, (f1, f2)
         dx = (f1 * j22 - f2 * j12) / det
         dy = (j11 * f2 - j21 * f1) / det
         if not (isfinite(dx) and isfinite(dy)):
-            return (x, y), step - 1, False
+            return (x, y), step - 1, False, (f1, f2)
         x, y = x - dx, y - dy
         if max(abs(dx), abs(dy)) <= config.angle_tolerance:
             r1, r2 = edge_conditions_raw(x, y, a, b)
-            return (x, y), step, max(abs(r1), abs(r2)) < config.tolerance
-    return (x, y), config.max_iterations, False
+            return (x, y), step, max(abs(r1), abs(r2)) < config.tolerance, (r1, r2)
+    return (x, y), config.max_iterations, False, edge_conditions_raw(x, y, a, b)
 
 
 def _sign_change_cells(grid):
@@ -336,12 +337,11 @@ def grid_oracle(
     roots: list[GridRoot] = []
     for i, j in zip(*np.nonzero(flagged)):
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
-        (x, y), _, converged = _newton(params, center, cfg)
+        (x, y), _, converged, _ = _newton(params, center, cfg)
         diag = hypot(al[i + 1] - al[i], be[j + 1] - be[j])
         if not (converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag):
             continue
-        (x, y), _, _ = _newton(params, (x, y), cfg)
-        r1, r2 = edge_conditions_raw(x, y, a, b)
+        (x, y), _, _, (r1, r2) = _newton(params, (x, y), cfg)
         if max(abs(r1), abs(r2)) >= ORACLE_RESIDUAL_TOL:
             continue
         if not box.contains(x, y, slack=1e-9):
@@ -411,11 +411,12 @@ def _solved_report(
     params: SimplexParams,
     root: tuple[float, float],
     iterations: int,
+    residuals: tuple[float, float],
     config: SolverConfig,
 ) -> SolveReport:
     a, b = params.a, params.b
     x, y = root
-    r1, r2 = edge_conditions_raw(x, y, a, b)
+    r1, r2 = residuals
     angles = DihedralAngles.from_reduced(params, x, y)
     properness = check_properness(params, angles)
     rx, ry = _CERTIFICATE_RADIUS * abs(x), _CERTIFICATE_RADIUS * abs(y)
@@ -475,7 +476,7 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
         return SolveReport(SolveStatus.NO_PROPER_SOLUTION)
 
     box = domain_for(params)
-    root, steps, converged = _newton(params, box.center, cfg)
+    root, steps, converged, residuals = _newton(params, box.center, cfg)
     if converged and box.contains(*root):
-        return _solved_report(params, root, steps, cfg)
+        return _solved_report(params, root, steps, residuals, cfg)
     return SolveReport(SolveStatus.DIVERGED, iterations=steps)

@@ -34,6 +34,7 @@ from hypsimplex.conditions import (
     edge_condition2_deriv_raw,
     edge_conditions_raw,
     edge_jacobian_raw,
+    edge_system_raw,
     gram_raw,
 )
 from hypsimplex.interval import PI, Interval
@@ -295,6 +296,32 @@ class TestPairKernel:
                     e2 = edge_condition2_raw(x, y, a, b)
                     assert (c1.lo, c1.hi) == (e1.lo, e1.hi), (a, b, r)
                     assert (c2.lo, c2.hi) == (e2.lo, e2.hi), (a, b, r)
+
+    def test_fused_kernel_is_both_kernels_bit_for_bit(self):
+        """edge_system_raw returns edge_conditions_raw and edge_jacobian_raw
+        at once, on floats, broadcast arrays and Interval boxes."""
+        def flat(values):
+            conds, ((j11, j12), (j21, j22)) = values
+            return [*conds, j11, j12, j21, j22]
+
+        def ends(v):
+            return (v.lo, v.hi) if isinstance(v, Interval) else v
+
+        for (a, b) in SAMPLE_PAIRS:
+            al = np.linspace(0.0, pi / a, 31)
+            be = np.linspace(0.0, pi / b, 31)
+            points = [(al[:, None], be[None, :])]
+            for s in random_slices(a, b, 20, seed=a * 700 + b):
+                x, y = s.alpha1, s.beta1
+                points += [(x, y), (Interval(x - 1e-6, x + 1e-6), Interval(y, y + 1e-4))]
+            for x, y in points:
+                fused = flat(edge_system_raw(x, y, a, b))
+                apart = flat((edge_conditions_raw(x, y, a, b), edge_jacobian_raw(x, y, a, b)))
+                for f, g in zip(fused, apart):
+                    if isinstance(f, np.ndarray):
+                        assert np.array_equal(f, g), (a, b)
+                    else:
+                        assert type(f) is type(g) and ends(f) == ends(g), (a, b, x, y)
 
 
 class TestRealizabilityInequality:

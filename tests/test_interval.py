@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hypsimplex import SimplexParams, conditions, estimate_contraction, solve
-from hypsimplex.interval import PI, Interval
+from hypsimplex.interval import _LIBM_ULPS, PI, Interval
 
 from oracles import LARGE_A_ROOTS, TRUE_ROOTS
 
@@ -53,6 +53,112 @@ def test_arithmetic_contains_the_exact_result():
                 assert _contains(x + y, fp + fq)
                 assert _contains(x - y, fp - fq)
                 assert _contains(x * y, fp * fq)
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _textbook(op, xs, ys):
+    """The textbook enclosure of op over endpoint tuples xs and ys: the
+    extreme results of all endpoint pairs, each moved one float outward."""
+    values = [op(p, q) for p in xs for q in ys]
+    return Interval(_down(min(values)), _up(max(values)))
+
+
+def _textbook_square(x):
+    squares = (x.lo * x.lo, x.hi * x.hi)
+    if x.lo <= 0.0 <= x.hi:
+        return Interval(0.0, _up(max(squares)))
+    return Interval(_down(min(squares)), _up(max(squares)))
+
+
+def _edge_interval(rng: random.Random) -> Interval:
+    """Mixed signs, a 0.0 or -0.0 endpoint, widths from 1e-9 to 1."""
+    width = rng.choice((1e-9, 1e-6, 1e-3, 1.0)) * rng.uniform(0.0, 1.0)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Interval(rng.choice((0.0, -0.0)), width)
+    if kind == 1:
+        return Interval(-width, rng.choice((0.0, -0.0)))
+    lo = rng.uniform(-3.0, 3.0)
+    return Interval(lo, lo + width)
+
+
+def _same(x: Interval, y: Interval) -> bool:
+    return x.lo == y.lo and x.hi == y.hi
+
+
+def test_lean_operations_have_the_textbook_endpoints():
+    rng = random.Random(17)
+    add, sub, mul = (lambda p, q: p + q), (lambda p, q: p - q), (lambda p, q: p * q)
+    for _ in range(2000):
+        x, y = _edge_interval(rng), _edge_interval(rng)
+        xs, ys = (x.lo, x.hi), (y.lo, y.hi)
+        assert _same(x + y, _textbook(add, xs, ys)), (x, y)
+        assert _same(x - y, _textbook(sub, xs, ys)), (x, y)
+        assert _same(x * y, _textbook(mul, xs, ys)), (x, y)
+        assert _same(x**2, _textbook_square(x)), x
+        assert _same(-x, Interval(-x.hi, -x.lo)), x
+        for c in (rng.uniform(-1e3, 1e3), rng.choice((-4, -1, 0, 1, 2, 3)), -0.0):
+            assert _same(x + c, _textbook(add, xs, (c,))), (x, c)
+            assert _same(c + x, _textbook(add, (c,), xs)), (x, c)
+            assert _same(x - c, _textbook(sub, xs, (c,))), (x, c)
+            assert _same(c - x, _textbook(sub, (c,), xs)), (x, c)
+            assert _same(x * c, _textbook(mul, xs, (c,))), (x, c)
+            assert _same(c * x, _textbook(mul, (c,), xs)), (x, c)
+            if c != 0:
+                assert _same(x / c, _textbook(lambda p, q: p / q, xs, (c,))), (x, c)
+
+
+def _textbook_trig(x: Interval, func, max_phase: float, min_phase: float) -> Interval:
+    """Interval._trig with turns built as an Interval by the textbook rule."""
+    inv_two_pi = Interval(_down(1.0 / (2.0 * PI.hi)), _up(1.0 / (2.0 * PI.lo)))
+    turns = _textbook(lambda p, q: p * q, (x.lo, x.hi), (inv_two_pi.lo, inv_two_pi.hi))
+
+    def has_integer(phase):
+        shifted = _textbook(lambda p, q: p - q, (turns.lo, turns.hi), (phase,))
+        return math.floor(shifted.hi) >= math.ceil(shifted.lo)
+
+    ends = (func(x.lo), func(x.hi))
+    lo, hi = min(ends), max(ends)
+    lo = -1.0 if has_integer(min_phase) else max(-1.0, lo - _LIBM_ULPS * math.ulp(lo))
+    hi = 1.0 if has_integer(max_phase) else min(1.0, hi + _LIBM_ULPS * math.ulp(hi))
+    return Interval(lo, hi)
+
+
+def test_sin_and_cos_match_the_textbook_turns():
+    rng = random.Random(19)
+    half = math.pi / 2
+    boxes = [_edge_interval(rng) for _ in range(1000)]
+    boxes += [_random_interval(rng, 7.0) for _ in range(500)]
+    # Boxes straddling, starting at or ending at a multiple of pi/2.
+    for k in range(-8, 9):
+        for w in (1e-12, 1e-6, 0.1):
+            m = k * half
+            boxes += [Interval(m - w, m + w), Interval(m, m + w), Interval(m - w, m)]
+        boxes += [Interval(_down(k * half)), Interval(_up(k * half)), Interval(k * half)]
+    for x in boxes:
+        assert _same(x.sin(), _textbook_trig(x, math.sin, 0.25, -0.25)), x
+        assert _same(x.cos(), _textbook_trig(x, math.cos, 0.0, 0.5)), x
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Interval(math.inf) + Interval(-math.inf),
+    lambda: Interval(math.inf) - Interval(math.inf),
+    lambda: Interval(math.inf) + (-math.inf),
+    lambda: math.inf - Interval(math.inf),
+    lambda: Interval(0.0) * Interval(math.inf),
+    lambda: Interval(math.inf) * 0.0,
+    lambda: Interval(math.inf) / math.inf,
+], ids=["add", "sub", "add-float", "rsub-float", "mul", "mul-float", "div"])
+def test_nan_results_raise(make):
+    with pytest.raises(ValueError, match="not an interval"):
+        make()
 
 
 def test_mag_is_the_largest_absolute_value():

@@ -36,6 +36,7 @@ from hypsimplex import (
 )
 
 from hypsimplex import conditions, solver
+from hypsimplex.interval import Interval
 from hypsimplex.solver import _sign_change_cells
 
 from oracles import IMPROPER_ROOT_23, LARGE_A_ROOTS, TRUE_ROOTS
@@ -154,6 +155,37 @@ class TestOneCertificateBox:
         report = solve(SimplexParams(*pair))
         assert report.status is SolveStatus.SOLVED
         assert len(calls) == 1, pair
+
+    def test_one_kernel_evaluation_per_newton_step(self, monkeypatch):
+        """Each Newton step takes the conditions and the Jacobian from one
+        fused call; the certificate makes the one Interval evaluation, and
+        the report reuses the residuals Newton computed at its last iterate."""
+        calls = {"edge_system_raw": [], "edge_jacobian_raw": [], "edge_conditions_raw": []}
+
+        def counting(name):
+            kernel = getattr(solver, name)
+
+            def wrapped(*args):
+                calls[name].append(args)
+                return kernel(*args)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(solver, name, counting(name))
+        report = solve(SimplexParams(3, 7))
+        assert report.status is SolveStatus.SOLVED
+        fused, jacobian, conds = (calls[name] for name in calls)
+        assert len(fused) == report.iterations >= 3
+        assert all(type(x) is float and type(y) is float for x, y, _, _ in fused)
+        ((x, y, _, _),) = jacobian
+        assert isinstance(x, Interval) and isinstance(y, Interval)
+        # Newton's final residual, once; the report does not evaluate it again.
+        ((x, y, _, _),) = conds
+        assert (x, y) == (report.angles.alpha1, report.angles.beta1)
+        assert (report.residual_cond1, report.residual_cond2) == (
+            conditions.edge_conditions_raw(x, y, 3, 7)
+        )
 
     def test_every_pair_up_to_a_20_is_certified(self):
         for a in range(2, 21):
