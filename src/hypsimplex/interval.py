@@ -9,7 +9,9 @@ open the bound to +-1 when an extremum of the function lies inside.
 The operations work on the raw endpoint floats: a float or int operand
 enters them as it is, never wrapped in an interval, and ``_make`` builds
 every result without the public constructor's ``float()`` coercion but
-with its ``lo <= hi`` test, which also rejects a NaN endpoint (``inf - inf``).
+with its ``lo <= hi`` test, which rejects a NaN endpoint that reaches it
+(``inf - inf``).  A NaN product or quotient inside ``*`` or ``/`` may not
+reach it: ``min`` and ``max`` keep or drop a NaN by its position.
 
 The kernels of ``conditions`` call an ``Interval`` argument's own ``sin``
 and ``cos``, so they evaluate on an ``Interval`` unchanged and return an
@@ -69,10 +71,6 @@ class Interval:
             p, q = lo * other, hi * other
             return _make(nextafter(min(p, q), -inf), nextafter(max(p, q), inf))
         olo, ohi = other.lo, other.hi
-        # Rounding is monotone, so the extreme products of two nonnegative
-        # intervals are those of their like endpoints.
-        if lo >= 0.0 and olo >= 0.0:
-            return _make(nextafter(lo * olo, -inf), nextafter(hi * ohi, inf))
         products = (lo * olo, lo * ohi, hi * olo, hi * ohi)
         return _make(nextafter(min(products), -inf), nextafter(max(products), inf))
 
