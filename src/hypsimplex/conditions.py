@@ -12,9 +12,9 @@ the squared sines, the constraints moving alpha2 and beta2 by -2 times
 alpha1 and beta1; ``edge_jacobian_raw`` is its Jacobian alone), the
 determinant and Gram cofactors of the angle matrix (``gram_raw``), the
 realizability inequality, and the derived largest admissible second
-parameter.  Newton and ``hypsimplex grid`` call the fused kernel; the array
-grids of the oracle call ``edge_conditions_raw``, which stops before the
-Jacobian.
+parameter.  Newton and ``hypsimplex grid`` call the fused kernel; the
+oracle's sign-change grid comes from ``edge_conditions_grid``, which splits
+each condition into per-axis factors and multiplies them.
 
 The ``*_raw`` kernels take floats, numpy arrays (broadcasting) and
 ``Interval`` boxes alike, and take the sine and cosine of each argument by
@@ -132,12 +132,45 @@ def _conditions(alpha1, beta1, a: int, b: int):
 
 
 def edge_conditions_raw(alpha1, beta1, a: int, b: int):
-    """Both edge conditions (c1, c2) from one evaluation of the minors.
-
-    Broadcast axes (``alpha1[:, None]``, ``beta1[None, :]``) take the trig
-    once per axis value instead of once per grid node.
-    """
+    """Both edge conditions (c1, c2) from one evaluation of the minors."""
     return _conditions(alpha1, beta1, a, b)[0]
+
+
+def edge_conditions_grid(alpha1_nodes, beta1_nodes, a: int, b: int):
+    """Both edge conditions on the grid of two 1-D node arrays, as two
+    arrays of shape (len(alpha1_nodes), len(beta1_nodes)), each a rank-6
+    matrix product.
+
+    With s, c the sines and cosines of alpha1, alpha2 (s1, c1, s2, c2) and
+    t, d those of beta1, beta2 (t1, d1, t2, d2), the minors split into
+    per-axis parts: m0 = P - d1^2 + Q d1 with P = 1 - c1^2 - c2^2 and
+    Q = -2 c1 c2, and m1 = R + S + c1 T with R = 1 - c1^2,
+    S = -(d1^2 + d2^2) and T = -2 d1 d2.  So each condition is U V^T,
+    U with one row per alpha1 node and V one per beta1 node:
+
+        c1 = [P, 1, Q, -R s2^2, -s2^2, -c1 s2^2] . [t1^2, -d1^2 t1^2, d1 t1^2, 1, S, T],
+        c2 = [R s1^2, s1^2, c1 s1^2, -P, -1, -Q] . [1, S, T, t2^2, -d1^2 t2^2, d1 t2^2].
+
+    The trig runs once per node and the grid is two matrix products.  Each
+    node agrees with edge_conditions_raw on broadcast axes to rounding, not
+    bit for bit.
+    """
+    import numpy as np
+
+    alpha2, beta2 = _derived(alpha1_nodes, beta1_nodes, a, b)
+    s1, c1 = _sincos(alpha1_nodes)
+    s2, c2 = _sincos(alpha2)
+    t1, d1 = _sincos(beta1_nodes)
+    t2, d2 = _sincos(beta2)
+    ones_a, ones_b = np.ones_like(s1), np.ones_like(t1)
+    P, Q, R = 1.0 - c1 * c1 - c2 * c2, -2.0 * c1 * c2, 1.0 - c1 * c1
+    s1sq, s2sq, t1sq, t2sq, d1sq = s1 * s1, s2 * s2, t1 * t1, t2 * t2, d1 * d1
+    S, T = -(d1sq + d2 * d2), -2.0 * d1 * d2
+    u1 = np.stack([P, ones_a, Q, -R * s2sq, -s2sq, -c1 * s2sq], axis=1)
+    v1 = np.stack([t1sq, -d1sq * t1sq, d1 * t1sq, ones_b, S, T])
+    u2 = np.stack([R * s1sq, s1sq, c1 * s1sq, -P, -ones_a, -Q], axis=1)
+    v2 = np.stack([ones_b, S, T, t2sq, -d1sq * t2sq, d1 * t2sq])
+    return u1 @ v1, u2 @ v2
 
 
 def edge_condition1_raw(alpha1, beta1, a: int, b: int):

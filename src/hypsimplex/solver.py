@@ -17,8 +17,15 @@ import enum
 from dataclasses import dataclass
 from math import asinh, hypot, inf, isfinite, nextafter, pi, sin, sqrt
 from numbers import Integral, Real
+from typing import TYPE_CHECKING
 
-from .conditions import edge_conditions_raw, edge_jacobian_raw, edge_system_raw, gram_raw
+from .conditions import (
+    edge_conditions_grid,
+    edge_conditions_raw,
+    edge_jacobian_raw,
+    edge_system_raw,
+    gram_raw,
+)
 from .errors import InvalidClass, NoContraction
 from .interval import Interval
 from .model import (
@@ -30,6 +37,9 @@ from .model import (
     VertexClass,
     classify_realization,
 )
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 ORACLE_RESIDUAL_TOL = 1e-9
 # solve() certifies each root on one box of radius _CERTIFICATE_RADIUS *
@@ -246,7 +256,7 @@ def estimate_contraction(params: SimplexParams, box: DomainBox) -> ContractionEs
 
 def contraction_map(
     params: SimplexParams, box: DomainBox, k1: float, k2: float
-) -> "callable":
+) -> Callable[[float, float], tuple[float, float]]:
     """The paper's damped, box-clamped update map.
 
     Its fixed point is the root; estimate_contraction certifies this map.
@@ -314,7 +324,8 @@ def grid_oracle(
 ) -> list[GridRoot]:
     """Independent root locator: sign-change cells plus Newton per cell.
 
-    Flags every grid cell on which both edge conditions change sign (some
+    Evaluates both edge conditions on the grid nodes with
+    edge_conditions_grid, flags every cell on which both change sign (some
     corner <= 0 and some corner >= 0), runs Newton from the centre of each
     flagged cell, accepts a converged point at most three cell diagonals
     from that centre, polishes it with a second Newton run, and keeps
@@ -332,10 +343,11 @@ def grid_oracle(
     a, b = params.a, params.b
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
     be = np.linspace(box.beta1_lo, box.beta1_hi, resolution + 1)
-    g1, g2 = edge_conditions_raw(al[:, None], be[None, :], a, b)
+    g1, g2 = edge_conditions_grid(al, be, a, b)
     flagged = _sign_change_cells(g1) & _sign_change_cells(g2)
     roots: list[GridRoot] = []
-    for i, j in zip(*np.nonzero(flagged)):
+    for cell in np.flatnonzero(flagged).tolist():
+        i, j = divmod(cell, resolution)
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
         (x, y), _, converged, _ = _newton(params, center, cfg)
         diag = hypot(al[i + 1] - al[i], be[j + 1] - be[j])

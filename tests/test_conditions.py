@@ -8,6 +8,7 @@ import pytest
 from hypsimplex import (
     AngleSlice,
     DihedralAngles,
+    DomainBox,
     InvalidParams,
     MinorSpec,
     RealizationClass,
@@ -16,6 +17,7 @@ from hypsimplex import (
     classify_realization,
     compute_bmax,
     corner_value,
+    domain_for,
     edge_condition1,
     edge_condition1_deriv,
     edge_condition2,
@@ -32,6 +34,7 @@ from hypsimplex.conditions import (
     edge_condition2_raw,
     edge_condition1_deriv_raw,
     edge_condition2_deriv_raw,
+    edge_conditions_grid,
     edge_conditions_raw,
     edge_jacobian_raw,
     edge_system_raw,
@@ -322,6 +325,58 @@ class TestPairKernel:
                         assert np.array_equal(f, g), (a, b)
                     else:
                         assert type(f) is type(g) and ends(f) == ends(g), (a, b, x, y)
+
+
+def _rank1_magnitudes(al, be, a, b):
+    """Sum over the six rank-1 terms of each condition of |term|, per node,
+    from the per-axis factors written out afresh."""
+    s1, c1 = np.sin(al), np.cos(al)
+    s2, c2 = np.sin(2 * pi / a - 2 * al), np.cos(2 * pi / a - 2 * al)
+    t1, d1 = np.sin(be), np.cos(be)
+    t2, d2 = np.sin(2 * pi / b - 2 * be), np.cos(2 * pi / b - 2 * be)
+    p, q, r = 1 - c1**2 - c2**2, -2 * c1 * c2, 1 - c1**2
+    s, t = -(d1**2 + d2**2), -2 * d1 * d2
+    one_a, one_b = np.ones_like(al), np.ones_like(be)
+    u1 = [p, one_a, q, r * s2**2, s2**2, c1 * s2**2]
+    v1 = [t1**2, d1**2 * t1**2, d1 * t1**2, one_b, s, t]
+    u2 = [r * s1**2, s1**2, c1 * s1**2, p, one_a, q]
+    v2 = [one_b, s, t, t2**2, d1**2 * t2**2, d1 * t2**2]
+    return tuple(
+        sum(np.abs(x)[:, None] * np.abs(y)[None, :] for x, y in zip(u, v))
+        for u, v in ((u1, v1), (u2, v2))
+    )
+
+
+_GRID_PAIRS = sorted(
+    {(a, b) for a in range(2, 21) for b in (a + 1, compute_bmax(a))}
+    | {(200, 400), (3737, 7474)}
+)
+
+
+class TestGridKernel:
+    """edge_conditions_grid is edge_conditions_raw on broadcast axes, up to
+    the rounding of a six-term sum."""
+
+    @pytest.mark.parametrize("pair", _GRID_PAIRS, ids=str)
+    def test_agrees_with_broadcast_kernel(self, pair):
+        a, b = pair
+        domain = domain_for(SimplexParams(a, b))
+        full = DomainBox(0.0, pi / a, 0.0, pi / b)
+        eps = np.finfo(float).eps
+        for box in (domain, full):
+            al = np.linspace(box.alpha1_lo, box.alpha1_hi, 401)
+            be = np.linspace(box.beta1_lo, box.beta1_hi, 401)
+            grids = edge_conditions_grid(al, be, a, b)
+            wants = edge_conditions_raw(al[:, None], be[None, :], a, b)
+            for got, want, scale in zip(grids, wants, _rank1_magnitudes(al, be, a, b)):
+                assert got.shape == (401, 401)
+                assert np.all(np.abs(got - want) <= 8 * eps * scale), (pair, box)
+
+    def test_shape_follows_the_axes(self):
+        al = np.linspace(0.0, pi / 4, 7)
+        be = np.linspace(0.0, pi / 7, 11)
+        for grid in edge_conditions_grid(al, be, 4, 7):
+            assert grid.shape == (7, 11)
 
 
 class TestRealizabilityInequality:

@@ -1,7 +1,7 @@
 """Tests for the solve pipeline, grid oracle, and contraction estimates."""
 
 import json
-from math import pi
+from math import hypot, pi
 from pathlib import Path
 
 import numpy as np
@@ -517,6 +517,59 @@ class TestGridOracle:
         (root,) = grid_oracle(params)
         assert root.alpha1 == pytest.approx(TRUE_ROOTS[(3, 7)][0], abs=1e-15)
         assert len(calls) <= 1 + flagged * (2 * (2 * NEWTON_STEPS + 1) + 1)
+
+    @pytest.mark.parametrize("pair, resolution, full", [
+        ((2, 3), 400, True), ((2, 5), 400, True), ((4, 7), 400, True),
+        ((20, 38), 200, False),
+    ], ids=str)
+    def test_scan_is_the_broadcast_scan(self, pair, resolution, full):
+        """The rank-6 grid flags the cells the broadcast kernel flags, in the
+        same order, so the scan keeps the same roots, bit for bit."""
+        a, b = pair
+        params = SimplexParams(a, b)
+        box = DomainBox(0.0, pi / a, 0.0, pi / b) if full else domain_for(params)
+        want = _reference_scan(params, resolution, box)
+        assert want
+        assert grid_oracle(params, resolution=resolution, box=box) == want
+
+    def test_grid_does_not_use_the_broadcast_kernel(self, monkeypatch):
+        def scalar_only(alpha1, beta1, a, b):
+            if isinstance(alpha1, np.ndarray) or isinstance(beta1, np.ndarray):
+                raise AssertionError("edge_conditions_raw called on a grid")
+            return conditions.edge_conditions_raw(alpha1, beta1, a, b)
+
+        monkeypatch.setattr(solver, "edge_conditions_raw", scalar_only)
+        (root,) = grid_oracle(SimplexParams(3, 7))
+        assert root.alpha1 == pytest.approx(TRUE_ROOTS[(3, 7)][0], abs=1e-15)
+        assert root.beta1 == pytest.approx(TRUE_ROOTS[(3, 7)][1], abs=1e-15)
+
+
+def _reference_scan(params, resolution, box):
+    """grid_oracle with the grid from edge_conditions_raw on broadcast axes
+    and the flagged cells in np.nonzero order."""
+    a, b = params.a, params.b
+    cfg = SolverConfig()
+    al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
+    be = np.linspace(box.beta1_lo, box.beta1_hi, resolution + 1)
+    g1, g2 = conditions.edge_conditions_raw(al[:, None], be[None, :], a, b)
+    flagged = _sign_change_cells(g1) & _sign_change_cells(g2)
+    roots = []
+    for i, j in zip(*np.nonzero(flagged)):
+        center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
+        (x, y), _, converged, _ = solver._newton(params, center, cfg)
+        diag = hypot(al[i + 1] - al[i], be[j + 1] - be[j])
+        if not (converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag):
+            continue
+        (x, y), _, _, (r1, r2) = solver._newton(params, (x, y), cfg)
+        if max(abs(r1), abs(r2)) >= solver.ORACLE_RESIDUAL_TOL:
+            continue
+        if not box.contains(x, y, slack=1e-9):
+            continue
+        if any(hypot(x - r.alpha1, y - r.beta1) < 1e-7 for r in roots):
+            continue
+        roots.append(solver.GridRoot(float(x), float(y), r1, r2))
+    roots.sort(key=lambda r: (r.alpha1, r.beta1))
+    return roots
 
 
 def _reference_cells(grid):
