@@ -13,8 +13,9 @@ alpha1 and beta1; ``edge_jacobian_raw`` is its Jacobian alone), the
 determinant and Gram cofactors of the angle matrix (``gram_raw``), the
 realizability inequality, and the derived largest admissible second
 parameter.  Newton and ``hypsimplex grid`` call the fused kernel; the
-oracle's sign-change grid comes from ``edge_conditions_grid``, which splits
-each condition into per-axis factors and multiplies them.
+oracle's sign-change grid comes from ``edge_conditions_factors``, which
+splits each condition into per-axis factors whose product is the grid, and
+``edge_conditions_grid`` multiplies them out whole.
 
 The ``*_raw`` kernels take floats, numpy arrays (broadcasting) and
 ``Interval`` boxes alike, and take the sine and cosine of each argument by
@@ -136,24 +137,24 @@ def edge_conditions_raw(alpha1, beta1, a: int, b: int):
     return _conditions(alpha1, beta1, a, b)[0]
 
 
-def edge_conditions_grid(alpha1_nodes, beta1_nodes, a: int, b: int):
-    """Both edge conditions on the grid of two 1-D node arrays, as two
-    arrays of shape (len(alpha1_nodes), len(beta1_nodes)), each a rank-6
-    matrix product.
+def edge_conditions_factors(alpha1_nodes, beta1_nodes, a: int, b: int):
+    """The per-axis factors ((U1, V1), (U2, V2)) of both edge conditions on
+    the grid of two 1-D node arrays: U of shape (len(alpha1_nodes), 6), V of
+    shape (6, len(beta1_nodes)), and condition k on the grid is Uk @ Vk, or
+    rows i0..i1 of it Uk[i0:i1] @ Vk.
 
     With s, c the sines and cosines of alpha1, alpha2 (s1, c1, s2, c2) and
     t, d those of beta1, beta2 (t1, d1, t2, d2), the minors split into
     per-axis parts: m0 = P - d1^2 + Q d1 with P = 1 - c1^2 - c2^2 and
     Q = -2 c1 c2, and m1 = R + S + c1 T with R = 1 - c1^2,
-    S = -(d1^2 + d2^2) and T = -2 d1 d2.  So each condition is U V^T,
-    U with one row per alpha1 node and V one per beta1 node:
+    S = -(d1^2 + d2^2) and T = -2 d1 d2.  So each condition is U V,
+    U with one row per alpha1 node and V one column per beta1 node:
 
         c1 = [P, 1, Q, -R s2^2, -s2^2, -c1 s2^2] . [t1^2, -d1^2 t1^2, d1 t1^2, 1, S, T],
         c2 = [R s1^2, s1^2, c1 s1^2, -P, -1, -Q] . [1, S, T, t2^2, -d1^2 t2^2, d1 t2^2].
 
-    The trig runs once per node and the grid is two matrix products.  Each
-    node agrees with edge_conditions_raw on broadcast axes to rounding, not
-    bit for bit.
+    The trig runs once per node.  Each product agrees with
+    edge_conditions_raw on broadcast axes to rounding, not bit for bit.
     """
     import numpy as np
 
@@ -170,6 +171,16 @@ def edge_conditions_grid(alpha1_nodes, beta1_nodes, a: int, b: int):
     v1 = np.stack([t1sq, -d1sq * t1sq, d1 * t1sq, ones_b, S, T])
     u2 = np.stack([R * s1sq, s1sq, c1 * s1sq, -P, -ones_a, -Q], axis=1)
     v2 = np.stack([ones_b, S, T, t2sq, -d1sq * t2sq, d1 * t2sq])
+    return (u1, v1), (u2, v2)
+
+
+def edge_conditions_grid(alpha1_nodes, beta1_nodes, a: int, b: int):
+    """Both edge conditions on the whole grid of two 1-D node arrays, as two
+    arrays of shape (len(alpha1_nodes), len(beta1_nodes)): the rank-6
+    products U1 @ V1 and U2 @ V2 of edge_conditions_factors.  The oracle
+    multiplies the same factors one row tile at a time instead.
+    """
+    (u1, v1), (u2, v2) = edge_conditions_factors(alpha1_nodes, beta1_nodes, a, b)
     return u1 @ v1, u2 @ v2
 
 

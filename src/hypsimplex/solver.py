@@ -20,7 +20,7 @@ from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
 from .conditions import (
-    edge_conditions_grid,
+    edge_conditions_factors,
     edge_conditions_raw,
     edge_jacobian_raw,
     edge_system_raw,
@@ -51,6 +51,17 @@ ORACLE_RESIDUAL_TOL = 1e-9
 # a in {100, 150, 200, 300, 400} (largest bound 0.99935), so no wider
 # search is needed.
 _CERTIFICATE_RADIUS = 2.0**-30
+# grid_oracle multiplies the grid factors one tile of alpha1 node rows at a
+# time.  A tile holds at most _TILE_NODES nodes (two node rows at least),
+# whatever the resolution: 30 cell rows of a 401-node axis.  Each of its two
+# float64 buffers, 96 KiB, stays under glibc's default 128 KiB mmap
+# threshold, so it comes from the heap instead of being mapped and unmapped
+# on every scan.  Measured with bench/run.py --workload oracle (6 s runs,
+# two seeds): budgets of 8192, 12288, 16040 and 32768 nodes gave p50
+# 0.47-0.50, 0.42-0.45, 0.51-0.56 and 0.61-0.66 ms and p90 1.12, 0.90-0.94,
+# 0.97-1.02 and 0.95-0.97 ms, and from 16040 nodes on the scans page-fault
+# again; the whole 401 x 401 grid read 0.54-0.58 and 1.98-2.04 ms.
+_TILE_NODES = 12288
 
 
 class SolveStatus(enum.Enum):
@@ -324,8 +335,11 @@ def grid_oracle(
 ) -> list[GridRoot]:
     """Independent root locator: sign-change cells plus Newton per cell.
 
-    Evaluates both edge conditions on the grid nodes with
-    edge_conditions_grid, flags every cell on which both change sign (some
+    Multiplies the factors of edge_conditions_factors one tile of alpha1
+    node rows at a time, so no whole grid is ever held: a tile has at most
+    _TILE_NODES nodes (two rows at least) whatever the resolution, and
+    shares its last node row with the next tile.  Flags, in row-major
+    order, every cell on which both edge conditions change sign (some
     corner <= 0 and some corner >= 0), runs Newton from the centre of each
     flagged cell, accepts a converged point at most three cell diagonals
     from that centre, polishes it with a second Newton run, and keeps
@@ -340,13 +354,22 @@ def grid_oracle(
         raise ValueError(f"resolution must be an int of at least 1, got {resolution!r}")
     cfg = config or SolverConfig()
     box = box or domain_for(params)
-    a, b = params.a, params.b
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
     be = np.linspace(box.beta1_lo, box.beta1_hi, resolution + 1)
-    g1, g2 = edge_conditions_grid(al, be, a, b)
-    flagged = _sign_change_cells(g1) & _sign_change_cells(g2)
+    (u1, v1), (u2, v2) = edge_conditions_factors(al, be, params.a, params.b)
+    rows = max(1, _TILE_NODES // (resolution + 1) - 1)
+    tile1 = np.empty((rows + 1, resolution + 1))
+    tile2 = np.empty_like(tile1)
+    flagged = []
+    for i0 in range(0, resolution, rows):
+        m = min(rows, resolution - i0) + 1
+        g1 = np.matmul(u1[i0 : i0 + m], v1, out=tile1[:m])
+        g2 = np.matmul(u2[i0 : i0 + m], v2, out=tile2[:m])
+        cells = np.flatnonzero(_sign_change_cells(g1) & _sign_change_cells(g2))
+        flagged += (cells + i0 * resolution).tolist()
+    al, be = al.tolist(), be.tolist()
     roots: list[GridRoot] = []
-    for cell in np.flatnonzero(flagged).tolist():
+    for cell in flagged:
         i, j = divmod(cell, resolution)
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
         (x, y), _, converged, _ = _newton(params, center, cfg)
@@ -360,7 +383,7 @@ def grid_oracle(
             continue
         if any(hypot(x - r.alpha1, y - r.beta1) < 1e-7 for r in roots):
             continue
-        roots.append(GridRoot(float(x), float(y), r1, r2))
+        roots.append(GridRoot(x, y, r1, r2))
     roots.sort(key=lambda r: (r.alpha1, r.beta1))
     return roots
 

@@ -520,7 +520,7 @@ class TestGridOracle:
 
     @pytest.mark.parametrize("pair, resolution, full", [
         ((2, 3), 400, True), ((2, 5), 400, True), ((4, 7), 400, True),
-        ((20, 38), 200, False),
+        ((20, 38), 200, False), ((2, 5), 1000, True),
     ], ids=str)
     def test_scan_is_the_broadcast_scan(self, pair, resolution, full):
         """The rank-6 grid flags the cells the broadcast kernel flags, in the
@@ -542,6 +542,62 @@ class TestGridOracle:
         (root,) = grid_oracle(SimplexParams(3, 7))
         assert root.alpha1 == pytest.approx(TRUE_ROOTS[(3, 7)][0], abs=1e-15)
         assert root.beta1 == pytest.approx(TRUE_ROOTS[(3, 7)][1], abs=1e-15)
+
+    @pytest.mark.parametrize("resolution, rows", [
+        (1, 1), (2, 1), (2, 2), (3, 1), (9, 8), (25, 8), (24, 8), (24, 5), (24, 24),
+    ], ids=str)
+    @pytest.mark.parametrize("pair, full", [((2, 5), True), ((7, 12), False)], ids=str)
+    def test_tiles_flag_the_cells_of_the_whole_grid(
+        self, monkeypatch, newton_starts, pair, full, resolution, rows
+    ):
+        """Tiles of ``rows`` cell rows each, with the last tile one row, a
+        full tile or a partial one: Newton starts from the same cells in the
+        same order as over the whole grid, and the roots are the same.  A
+        tile that drops its shared last node row, or a lost or short last
+        tile, changes the starts."""
+        a, b = pair
+        params = SimplexParams(a, b)
+        box = DomainBox(0.0, pi / a, 0.0, pi / b) if full else domain_for(params)
+        want = _reference_scan(params, resolution, box)
+        want_starts, newton_starts[:] = newton_starts[:], []
+        monkeypatch.setattr(solver, "_TILE_NODES", (rows + 1) * (resolution + 1))
+        assert grid_oracle(params, resolution=resolution, box=box) == want
+        assert newton_starts == want_starts
+
+    def test_scan_holds_less_than_one_whole_grid(self):
+        """The tracemalloc peak of a full-box scan at resolution 400 stays
+        below one 401 x 401 float64 grid."""
+        import tracemalloc
+
+        params = SimplexParams(2, 3)
+        box = DomainBox(0.0, pi / 2, 0.0, pi / 3)
+        grid_oracle(params, resolution=400, box=box)
+        tracemalloc.start()
+        try:
+            grid_oracle(params, resolution=400, box=box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 401 * 401 * 8
+
+    def test_newton_starts_from_python_floats(self, newton_starts):
+        grid_oracle(SimplexParams(3, 7))
+        assert newton_starts
+        assert all(type(x) is float and type(y) is float for x, y in newton_starts)
+
+
+@pytest.fixture
+def newton_starts(monkeypatch):
+    """The start point of every solver._newton run, in call order."""
+    starts = []
+    newton = solver._newton
+
+    def recording(params, start, config):
+        starts.append(start)
+        return newton(params, start, config)
+
+    monkeypatch.setattr(solver, "_newton", recording)
+    return starts
 
 
 def _reference_scan(params, resolution, box):
