@@ -37,7 +37,7 @@ from hypsimplex import (
 
 from hypsimplex import conditions, solver
 from hypsimplex.interval import Interval
-from hypsimplex.solver import _sign_change_cells
+from hypsimplex.solver import _sign_change_at, _sign_change_cells
 
 from oracles import IMPROPER_ROOT_23, LARGE_A_ROOTS, TRUE_ROOTS
 
@@ -544,9 +544,12 @@ class TestGridOracle:
         assert root.beta1 == pytest.approx(TRUE_ROOTS[(3, 7)][1], abs=1e-15)
 
     @pytest.mark.parametrize("resolution, rows", [
-        (1, 1), (2, 1), (2, 2), (3, 1), (9, 8), (25, 8), (24, 8), (24, 5), (24, 24),
+        (1, 1), (2, 1), (2, 2), (3, 1), (7, 1), (7, 2), (9, 8), (25, 8), (24, 1), (24, 2),
+        (24, 8), (24, 5), (24, 24),
     ], ids=str)
-    @pytest.mark.parametrize("pair, full", [((2, 5), True), ((7, 12), False)], ids=str)
+    @pytest.mark.parametrize(
+        "pair, full", [((2, 3), True), ((2, 5), True), ((7, 12), False)], ids=str
+    )
     def test_tiles_flag_the_cells_of_the_whole_grid(
         self, monkeypatch, newton_starts, pair, full, resolution, rows
     ):
@@ -554,7 +557,9 @@ class TestGridOracle:
         full tile or a partial one: Newton starts from the same cells in the
         same order as over the whole grid, and the roots are the same.  A
         tile that drops its shared last node row, or a lost or short last
-        tile, changes the starts."""
+        tile, changes the starts.  On the (2, 3) full box both conditions
+        have exact 0.0 nodes, and tiles of 1 and 2 rows put them at a tile's
+        edge."""
         a, b = pair
         params = SimplexParams(a, b)
         box = DomainBox(0.0, pi / a, 0.0, pi / b) if full else domain_for(params)
@@ -584,6 +589,69 @@ class TestGridOracle:
         grid_oracle(SimplexParams(3, 7))
         assert newton_starts
         assert all(type(x) is float and type(y) is float for x, y in newton_starts)
+
+    def test_second_condition_is_tested_only_where_the_first_flags(self, monkeypatch):
+        """The (8, 16) full-box scan at resolution 400 runs the whole-tile
+        mask on the first condition only, and skips the tiles where it has
+        one sign: fewer mask calls than tiles."""
+        calls = []
+        sign_change_cells = solver._sign_change_cells
+
+        def counting(grid):
+            calls.append(grid.shape)
+            return sign_change_cells(grid)
+
+        monkeypatch.setattr(solver, "_sign_change_cells", counting)
+        params = SimplexParams(8, 16)
+        box = DomainBox(0.0, pi / 8, 0.0, pi / 16)
+        want = _reference_scan(params, 400, box)
+        assert want
+        assert grid_oracle(params, resolution=400, box=box) == want
+        rows = solver._TILE_NODES // 401 - 1
+        tiles = -(-400 // rows)
+        assert tiles == 14
+        assert 1 <= len(calls) < tiles
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_screen_and_gather_flag_the_cells_of_the_whole_grid(self, monkeypatch, seed, rows):
+        """Seeded integer factors, so that every product is exact: rows of
+        one sign, zero rows (tiles whose extreme is 0.0), NaN rows and
+        columns, and zeros of the second condition.  The scan starts Newton
+        at exactly the cells that both whole-grid masks flag, in row-major
+        order, whatever the tile height."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 30))
+        u1, u2 = rng.integers(-2, 3, (2, n, 6)).astype(float)
+        v1, v2 = rng.integers(-2, 3, (2, 6, n)).astype(float)
+        v1[0], v2[0] = rng.integers(1, 3, (2, n))
+        kind = rng.integers(0, 5, n)
+        for k, row in ((1, 4.0), (2, -4.0), (3, 0.0)):
+            u1[kind == k] = [row, 0.0, 0.0, 0.0, 0.0, 0.0]
+        u2[rng.random(n) < 0.2] = 0.0
+        if seed % 2:
+            u1[rng.integers(n), 0] = np.nan
+            v2[1, rng.integers(n)] = np.nan
+        want = np.flatnonzero(_sign_change_cells(u1 @ v1) & _sign_change_cells(u2 @ v2))
+        if seed < 4:
+            assert want.size
+        box = DomainBox(0.0, 1.0, 0.0, 1.0)
+        al = np.linspace(0.0, 1.0, n).tolist()
+        want_starts = [
+            (0.5 * (al[i] + al[i + 1]), 0.5 * (al[j] + al[j + 1]))
+            for i, j in (divmod(int(c), n - 1) for c in want)
+        ]
+        starts = []
+
+        def recording(params, start, config):
+            starts.append(start)
+            return start, 0, False, (1.0, 1.0)
+
+        monkeypatch.setattr(solver, "edge_conditions_factors", lambda *_: ((u1, v1), (u2, v2)))
+        monkeypatch.setattr(solver, "_newton", recording)
+        monkeypatch.setattr(solver, "_TILE_NODES", (rows + 1) * n)
+        assert grid_oracle(SimplexParams(3, 7), resolution=n - 1, box=box) == []
+        assert starts == want_starts
 
 
 @pytest.fixture
@@ -634,6 +702,13 @@ def _reference_cells(grid):
     return (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
 
 
+def _reference_flat(grid):
+    """Some corner <= 0 and some corner >= 0, over stacked corner copies, as
+    one flat mask; a NaN corner counts as neither."""
+    corners = np.stack([grid[:-1, :-1], grid[1:, :-1], grid[:-1, 1:], grid[1:, 1:]])
+    return ((corners <= 0.0).any(axis=0) & (corners >= 0.0).any(axis=0)).ravel()
+
+
 class TestSignChangeCells:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_corner_min_max_test(self, seed):
@@ -658,6 +733,30 @@ class TestSignChangeCells:
                      [[-1.0, -2.0], [-3.0, -4.0]], [[-1.0, 2.0], [3.0, 4.0]]):
             g = np.array(grid)
             assert np.array_equal(_sign_change_cells(g), _reference_cells(g)), grid
+            want = np.flatnonzero(_reference_cells(g))
+            assert np.array_equal(_sign_change_at(g, np.arange(1)), want), grid
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_at_given_cells_is_the_whole_grid_test(self, seed):
+        """_sign_change_at keeps, of the given cells, those _sign_change_cells
+        flags: on grids with exact zeros of both signs, regions of one sign
+        and NaN nodes, at every cell and at a random subset, in order."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(2, 40, size=2))
+        grid = rng.standard_normal(shape)
+        picks = rng.random(shape)
+        grid[picks < 0.15] = 0.0
+        grid[picks > 0.85] = -0.0
+        grid[: shape[0] // 3] = np.abs(grid[: shape[0] // 3]) + 1.0
+        grid[picks > 0.97] = np.nan
+        if seed % 2:
+            grid[:, : shape[1] // 4] *= -1.0
+        flags = _sign_change_cells(grid).ravel()
+        every = np.arange(flags.size)
+        some = np.sort(rng.choice(flags.size, size=flags.size // 3, replace=False))
+        for cells in (every, some):
+            assert np.array_equal(_sign_change_at(grid, cells), cells[flags[cells]]), seed
+        assert np.array_equal(_sign_change_at(grid, every), every[_reference_flat(grid)]), seed
 
 
 class TestContraction:
