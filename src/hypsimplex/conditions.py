@@ -163,21 +163,14 @@ def edge_conditions_factors(alpha1_nodes, beta1_nodes, a: int, b: int):
     s2, c2 = _sincos(alpha2)
     t1, d1 = _sincos(beta1_nodes)
     t2, d2 = _sincos(beta2)
+    ones_a, ones_b = np.ones_like(s1), np.ones_like(t1)
     P, Q, R = 1.0 - c1 * c1 - c2 * c2, -2.0 * c1 * c2, 1.0 - c1 * c1
     s1sq, s2sq, t1sq, t2sq, d1sq = s1 * s1, s2 * s2, t1 * t1, t2 * t2, d1 * d1
     S, T = -(d1sq + d2 * d2), -2.0 * d1 * d2
-    u1, u2 = np.empty((len(s1), 6)), np.empty((len(s1), 6))
-    v1, v2 = np.empty((6, len(t1))), np.empty((6, len(t1)))
-    # Written in place, a column of U or a row of V at a time; np.stack
-    # would copy every part once more.
-    for out, parts in (
-        (u1.T, (P, 1.0, Q, -R * s2sq, -s2sq, -c1 * s2sq)),
-        (v1, (t1sq, -d1sq * t1sq, d1 * t1sq, 1.0, S, T)),
-        (u2.T, (R * s1sq, s1sq, c1 * s1sq, -P, -1.0, -Q)),
-        (v2, (1.0, S, T, t2sq, -d1sq * t2sq, d1 * t2sq)),
-    ):
-        for row, part in zip(out, parts):
-            row[...] = part
+    u1 = np.stack([P, ones_a, Q, -R * s2sq, -s2sq, -c1 * s2sq], axis=1)
+    v1 = np.stack([t1sq, -d1sq * t1sq, d1 * t1sq, ones_b, S, T])
+    u2 = np.stack([R * s1sq, s1sq, c1 * s1sq, -P, -ones_a, -Q], axis=1)
+    v2 = np.stack([ones_b, S, T, t2sq, -d1sq * t2sq, d1 * t2sq])
     return (u1, v1), (u2, v2)
 
 

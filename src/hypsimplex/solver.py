@@ -327,20 +327,6 @@ def _sign_change_cells(grid):
     return any_corner(grid <= 0.0) & any_corner(grid >= 0.0)
 
 
-def _sign_change_at(grid, cells):
-    """The cells of ``cells``, flat indices into the cell grid of a grid of
-    values, that pass _sign_change_cells' test: some corner <= 0 and some
-    corner >= 0.  Only the four corners of those cells are read."""
-    import numpy as np
-
-    cols = grid.shape[1]
-    # Cell (i, j), flat index i (cols - 1) + j, has its top-left corner at
-    # node i cols + j; the other three lie one column and one row on.
-    top_left = cells + cells // (cols - 1)
-    corners = grid.ravel()[top_left + np.array([[0], [1], [cols], [cols + 1]])]
-    return cells[(corners <= 0.0).any(axis=0) & (corners >= 0.0).any(axis=0)]
-
-
 def grid_oracle(
     params: SimplexParams,
     resolution: int = 200,
@@ -355,10 +341,8 @@ def grid_oracle(
     shares its last node row with the next tile.  Flags, in row-major
     order, every cell on which both edge conditions change sign (some
     corner <= 0 and some corner >= 0).  A tile on which the first condition
-    has one strict sign is skipped whole.  Otherwise _sign_change_cells
-    flags the first condition's cells, and only if there are any is the
-    second condition's tile multiplied and tested, by the same predicate,
-    at the corners of those cells alone (_sign_change_at).  Runs Newton
+    has one strict sign (min > 0 or max < 0) holds no such cell and is
+    skipped before the second condition's tile is multiplied.  Runs Newton
     from the centre of each flagged cell, accepts a converged point at most
     three cell diagonals from that centre, polishes it with a second Newton
     run, and keeps deduplicated points inside the box whose residuals clear
@@ -384,10 +368,9 @@ def grid_oracle(
         g1 = np.matmul(u1[i0 : i0 + m], v1, out=tile1[:m])
         if g1.min() > 0.0 or g1.max() < 0.0:
             continue
-        cells = np.flatnonzero(_sign_change_cells(g1))
-        if cells.size:
-            g2 = np.matmul(u2[i0 : i0 + m], v2, out=tile2[:m])
-            flagged += (_sign_change_at(g2, cells) + i0 * resolution).tolist()
+        g2 = np.matmul(u2[i0 : i0 + m], v2, out=tile2[:m])
+        cells = np.flatnonzero(_sign_change_cells(g1) & _sign_change_cells(g2))
+        flagged += (cells + i0 * resolution).tolist()
     al, be = al.tolist(), be.tolist()
     roots: list[GridRoot] = []
     for cell in flagged:

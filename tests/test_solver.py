@@ -37,7 +37,7 @@ from hypsimplex import (
 
 from hypsimplex import conditions, solver
 from hypsimplex.interval import Interval
-from hypsimplex.solver import _sign_change_at, _sign_change_cells
+from hypsimplex.solver import _sign_change_cells
 
 from oracles import IMPROPER_ROOT_23, LARGE_A_ROOTS, TRUE_ROOTS
 
@@ -590,10 +590,10 @@ class TestGridOracle:
         assert newton_starts
         assert all(type(x) is float and type(y) is float for x, y in newton_starts)
 
-    def test_second_condition_is_tested_only_where_the_first_flags(self, monkeypatch):
-        """The (8, 16) full-box scan at resolution 400 runs the whole-tile
-        mask on the first condition only, and skips the tiles where it has
-        one sign: fewer mask calls than tiles."""
+    def test_tiles_where_the_first_condition_has_one_sign_are_skipped(self, monkeypatch):
+        """The (8, 16) full-box scan at resolution 400 runs no mask on a
+        tile where the first condition has one strict sign: fewer mask
+        calls than tiles, where testing every tile makes two per tile."""
         calls = []
         sign_change_cells = solver._sign_change_cells
 
@@ -614,7 +614,7 @@ class TestGridOracle:
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(8))
-    def test_screen_and_gather_flag_the_cells_of_the_whole_grid(self, monkeypatch, seed, rows):
+    def test_screen_flags_the_cells_of_the_whole_grid(self, monkeypatch, seed, rows):
         """Seeded integer factors, so that every product is exact: rows of
         one sign, zero rows (tiles whose extreme is 0.0), NaN rows and
         columns, and zeros of the second condition.  The scan starts Newton
@@ -702,13 +702,6 @@ def _reference_cells(grid):
     return (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
 
 
-def _reference_flat(grid):
-    """Some corner <= 0 and some corner >= 0, over stacked corner copies, as
-    one flat mask; a NaN corner counts as neither."""
-    corners = np.stack([grid[:-1, :-1], grid[1:, :-1], grid[:-1, 1:], grid[1:, 1:]])
-    return ((corners <= 0.0).any(axis=0) & (corners >= 0.0).any(axis=0)).ravel()
-
-
 class TestSignChangeCells:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_corner_min_max_test(self, seed):
@@ -733,30 +726,6 @@ class TestSignChangeCells:
                      [[-1.0, -2.0], [-3.0, -4.0]], [[-1.0, 2.0], [3.0, 4.0]]):
             g = np.array(grid)
             assert np.array_equal(_sign_change_cells(g), _reference_cells(g)), grid
-            want = np.flatnonzero(_reference_cells(g))
-            assert np.array_equal(_sign_change_at(g, np.arange(1)), want), grid
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_at_given_cells_is_the_whole_grid_test(self, seed):
-        """_sign_change_at keeps, of the given cells, those _sign_change_cells
-        flags: on grids with exact zeros of both signs, regions of one sign
-        and NaN nodes, at every cell and at a random subset, in order."""
-        rng = np.random.default_rng(seed)
-        shape = tuple(rng.integers(2, 40, size=2))
-        grid = rng.standard_normal(shape)
-        picks = rng.random(shape)
-        grid[picks < 0.15] = 0.0
-        grid[picks > 0.85] = -0.0
-        grid[: shape[0] // 3] = np.abs(grid[: shape[0] // 3]) + 1.0
-        grid[picks > 0.97] = np.nan
-        if seed % 2:
-            grid[:, : shape[1] // 4] *= -1.0
-        flags = _sign_change_cells(grid).ravel()
-        every = np.arange(flags.size)
-        some = np.sort(rng.choice(flags.size, size=flags.size // 3, replace=False))
-        for cells in (every, some):
-            assert np.array_equal(_sign_change_at(grid, cells), cells[flags[cells]]), seed
-        assert np.array_equal(_sign_change_at(grid, every), every[_reference_flat(grid)]), seed
 
 
 class TestContraction:
