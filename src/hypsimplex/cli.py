@@ -129,20 +129,11 @@ def _parse_range(text: str, label: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _solver_options(func):
-    defaults = SolverConfig()
-    options = [
-        click.option("--tol", type=float, default=defaults.tolerance, show_default=True,
-                     help="Residual tolerance on both edge conditions."),
-        click.option("--angle-tol", type=float, default=defaults.angle_tolerance,
-                     show_default=True,
-                     help="Newton stops once a step is at most this large."),
-        click.option("--max-iter", type=int, default=defaults.max_iterations,
-                     show_default=True, help="Newton step budget."),
-    ]
-    for option in reversed(options):
-        func = option(func)
-    return func
+def _max_iter_option(func):
+    return click.option(
+        "--max-iter", type=int, default=SolverConfig().max_iterations,
+        show_default=True, help="Newton step budget.",
+    )(func)
 
 
 def _format_option(func):
@@ -158,11 +149,9 @@ def _degrees_option(func):
     )(func)
 
 
-def _make_config(tol, angle_tol, max_iter) -> SolverConfig:
+def _make_config(max_iter) -> SolverConfig:
     try:
-        return SolverConfig(
-            tolerance=tol, angle_tolerance=angle_tol, max_iterations=max_iter
-        )
+        return SolverConfig(max_iterations=max_iter)
     except ValueError as exc:
         _fail(str(exc), EXIT_INVALID_PARAMS)
 
@@ -265,13 +254,13 @@ def _solve_row(params: SimplexParams, report, degrees: bool) -> list:
 @cli.command(name="solve")
 @click.argument("a", type=int)
 @click.argument("b", type=int)
-@_solver_options
+@_max_iter_option
 @_format_option
 @_degrees_option
-def cmd_solve(a, b, tol, angle_tol, max_iter, fmt, degrees) -> None:
+def cmd_solve(a, b, max_iter, fmt, degrees) -> None:
     """Solve the edge-condition system for the pair (A, B)."""
     params = _normalized(a, b)
-    config = _make_config(tol, angle_tol, max_iter)
+    config = _make_config(max_iter)
     try:
         report = solver_lib.solve(params, config)
     except (InvalidClass, InvalidParams) as exc:
@@ -296,15 +285,15 @@ def _table_row(a: int, b: int, cls: RealizationClass, report, degrees: bool) -> 
               help="First parameter, as N or LO..HI.")
 @click.option("--b", "b_range", default=None,
               help="Second parameter, as N or LO..HI; default a+1..b_max.")
-@_solver_options
+@_max_iter_option
 @_format_option
 @_degrees_option
-def cmd_table(a_range, b_range, tol, angle_tol, max_iter, fmt, degrees) -> None:
+def cmd_table(a_range, b_range, max_iter, fmt, degrees) -> None:
     """Tabulate solved angles over a parameter range."""
     a_lo, a_hi = _parse_range(a_range, "a")
     if a_lo < 1:
         _fail(f"a must be at least 1, got {a_lo}", EXIT_INVALID_PARAMS)
-    config = _make_config(tol, angle_tol, max_iter)
+    config = _make_config(max_iter)
     b_span = None if b_range is None else _parse_range(b_range, "b")
     diverged = False
 

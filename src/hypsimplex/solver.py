@@ -3,12 +3,12 @@
 The solve pipeline is: gate on the realization class, which alone decides
 solvability, then locate the root of the two edge conditions by Newton's
 method with the analytic Jacobian, started from the centre of the reduced
-domain box, and finally verify the solved angles geometrically
-(positivity, determinant sign, vertex classes, Gram sign pattern) from
-the closed forms of conditions.gram_raw.  A grid-based oracle provides an
-independent root locator for cross-checking, and an interval-arithmetic
-bound proves the paper's damped fixed-point map a contraction on a box
-around the root.
+domain box and stopped once a step is a few machine epsilons of the box's
+side, and finally verify the solved angles geometrically (positivity,
+determinant sign, vertex classes, Gram sign pattern) from the closed forms
+of conditions.gram_raw.  A grid-based oracle provides an independent root
+locator for cross-checking, and an interval-arithmetic bound proves the
+paper's damped fixed-point map a contraction on a box around the root.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import asinh, hypot, inf, isfinite, nextafter, pi, sin, sqrt
-from numbers import Integral, Real
+from numbers import Integral
+from sys import float_info
 from typing import TYPE_CHECKING
 
 from .conditions import (
@@ -41,16 +42,20 @@ from .model import (
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-ORACLE_RESIDUAL_TOL = 1e-9
+# Newton converges only if both edge conditions are below RESIDUAL_TOL in
+# absolute value once it stops.
+RESIDUAL_TOL = 1e-11
 # solve() certifies each root on one box of radius _CERTIFICATE_RADIUS *
-# |coordinate|.  2**-30 is wide next to the few ulps of rounding in the
+# |coordinate|.  2**-40 is wide next to the few ulps of rounding in the
 # interval kernels and narrow next to how much the Jacobian varies across
-# the box.  Measured with one box per root: every radius from 2**-17 to
-# 2**-53 certifies all 536 pairs of bench/refs.json (largest bound
-# 0.994834), and 2**-30 certifies all 2986 admissible pairs with a <= 60 or
-# a in {100, 150, 200, 300, 400} (largest bound 0.99935), so no wider
-# search is needed.
-_CERTIFICATE_RADIUS = 2.0**-30
+# the box, which near the b = 2a corner grows like a**2.  Measured with one
+# box per root on 3070 pairs (every admissible pair with a <= 60 or a in
+# {100, 150, 200, 300, 400}, the 536 pairs of bench/refs.json, and (a, 2a)
+# for a = 3737, 5000, 20000, 100000): every radius from 2**-35 to 2**-53
+# certifies all of them, 2**-34 and wider lose (100000, 200000), and the
+# largest bound is 0.946 at 2**-35 and 0.8103 from 2**-38 on.
+# (10**6, 2 * 10**6) needs 2**-42 or narrower, so it goes uncertified.
+_CERTIFICATE_RADIUS = 2.0**-40
 # grid_oracle multiplies the grid factors one tile of alpha1 node rows at a
 # time.  A tile holds at most _TILE_NODES nodes (two node rows at least),
 # whatever the resolution: 30 cell rows of a 401-node axis.  Each of its two
@@ -106,25 +111,17 @@ class DomainBox:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton's stopping rule for solve(); the defaults suit every pair.
+    """Newton's step budget for solve(); the default suits every pair.
 
-    Newton stops once a step is at most ``angle_tolerance`` and succeeds
-    only if both residuals are then below ``tolerance``; it takes at most
-    ``max_iterations`` steps.  The contraction certificate has no settings:
-    estimate_contraction derives its damping from the box.
-    Raises ValueError for a value outside those meanings.
+    Newton takes at most ``max_iterations`` steps.  Its stop and its
+    residual gate have no settings: _newton derives the stop from the
+    pair's box, and the certificate derives its damping from its box.
+    Raises ValueError unless ``max_iterations`` is an int of at least 1.
     """
 
-    tolerance: float = 1e-11
-    angle_tolerance: float = 1e-12
     max_iterations: int = 2000
 
     def __post_init__(self) -> None:
-        for name in ("tolerance", "angle_tolerance"):
-            value = getattr(self, name)
-            real = isinstance(value, Real) and not isinstance(value, bool)
-            if not (real and isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
         steps = self.max_iterations
         if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 1):
             raise ValueError(f"max_iterations must be an int of at least 1, got {steps!r}")
@@ -236,9 +233,10 @@ def estimate_contraction(params: SimplexParams, box: DomainBox) -> ContractionEs
     box, not only sampled ones.  The box is not split: callers that need a
     smaller box pass one.
 
-    The damping is k_i = max(2 * mag(d_i), 1e-3), with d_i the interval
-    of dc_i/dx_i and e_i that of the cross derivative over the box.  Then
-    1 + d_i/k_i stays in [1/2, 3/2] and a row sum is
+    The damping is k_i = 2 * mag(d_i), with d_i the interval of
+    dc_i/dx_i and e_i that of the cross derivative over the box; d_i comes
+    out of outward-rounded operations, so it is never the point 0 and k_i
+    is above 0.  Then 1 + d_i/k_i stays in [1/2, 3/2] and a row sum is
     1 + (max d_i + mag(e_i))/k_i: below one it grows with k_i, at or above
     one it stays there for every k_i, so no larger damping gives a tighter
     bound.  Raises NoContraction when the bound is not below one; on the
@@ -250,8 +248,8 @@ def estimate_contraction(params: SimplexParams, box: DomainBox) -> ContractionEs
     x = Interval(box.alpha1_lo, box.alpha1_hi)
     y = Interval(box.beta1_lo, box.beta1_hi)
     (d1, e1), (e2, d2) = edge_jacobian_raw(x, y, a, b)
-    k1 = max(2.0 * d1.mag(), 1e-3)
-    k2 = max(2.0 * d2.mag(), 1e-3)
+    k1 = 2.0 * d1.mag()
+    k2 = 2.0 * d2.mag()
     row_sum = max(
         (1 + d1 / k1).mag() + (e1 / k1).mag(), (e2 / k2).mag() + (1 + d2 / k2).mag()
     )
@@ -289,13 +287,22 @@ def _newton(
     converged, residuals), the residuals being both conditions at the point.
 
     Each step takes the conditions and the Jacobian from one edge_system_raw
-    call.  Newton stops once a step is at most config.angle_tolerance in
-    both coordinates and converges only if both residuals are then below
-    config.tolerance.  A singular or non-finite Jacobian or step ends it
-    unconverged at the last finite iterate.
+    call.  Steps are measured in units of 4 eps times the box's side in
+    each coordinate, pi/a for dx and pi/b for dy, so the stop shrinks with
+    the angles as a grows.  Newton stops once a step is at most one unit.
+    It also stops once a step is no smaller than the one before, if that
+    one was at most 2**26 units (4 sqrt(eps) of the side): from there
+    quadratic convergence takes the next step below one unit, so a step
+    that does not shrink is rounding, as near the a = 2 second roots,
+    where it stays at a few units.  It converges only if both residuals are
+    then below RESIDUAL_TOL.  A singular or non-finite Jacobian or step, or
+    config.max_iterations steps, end it unconverged at the last finite
+    iterate.
     """
     a, b = params.a, params.b
     x, y = start
+    x_unit, y_unit = (4.0 * float_info.epsilon * pi / n for n in (a, b))
+    last = inf
     for step in range(1, config.max_iterations + 1):
         (f1, f2), ((j11, j12), (j21, j22)) = edge_system_raw(x, y, a, b)
         det = j11 * j22 - j12 * j21
@@ -306,9 +313,11 @@ def _newton(
         if not (isfinite(dx) and isfinite(dy)):
             return (x, y), step - 1, False, (f1, f2)
         x, y = x - dx, y - dy
-        if max(abs(dx), abs(dy)) <= config.angle_tolerance:
+        size = max(abs(dx) / x_unit, abs(dy) / y_unit)
+        if size <= 1.0 or (last <= 2.0**26 and size >= last):
             r1, r2 = edge_conditions_raw(x, y, a, b)
-            return (x, y), step, max(abs(r1), abs(r2)) < config.tolerance, (r1, r2)
+            return (x, y), step, max(abs(r1), abs(r2)) < RESIDUAL_TOL, (r1, r2)
+        last = size
     return (x, y), config.max_iterations, False, edge_conditions_raw(x, y, a, b)
 
 
@@ -343,11 +352,11 @@ def grid_oracle(
     corner <= 0 and some corner >= 0).  A tile on which the first condition
     has one strict sign (min > 0 or max < 0) holds no such cell and is
     skipped before the second condition's tile is multiplied.  Runs Newton
-    from the centre of each flagged cell, accepts a converged point at most
-    three cell diagonals from that centre, polishes it with a second Newton
-    run, and keeps deduplicated points inside the box whose residuals clear
-    the oracle tolerance.  Raises ValueError unless ``resolution`` (cells
-    per side) is an int of at least 1.
+    from the centre of each flagged cell, accepts a converged point (both
+    residuals below RESIDUAL_TOL) at most three cell diagonals from that
+    centre, and keeps deduplicated points inside the box.  Raises
+    ValueError unless ``resolution`` (cells per side) is an int of at
+    least 1.
     """
     import numpy as np
 
@@ -376,12 +385,9 @@ def grid_oracle(
     for cell in flagged:
         i, j = divmod(cell, resolution)
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
-        (x, y), _, converged, _ = _newton(params, center, cfg)
+        (x, y), _, converged, (r1, r2) = _newton(params, center, cfg)
         diag = hypot(al[i + 1] - al[i], be[j + 1] - be[j])
         if not (converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag):
-            continue
-        (x, y), _, _, (r1, r2) = _newton(params, (x, y), cfg)
-        if max(abs(r1), abs(r2)) >= ORACLE_RESIDUAL_TOL:
             continue
         if not box.contains(x, y, slack=1e-9):
             continue

@@ -13,8 +13,9 @@ TRUE_ROOTS holds the proper root of the edge-condition system for the 27
 admissible pairs with a = 2..6, within one ulp of the 50-digit root.
 LARGE_A_ROOTS holds the same for large first parameters, where the edge
 conditions shrink with a and an absolute residual test alone once left
-errors of up to 3e-7.  IMPROPER_ROOT_23 is the second root of (2, 3).
-BMAX_TABLE is the largest admissible b for a = 2..12.
+errors of up to 3e-7, and a Newton stop on an absolute step left angles
+19% off at (10**12, 1.5 * 10**12).  IMPROPER_ROOT_23 is the second root of
+(2, 3).  BMAX_TABLE is the largest admissible b for a = 2..12.
 
 LEGACY_TABLE stands for the historical reference tabulation of the 27
 pairs of TRUE_ROOTS, corrected: it is TRUE_ROOTS rounded to the seven
@@ -108,6 +109,8 @@ LARGE_A_ROOTS = {
     (200, 381): (0.015446523480215892, 0.0005228484245520516),
     (200, 391): (0.015587116517947246, 0.00024167882436654502),
     (200, 400): (0.015707640279263586, 6.459375285464469e-07),
+    (10000000000, 15000000000): (2.792526803190927e-10, 6.981317007977318e-11),
+    (1000000000000, 1500000000000): (2.7925268031909274e-12, 6.981317007977318e-13),
 }
 
 # Second root of the (2, 3) system inside the full constraint box; it fails

@@ -58,7 +58,10 @@ BMAX_A = range(2, 13)
 CLOSED_FORM_A = range(2, 61)
 
 # Regression rows for large a, where the conditions shrink with a.
-LARGE_A_PAIRS = ((40, 80), (80, 156), (80, 160), (200, 381), (200, 391), (200, 400))
+LARGE_A_PAIRS = (
+    (40, 80), (80, 156), (80, 160), (200, 381), (200, 391), (200, 400),
+    (10**10, 15 * 10**9), (10**12, 15 * 10**11),
+)
 
 
 def seven_digits(root) -> tuple[float, float]:

@@ -219,11 +219,13 @@ class TestSolveStatuses:
                 solve(SimplexParams(*pair))
 
     def test_unreachable_tolerance_diverges(self):
-        report = solve(
-            SimplexParams(2, 4),
-            SolverConfig(tolerance=1e-40, max_iterations=50),
-        )
+        """A step budget one short of what Newton needs to reach its stop."""
+        params = SimplexParams(2, 4)
+        steps = solve(params).iterations
+        assert steps > 1
+        report = solve(params, SolverConfig(max_iterations=steps - 1))
         assert report.status is SolveStatus.DIVERGED
+        assert report.iterations == steps - 1
         assert report.angles is None
 
     def test_angles_are_python_floats(self):
@@ -245,6 +247,19 @@ class TestDecidedByTheClass:
         assert report.properness.all_pass
         assert report.contraction_norm_estimate < 1.0
         assert report.certificate_box.contains(report.angles.alpha1, report.angles.beta1)
+
+    @pytest.mark.parametrize("pair", [(3737, 7474), (20000, 40000)])
+    def test_b_2a_angles_match_the_50_digit_root(self, pair):
+        """Within 1e-6 relative of bench/regen_refs.reference_root.  A
+        Newton stop on an absolute step once left beta1 1.3e-6 off at
+        (3737, 7474) and 28% off at (20000, 40000)."""
+        pytest.importorskip("mpmath")
+        from regen_oracles import reference_root
+
+        report = solve(SimplexParams(*pair))
+        got = (report.angles.alpha1, report.angles.beta1)
+        for value, want in zip(got, map(float, reference_root(*pair))):
+            assert abs(value - want) <= 1e-6 * abs(want), pair
 
     @pytest.mark.parametrize("pair", [(40000, 80001), (50000, 100001)])
     def test_b_2a_plus_1_has_no_proper_solution_at_large_a(self, pair):
@@ -412,7 +427,9 @@ class TestSolverConfig:
         "value", [0.0, -1e-12, float("nan"), float("inf"), None, True, False]
     )
     def test_rejects_bad_tolerance(self, name, value):
-        with pytest.raises(ValueError, match=name):
+        """Newton's stop and residual gate are not settings, so every
+        tolerance is rejected, whatever its value."""
+        with pytest.raises(TypeError, match=name):
             SolverConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [0, -5, 10.0, None, True, False])
@@ -421,8 +438,8 @@ class TestSolverConfig:
             SolverConfig(max_iterations=value)
 
     def test_accepts_valid_values(self):
-        config = SolverConfig(tolerance=1e-9, angle_tolerance=1e-10, max_iterations=1)
-        assert (config.tolerance, config.angle_tolerance, config.max_iterations) == (1e-9, 1e-10, 1)
+        assert SolverConfig(max_iterations=1).max_iterations == 1
+        assert SolverConfig(1) == SolverConfig(max_iterations=1)
 
 
 class TestImproperRootScan:
@@ -457,8 +474,8 @@ class TestGridOracle:
 
     def test_residuals_meet_oracle_tolerance(self):
         for root in grid_oracle(SimplexParams(4, 7)):
-            assert abs(root.residual1) < 1e-9
-            assert abs(root.residual2) < 1e-9
+            assert abs(root.residual1) < solver.RESIDUAL_TOL
+            assert abs(root.residual2) < solver.RESIDUAL_TOL
 
     def test_empty_for_unsolvable(self):
         assert grid_oracle(SimplexParams(2, 9)) == []
@@ -492,12 +509,28 @@ class TestGridOracle:
             abs(r.alpha1 - x) <= 1e-6 and abs(r.beta1 - y) <= 1e-6 for r in roots
         ), (pair, roots)
 
-    def test_kernel_calls_are_what_newton_per_flagged_cell_needs(self, monkeypatch):
-        """One array evaluation for the grid, then at most two Newton runs
-        of NEWTON_STEPS steps (residual and Jacobian per step, one final
-        residual each) and one residual check per flagged cell.  Every
-        kernel goes through conditions._derived, so a per-cell search
-        through any kernel counts here."""
+    def test_newton_stops_where_rounding_sets_the_step(self):
+        """From this cell centre of the (2, 6) full-box scan Newton reaches
+        the second root, where rounding holds the beta1 step between 1.5
+        and 1.8 units of 4 eps pi/b in a two-cycle.  It stops there,
+        converged, instead of using up its step budget; the point is within
+        2e-15 of the 50-digit root (0.0093931459932947413,
+        0.42075764967729805)."""
+        center = (0.009817477042468103, 0.4129885342531582)
+        (x, y), steps, converged, _ = solver._newton(SimplexParams(2, 6), center, SolverConfig())
+        assert converged and steps <= 20
+        assert abs(x - 0.0093931459932947413) <= 2e-15
+        assert abs(y - 0.42075764967729805) <= 2e-15
+
+    def test_kernel_calls_are_what_newton_per_flagged_cell_needs(
+        self, monkeypatch, newton_starts
+    ):
+        """One array evaluation for the grid, then one Newton run per
+        flagged cell: at most NEWTON_STEPS steps of one fused kernel call
+        each, and one final residual.  Every kernel goes through
+        conditions._derived, so a per-cell search through any kernel counts
+        here, and a second Newton run from a converged point shows in the
+        starts."""
         NEWTON_STEPS = 10
         params = SimplexParams(3, 7)
         box = domain_for(params)
@@ -516,7 +549,8 @@ class TestGridOracle:
         monkeypatch.setattr(conditions, "_derived", counting)
         (root,) = grid_oracle(params)
         assert root.alpha1 == pytest.approx(TRUE_ROOTS[(3, 7)][0], abs=1e-15)
-        assert len(calls) <= 1 + flagged * (2 * (2 * NEWTON_STEPS + 1) + 1)
+        assert len(calls) <= 1 + flagged * (NEWTON_STEPS + 1)
+        assert len(newton_starts) == flagged
 
     @pytest.mark.parametrize("pair, resolution, full", [
         ((2, 3), 400, True), ((2, 5), 400, True), ((4, 7), 400, True),
@@ -680,12 +714,9 @@ def _reference_scan(params, resolution, box):
     roots = []
     for i, j in zip(*np.nonzero(flagged)):
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
-        (x, y), _, converged, _ = solver._newton(params, center, cfg)
+        (x, y), _, converged, (r1, r2) = solver._newton(params, center, cfg)
         diag = hypot(al[i + 1] - al[i], be[j + 1] - be[j])
         if not (converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag):
-            continue
-        (x, y), _, _, (r1, r2) = solver._newton(params, (x, y), cfg)
-        if max(abs(r1), abs(r2)) >= solver.ORACLE_RESIDUAL_TOL:
             continue
         if not box.contains(x, y, slack=1e-9):
             continue
