@@ -6,13 +6,14 @@ conditions decrease along their own coordinate near the root, so with
 damping constants above twice the steepest slope the map is a local
 contraction — something the package proves with interval arithmetic: an
 outward-rounded bound on the map's Jacobian over every point of one box
-around the solved root, of radius 2**-30 times each coordinate.  solve()
+around the solved root, of radius 2**-40 times each coordinate.  solve()
 itself finds the root by Newton's method; this damped map is the iteration
 the certificate is about, traced here next to the root solve() returns.
 
 The (2, 3) system also makes a nice cautionary tale: inside the full
 constraint box it has TWO roots, and only one of them survives the
-geometric verification.
+geometric verification.  Every other a = 2 system with a proper root
+has a second, improper root too.
 """
 
 from hypsimplex import (
@@ -93,6 +94,10 @@ def two_roots() -> None:
             f"  -> properness {verdict.all_pass}"
             f" (determinant negative: {verdict.determinant_negative})"
         )
+    print("Every a = 2 pair has one such second root:")
+    for b in range(3, 8):
+        ((x, y),) = solve(SimplexParams(2, b)).improper_roots
+        print(f"  (2, {b}) : ({x:.12f}, {y:.12f})")
     print()
     print("The second root produces a matrix of the wrong signature: a")
     print("numerically valid solution of the equations that is not a")

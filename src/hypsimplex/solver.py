@@ -6,16 +6,17 @@ method with the analytic Jacobian, started from the centre of the reduced
 domain box and stopped once a step is a few machine epsilons of the box's
 side, and finally verify the solved angles geometrically (positivity,
 determinant sign, vertex classes, Gram sign pattern) from the closed forms
-of conditions.gram_raw.  A grid-based oracle provides an independent root
-locator for cross-checking, and an interval-arithmetic bound proves the
-paper's damped fixed-point map a contraction on a box around the root.
+of conditions.gram_raw.  At a = 2 the second, improper root is found on a
+closed-form curve through the roots.  A grid-based oracle locates roots
+independently, and an interval-arithmetic bound proves the paper's damped
+fixed-point map a contraction on a box around the root.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import asinh, hypot, inf, isfinite, nextafter, pi, sin, sqrt
+from math import acos, asinh, hypot, inf, isfinite, nextafter, pi, sin, sqrt
 from numbers import Integral
 from sys import float_info
 from typing import TYPE_CHECKING
@@ -196,6 +197,9 @@ class GridRoot:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """What solve() found.  ``improper_roots`` lists the (alpha1, beta1) roots
+    outside domain_for's box: at a = 2 the second root, with det >= 0; else ()."""
+
     status: SolveStatus
     angles: DihedralAngles | None = None
     residual_cond1: float | None = None
@@ -212,7 +216,7 @@ def domain_for(params: SimplexParams) -> DomainBox:
 
     For the two smallest families part of the nominal alpha1 range is
     excluded analytically (no proper solution lives there), which also cuts
-    away the second, improper root of the (2, 3) system.
+    away the second, improper root of each a = 2 system (_second_root).
     """
     a, b = params.a, params.b
     if a == 2:
@@ -340,7 +344,6 @@ def grid_oracle(
     params: SimplexParams,
     resolution: int = 200,
     box: DomainBox | None = None,
-    config: SolverConfig | None = None,
 ) -> list[GridRoot]:
     """Independent root locator: sign-change cells plus Newton per cell.
 
@@ -363,7 +366,6 @@ def grid_oracle(
     integral = isinstance(resolution, Integral) and not isinstance(resolution, bool)
     if not (integral and resolution >= 1):
         raise ValueError(f"resolution must be an int of at least 1, got {resolution!r}")
-    cfg = config or SolverConfig()
     box = box or domain_for(params)
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
     be = np.linspace(box.beta1_lo, box.beta1_hi, resolution + 1)
@@ -385,7 +387,7 @@ def grid_oracle(
     for cell in flagged:
         i, j = divmod(cell, resolution)
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
-        (x, y), _, converged, (r1, r2) = _newton(params, center, cfg)
+        (x, y), _, converged, (r1, r2) = _newton(params, center, SolverConfig())
         diag = hypot(al[i + 1] - al[i], be[j + 1] - be[j])
         if not (converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag):
             continue
@@ -428,28 +430,28 @@ def check_properness(params: SimplexParams, angles: DihedralAngles) -> Propernes
     )
 
 
-def _improper_scan(
-    params: SimplexParams, proper: tuple[float, float], config: SolverConfig
-) -> tuple[tuple[float, float], ...]:
-    """Sweep the full constraint box for roots other than the proper one.
+def _second_root(params: SimplexParams, config: SolverConfig) -> tuple[tuple[float, float], ...]:
+    """The improper second root of an a = 2 pair, or () if Newton fails.
 
-    Only transversal zeros are reported: the origin corner of the a = 2
-    family is an exact common zero of both conditions with a quartically
-    flat neighborhood, and points in that valley clear any pure residual
-    threshold without being genuine interior roots.  A non-singular
-    Jacobian separates the two cases cleanly.
+    Every root with a nonzero vertex minor lies on s1 t1 = s2 t2 (s_i, t_i
+    the sines of alpha_i, beta_i).  At a = 2, s2 = 2 s1 cos alpha1, so less
+    the valley factor s1 the curve is cos alpha1 = t1/(2 t2).  Its path in
+    beta1 runs from 2 pi/(3b), on domain_for's alpha1 = pi/3 edge, and is
+    clamped to alpha1 = 0 once t1/(2 t2) reaches 1, where c1 = -(1 - cos
+    beta1)^2 t1^2 < 0.  For b = 3..7, the a = 2 pairs solved, c1 > 0 at the
+    start and changes sign once on the path: a finite check on 200 000
+    nodes per pair.  Newton starts at the midpoint after 20 halvings; it
+    converges at every b after 14 to 60 of them, but not after 11 or 13,
+    and here in fewer steps than solve()'s run to the proper root.
     """
-    a, b = params.a, params.b
-    full = DomainBox(0.0, pi / a, 0.0, pi / b)
-    extras = []
-    for root in grid_oracle(params, resolution=400, box=full, config=config):
-        if hypot(root.alpha1 - proper[0], root.beta1 - proper[1]) < 1e-6:
-            continue
-        (j11, j12), (j21, j22) = edge_jacobian_raw(root.alpha1, root.beta1, a, b)
-        if abs(j11 * j22 - j12 * j21) < 1e-8:
-            continue
-        extras.append((root.alpha1, root.beta1))
-    return tuple(extras)
+    b = params.b
+    lo, hi = 2.0 * pi / (3 * b), pi / b
+    for _ in range(21):
+        y = 0.5 * (lo + hi)
+        x = acos(min(1.0, sin(y) / (2.0 * sin(2.0 * pi / b - 2.0 * y))))
+        lo, hi = (y, hi) if edge_conditions_raw(x, y, 2, b)[0] > 0.0 else (lo, y)
+    root, _, converged, _ = _newton(params, (x, y), config)
+    return (root,) if converged else ()
 
 
 def _solved_report(
@@ -471,9 +473,7 @@ def _solved_report(
         norm_bound, certificate_box = certificate.norm_bound, certificate.box
     except NoContraction:
         norm_bound = certificate_box = None
-    improper: tuple[tuple[float, float], ...] = ()
-    if (a, b) == (2, 3):
-        improper = _improper_scan(params, root, config)
+    improper = _second_root(params, config) if a == 2 else ()
     return SolveReport(
         status=SolveStatus.SOLVED,
         angles=angles,

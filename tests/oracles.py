@@ -14,8 +14,9 @@ admissible pairs with a = 2..6, within one ulp of the 50-digit root.
 LARGE_A_ROOTS holds the same for large first parameters, where the edge
 conditions shrink with a and an absolute residual test alone once left
 errors of up to 3e-7, and a Newton stop on an absolute step left angles
-19% off at (10**12, 1.5 * 10**12).  IMPROPER_ROOT_23 is the second root of
-(2, 3).  BMAX_TABLE is the largest admissible b for a = 2..12.
+19% off at (10**12, 1.5 * 10**12).  IMPROPER_ROOTS holds the second,
+improper root of each a = 2 pair with a proper root, and IMPROPER_ROOT_23
+is its (2, 3) row.  BMAX_TABLE is the largest admissible b for a = 2..12.
 
 LEGACY_TABLE stands for the historical reference tabulation of the 27
 pairs of TRUE_ROOTS, corrected: it is TRUE_ROOTS rounded to the seven
@@ -113,9 +114,19 @@ LARGE_A_ROOTS = {
     (1000000000000, 1500000000000): (2.7925268031909274e-12, 6.981317007977318e-13),
 }
 
-# Second root of the (2, 3) system inside the full constraint box; it fails
-# the properness verification (positive determinant).  Within one ulp.
-IMPROPER_ROOT_23 = (0.078312355595574075, 0.85342051207639301)
+# (2, b) -> (alpha1, beta1): the second root of the system inside the full
+# constraint box, left of alpha1 = pi/3; each fails the properness
+# verification (positive determinant).  Within one ulp.
+IMPROPER_ROOTS = {
+    (2, 3): (0.07831235559557408, 0.853420512076393),
+    (2, 4): (0.03240496482273442, 0.6347995236825056),
+    (2, 5): (0.016369563330856745, 0.5059287372405382),
+    (2, 6): (0.009393145993294742, 0.42075764967729806),
+    (2, 7): (0.005882779566500609, 0.3602157163235622),
+}
+
+# The (2, 3) row of IMPROPER_ROOTS.
+IMPROPER_ROOT_23 = (0.07831235559557408, 0.853420512076393)
 
 # a -> largest admissible b, for a = 2..12.
 BMAX_TABLE = {

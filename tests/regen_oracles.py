@@ -47,7 +47,9 @@ from regen_refs import (  # noqa: E402
     DPS,
     b_max,
     conditions,
+    float_start,
     improper_root_23,
+    polish,
     reference_root,
 )
 
@@ -56,6 +58,10 @@ from regen_refs import (  # noqa: E402
 TRUE_ROOT_A = range(2, 7)
 BMAX_A = range(2, 13)
 CLOSED_FORM_A = range(2, 61)
+
+# The a = 2 pairs with a proper root, each of which has one second, improper
+# root left of the analytic cut alpha1 = pi/3.
+IMPROPER_B = range(3, 8)
 
 # Regression rows for large a, where the conditions shrink with a.
 LARGE_A_PAIRS = (
@@ -107,6 +113,12 @@ def edge_length_gaps(alpha1, beta1, a: int, b: int) -> tuple[mp.mpf, mp.mpf]:
         return abs(d01 - d02), abs(d03 - d13)
 
 
+def improper_root(b: int) -> tuple[mp.mpf, mp.mpf]:
+    """The second, improper root of (2, b), bracketed in the full box left of
+    alpha1 = pi/3 as bench/regen_refs.improper_root_23 brackets (2, 3)'s."""
+    return polish(2, b, float_start(2, b, 1e-6, math.pi / 3 - 1e-6, 0.0, math.pi / b))
+
+
 def compute() -> dict:
     """Every table of oracles.py except LEGACY_TABLE_AS_PRINTED, at 50
     digits (roots as mpf pairs), and b_max for every a of CLOSED_FORM_A."""
@@ -123,6 +135,7 @@ def compute() -> dict:
         "TRUE_ROOTS": true_roots,
         "LEGACY_TABLE": {pair: seven_digits(root) for pair, root in true_roots.items()},
         "LARGE_A_ROOTS": {pair: reference_root(*pair) for pair in LARGE_A_PAIRS},
+        "IMPROPER_ROOTS": {(2, b): improper_root(b) for b in IMPROPER_B},
         "IMPROPER_ROOT_23": improper_root_23(),
     }
 
@@ -135,7 +148,7 @@ def emit(tables: dict) -> str:
     """The regenerated tables as Python literals for oracles.py."""
     exact = lambda v: repr(float(v))  # noqa: E731
     lines = []
-    for name in ("TRUE_ROOTS", "LARGE_A_ROOTS"):
+    for name in ("TRUE_ROOTS", "LARGE_A_ROOTS", "IMPROPER_ROOTS"):
         lines.append(f"{name} = {{")
         lines += [f"    {pair}: {_pair_text(root, exact)}," for pair, root in tables[name].items()]
         lines.append("}")
@@ -150,8 +163,9 @@ def _ulps(got: float, want) -> float:
 
 def compare(tables: dict, oracles) -> list[str]:
     """Frozen values that the regeneration does not reproduce: LEGACY_TABLE
-    and BMAX_TABLE exactly, the double-precision roots within one ulp; and
-    every a where compute_bmax differs from the 50-digit b_max."""
+    and BMAX_TABLE exactly, the double-precision roots within one ulp,
+    IMPROPER_ROOT_23 as the (2, 3) row of IMPROPER_ROOTS; and every a where
+    compute_bmax differs from the 50-digit b_max."""
     problems = [
         f"compute_bmax({a}) = {compute_bmax(a)}, 50-digit b_max = {want}"
         for a, want in tables["BMAX_50_DIGITS"].items()
@@ -160,7 +174,7 @@ def compare(tables: dict, oracles) -> list[str]:
     for name in ("LEGACY_TABLE", "BMAX_TABLE"):
         if getattr(oracles, name) != tables[name]:
             problems.append(f"{name} differs from the regenerated table")
-    for name in ("TRUE_ROOTS", "LARGE_A_ROOTS"):
+    for name in ("TRUE_ROOTS", "LARGE_A_ROOTS", "IMPROPER_ROOTS"):
         frozen = getattr(oracles, name)
         if frozen.keys() != tables[name].keys():
             problems.append(f"{name}: pair sets differ")
@@ -171,6 +185,8 @@ def compare(tables: dict, oracles) -> list[str]:
                 problems.append(f"{name}[{pair}]: {frozen[pair]} vs {regenerated}")
     if max(map(_ulps, oracles.IMPROPER_ROOT_23, tables["IMPROPER_ROOT_23"])) > 1:
         problems.append("IMPROPER_ROOT_23 differs by more than one ulp")
+    if oracles.IMPROPER_ROOT_23 != oracles.IMPROPER_ROOTS.get((2, 3)):
+        problems.append("IMPROPER_ROOT_23 is not the (2, 3) row of IMPROPER_ROOTS")
     return problems
 
 

@@ -42,9 +42,13 @@ def _loads_numpy(code: str) -> bool:
     "import hypsimplex",
     "import hypsimplex.cli",
     "from hypsimplex import SimplexParams, solve\nsolve(SimplexParams(3, 7))",
+    "from hypsimplex import SimplexParams, solve\nsolve(SimplexParams(2, 3))",
     _cli("classify", "3", "7"),
     _cli("solve", "3", "7"),
-], ids=["import", "import-cli", "solve", "cli-classify", "cli-solve"])
+    _cli("solve", "2", "3"),
+    _cli("table"),
+], ids=["import", "import-cli", "solve", "solve-2-3", "cli-classify", "cli-solve",
+        "cli-solve-2-3", "cli-table"])
 def test_scalar_paths_do_not_load_numpy(code):
     assert not _loads_numpy(code)
 

@@ -1,5 +1,7 @@
 """The frozen data of oracles.py is what regen_oracles.py computes."""
 
+import math
+
 import pytest
 
 import oracles
@@ -38,4 +40,19 @@ def test_check_compares_compute_bmax_with_the_50_digit_b_max(regen, tables, monk
     assert regen.compare(tables, oracles) == [
         f"compute_bmax({a}) = {2 * a}, 50-digit b_max = {want}"
         for a, want in ((2, 7), (3, 8), (4, 9), (5, 11))
+    ]
+
+
+def test_check_covers_the_improper_roots(regen, tables, monkeypatch):
+    """A (2, b) second root two ulps off, and an IMPROPER_ROOT_23 that is not
+    the (2, 3) row, are both reported."""
+    x, y = oracles.IMPROPER_ROOTS[(2, 5)]
+    monkeypatch.setitem(oracles.IMPROPER_ROOTS, (2, 5), (x + 2 * math.ulp(x), y))
+    monkeypatch.setattr(oracles, "IMPROPER_ROOT_23", oracles.IMPROPER_ROOTS[(2, 4)])
+    problems = regen.compare(tables, oracles)
+    assert len(problems) == 3, problems
+    assert problems[0].startswith("IMPROPER_ROOTS[(2, 5)]")
+    assert problems[1:] == [
+        "IMPROPER_ROOT_23 differs by more than one ulp",
+        "IMPROPER_ROOT_23 is not the (2, 3) row of IMPROPER_ROOTS",
     ]

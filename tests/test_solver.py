@@ -39,7 +39,7 @@ from hypsimplex import conditions, solver
 from hypsimplex.interval import Interval
 from hypsimplex.solver import _sign_change_cells
 
-from oracles import IMPROPER_ROOT_23, LARGE_A_ROOTS, TRUE_ROOTS
+from oracles import IMPROPER_ROOT_23, IMPROPER_ROOTS, LARGE_A_ROOTS, TRUE_ROOTS
 
 ROOT_TOL = 1e-15
 REFS_JSON = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
@@ -302,10 +302,7 @@ def _matrix_path(angles):
 @pytest.fixture(scope="module")
 def a2_second_roots():
     """The transversal second roots of every a = 2 pair with a proper root."""
-    return {
-        (2, b): solver._improper_scan(SimplexParams(2, b), TRUE_ROOTS[(2, b)], SolverConfig())
-        for b in range(3, 8)
-    }
+    return {(2, b): solve(SimplexParams(2, b)).improper_roots for b in range(3, 8)}
 
 
 def _closed_form_cases(a2_second_roots):
@@ -459,8 +456,52 @@ class TestImproperRootScan:
         assert not report.all_pass
 
     def test_other_pairs_report_none(self, solved_reports):
-        assert solved_reports[(2, 4)].improper_roots == ()
+        """Pairs with a >= 3 report no improper root; every other a = 2 pair
+        reports its second root."""
         assert solved_reports[(5, 9)].improper_roots == ()
+        for b in range(4, 8):
+            (root,) = solved_reports[(2, b)].improper_roots
+            assert root == pytest.approx(IMPROPER_ROOTS[(2, b)], abs=2e-15), b
+
+    @pytest.mark.parametrize("b", range(3, 8))
+    def test_the_budget_that_solves_a_pair_finds_its_second_root(self, solved_reports, b):
+        steps = solved_reports[(2, b)].iterations
+        report = solve(SimplexParams(2, b), SolverConfig(max_iterations=steps))
+        assert report.improper_roots == solved_reports[(2, b)].improper_roots
+
+    @pytest.mark.parametrize("b", range(3, 8))
+    def test_matches_the_full_box_oracle(self, solved_reports, b):
+        """The second root equals the full-box grid_oracle's transversal
+        roots left of the cut alpha1 = pi/3, and fails properness."""
+        params = SimplexParams(2, b)
+        full = DomainBox(0.0, pi / 2, 0.0, pi / b)
+        want = []
+        for r in grid_oracle(params, resolution=400, box=full):
+            (j11, j12), (j21, j22) = conditions.edge_jacobian_raw(r.alpha1, r.beta1, 2, b)
+            if r.alpha1 < pi / 3 and abs(j11 * j22 - j12 * j21) >= 1e-8:
+                want.append((r.alpha1, r.beta1))
+        (root,) = solved_reports[(2, b)].improper_roots
+        assert len(want) == 1 and root == pytest.approx(want[0], abs=1e-12)
+        report = check_properness(params, DihedralAngles.from_reduced(params, *root))
+        assert not report.determinant_negative and not report.all_pass
+
+    @pytest.mark.parametrize("b", range(3, 8))
+    def test_first_condition_changes_sign_once_on_the_curve(self, b):
+        """The facts solver._second_root brackets by, on 200 000 nodes of
+        its path in beta1 from 2 pi/(3b) to pi/b: alpha1 starts at pi/3 and
+        the first condition positive; it changes sign once; and where the
+        path is clamped to alpha1 = 0, it is -(1 - cos beta1)^2 sin^2 beta1."""
+        beta1 = np.linspace(2 * pi / (3 * b), pi / b, 200_001)[:-1]
+        ratio = np.sin(beta1) / (2 * np.sin(2 * pi / b - 2 * beta1))
+        alpha1 = np.arccos(np.minimum(1.0, ratio))
+        c1, _ = conditions.edge_conditions_raw(alpha1, beta1, 2, b)
+        assert alpha1[0] == pytest.approx(pi / 3, abs=1e-15) and c1[0] > 0
+        assert np.count_nonzero(np.diff(c1 > 0)) == 1
+        clamped = ratio >= 1.0
+        assert clamped.any()
+        want = -((1 - np.cos(beta1[clamped])) ** 2) * np.sin(beta1[clamped]) ** 2
+        np.testing.assert_allclose(c1[clamped], want, rtol=1e-12, atol=1e-15)
+        assert (c1[clamped] < 0).all()
 
 
 class TestGridOracle:
@@ -492,7 +533,7 @@ class TestGridOracle:
             grid_oracle(SimplexParams(2, 4), resolution=resolution)
 
     # Second transversal roots of a = 2 pairs in the full box, as listed in
-    # the ROADMAP findings; _improper_scan relies on the scan finding them.
+    # the ROADMAP findings; TestImproperRootScan compares them with solve().
     SECOND_ROOTS = {
         (2, 4): (0.0324050, 0.6347995),
         (2, 5): (0.016370, 0.505929),
