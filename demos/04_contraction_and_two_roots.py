@@ -6,9 +6,10 @@ conditions decrease along their own coordinate near the root, so with
 damping constants above twice the steepest slope the map is a local
 contraction — something the package proves with interval arithmetic: an
 outward-rounded bound on the map's Jacobian over every point of one box
-around the solved root, of radius 2**-40 times each coordinate.  solve()
-itself finds the root by Newton's method; this damped map is the iteration
-the certificate is about, traced here next to the root solve() returns.
+around the solved root, one unit of Newton's stop per axis: 4 eps pi/a in
+alpha1 and 4 eps pi/b in beta1.  solve() itself finds the root by Newton's
+method; this damped map is the iteration the certificate is about, traced
+here next to the root solve() returns.
 
 The (2, 3) system also makes a nice cautionary tale: inside the full
 constraint box it has TWO roots, and only one of them survives the

@@ -31,6 +31,7 @@ ZERO_EIG_FACTOR = 1e-9
 ARC_CLAMP_TOL = 1e-9
 
 _SYMMETRY_TOL = 1e-12
+_IDENTITY_TOL = 1e-9
 _ALL = (0, 1, 2, 3)
 
 
@@ -234,16 +235,15 @@ def run_minor_identity_suite(
     trials: int,
     seed: int,
     identity_only: bool = False,
-    relative_tol: float = 1e-9,
     singular_tol: float = 1e-8,
 ) -> dict:
     """Sweep the minor/cofactor identity over seeded random matrices.
 
     Each trial draws a random symmetric 4x4 matrix and random row/column
-    index sets for a minor, evaluates both sides of the identity
-    independently, and compares them at ``relative_tol``.  Draws whose
-    determinant magnitude falls below ``singular_tol`` violate the regularity
-    precondition and are skipped (recorded in ``notes``), not failed.  With ``identity_only`` the
+    index sets for a minor, evaluates both sides of the identity apart and
+    compares them at _IDENTITY_TOL relative.  Draws with |det| below
+    ``singular_tol`` violate the regularity precondition and are skipped
+    (recorded in ``notes``), not failed.  With ``identity_only`` the
     identity matrix replaces the random draw, which makes every trial exact.
     """
     rng = np.random.default_rng(seed)
@@ -274,7 +274,7 @@ def run_minor_identity_suite(
             continue
         gap = abs(lhs - rhs) / max(1.0, abs(lhs))
         worst_gap = max(worst_gap, gap)
-        if gap <= relative_tol:
+        if gap <= _IDENTITY_TOL:
             passes += 1
         else:
             failures += 1

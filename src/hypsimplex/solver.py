@@ -3,13 +3,14 @@
 The solve pipeline is: gate on the realization class, which alone decides
 solvability, then locate the root of the two edge conditions by Newton's
 method with the analytic Jacobian, started from the centre of the reduced
-domain box and stopped once a step is a few machine epsilons of the box's
-side, and finally verify the solved angles geometrically (positivity,
-determinant sign, vertex classes, Gram sign pattern) from the closed forms
-of conditions.gram_raw.  At a = 2 the second, improper root is found on a
-closed-form curve through the roots.  A grid-based oracle locates roots
-independently, and an interval-arithmetic bound proves the paper's damped
-fixed-point map a contraction on a box around the root.
+domain box and stopped once a step is within one unit of _units, 4 machine
+epsilons of the box's side, and finally verify the solved angles
+geometrically (positivity, determinant sign, vertex classes, Gram sign
+pattern) from the closed forms of conditions.gram_raw.  At a = 2 the
+second, improper root is found on a closed-form curve through the roots.
+A grid-based oracle locates roots independently, and an interval-arithmetic
+bound proves the paper's damped fixed-point map a contraction on Newton's
+stop box, one unit per axis around the root.
 """
 
 from __future__ import annotations
@@ -46,17 +47,9 @@ if TYPE_CHECKING:
 # Newton converges only if both edge conditions are below RESIDUAL_TOL in
 # absolute value once it stops.
 RESIDUAL_TOL = 1e-11
-# solve() certifies each root on one box of radius _CERTIFICATE_RADIUS *
-# |coordinate|.  2**-40 is wide next to the few ulps of rounding in the
-# interval kernels and narrow next to how much the Jacobian varies across
-# the box, which near the b = 2a corner grows like a**2.  Measured with one
-# box per root on 3070 pairs (every admissible pair with a <= 60 or a in
-# {100, 150, 200, 300, 400}, the 536 pairs of bench/refs.json, and (a, 2a)
-# for a = 3737, 5000, 20000, 100000): every radius from 2**-35 to 2**-53
-# certifies all of them, 2**-34 and wider lose (100000, 200000), and the
-# largest bound is 0.946 at 2**-35 and 0.8103 from 2**-38 on.
-# (10**6, 2 * 10**6) needs 2**-42 or narrower, so it goes uncertified.
-_CERTIFICATE_RADIUS = 2.0**-40
+# Newton measures its steps in _units; a step within _NEAR units, 4
+# sqrt(eps) of the box's side, is near convergence (see _newton).
+_NEAR = 2.0**26
 # grid_oracle multiplies the grid factors one tile of alpha1 node rows at a
 # time.  A tile holds at most _TILE_NODES nodes (two node rows at least),
 # whatever the resolution: 30 cell rows of a 401-node axis.  Each of its two
@@ -103,10 +96,10 @@ class DomainBox:
             min(max(beta1, self.beta1_lo), self.beta1_hi),
         )
 
-    def contains(self, alpha1: float, beta1: float, slack: float = 0.0) -> bool:
+    def contains(self, alpha1: float, beta1: float) -> bool:
         return (
-            self.alpha1_lo - slack <= alpha1 <= self.alpha1_hi + slack
-            and self.beta1_lo - slack <= beta1 <= self.beta1_hi + slack
+            self.alpha1_lo <= alpha1 <= self.alpha1_hi
+            and self.beta1_lo <= beta1 <= self.beta1_hi
         )
 
 
@@ -136,7 +129,8 @@ class ContractionEstimate:
     arithmetic, of the largest absolute row sum of the Jacobian of
     (alpha1, beta1) -> (alpha1 + c1/k1, beta1 + c2/k2) over every point of
     ``box``, with the damping ``k1``, ``k2`` that estimate_contraction
-    derived from that box.
+    derived from that box.  solve()'s box is Newton's stop box: one _units
+    step per axis around the root, clamped at pi/a and pi/b.
     """
 
     k1: float
@@ -284,6 +278,12 @@ def contraction_map(
     return step
 
 
+def _units(params: SimplexParams) -> tuple[float, float]:
+    """Newton's unit of length per axis: 4 eps times the box's side, pi/a in
+    alpha1 and pi/b in beta1, so it shrinks with the angles as a grows."""
+    return tuple(4.0 * float_info.epsilon * pi / n for n in (params.a, params.b))
+
+
 def _newton(
     params: SimplexParams, start: tuple[float, float], config: SolverConfig
 ) -> tuple[tuple[float, float], int, bool, tuple[float, float]]:
@@ -291,11 +291,9 @@ def _newton(
     converged, residuals), the residuals being both conditions at the point.
 
     Each step takes the conditions and the Jacobian from one edge_system_raw
-    call.  Steps are measured in units of 4 eps times the box's side in
-    each coordinate, pi/a for dx and pi/b for dy, so the stop shrinks with
-    the angles as a grows.  Newton stops once a step is at most one unit.
-    It also stops once a step is no smaller than the one before, if that
-    one was at most 2**26 units (4 sqrt(eps) of the side): from there
+    call, and is measured in _units in each coordinate.  Newton stops once a
+    step is at most one unit.  It also stops once a step is no smaller than
+    the one before, if that one was at most _NEAR units: from there
     quadratic convergence takes the next step below one unit, so a step
     that does not shrink is rounding, as near the a = 2 second roots,
     where it stays at a few units.  It converges only if both residuals are
@@ -305,7 +303,7 @@ def _newton(
     """
     a, b = params.a, params.b
     x, y = start
-    x_unit, y_unit = (4.0 * float_info.epsilon * pi / n for n in (a, b))
+    x_unit, y_unit = _units(params)
     last = inf
     for step in range(1, config.max_iterations + 1):
         (f1, f2), ((j11, j12), (j21, j22)) = edge_system_raw(x, y, a, b)
@@ -318,7 +316,7 @@ def _newton(
             return (x, y), step - 1, False, (f1, f2)
         x, y = x - dx, y - dy
         size = max(abs(dx) / x_unit, abs(dy) / y_unit)
-        if size <= 1.0 or (last <= 2.0**26 and size >= last):
+        if size <= 1.0 or (last <= _NEAR and size >= last):
             r1, r2 = edge_conditions_raw(x, y, a, b)
             return (x, y), step, max(abs(r1), abs(r2)) < RESIDUAL_TOL, (r1, r2)
         last = size
@@ -357,9 +355,9 @@ def grid_oracle(
     skipped before the second condition's tile is multiplied.  Runs Newton
     from the centre of each flagged cell, accepts a converged point (both
     residuals below RESIDUAL_TOL) at most three cell diagonals from that
-    centre, and keeps deduplicated points inside the box.  Raises
-    ValueError unless ``resolution`` (cells per side) is an int of at
-    least 1.
+    centre and strictly inside the box, and keeps one point of those within
+    _NEAR _units of each other on both axes.  Raises ValueError unless
+    ``resolution`` (cells per side) is an int of at least 1.
     """
     import numpy as np
 
@@ -383,6 +381,7 @@ def grid_oracle(
         cells = np.flatnonzero(_sign_change_cells(g1) & _sign_change_cells(g2))
         flagged += (cells + i0 * resolution).tolist()
     al, be = al.tolist(), be.tolist()
+    x_near, y_near = (_NEAR * unit for unit in _units(params))
     roots: list[GridRoot] = []
     for cell in flagged:
         i, j = divmod(cell, resolution)
@@ -391,9 +390,9 @@ def grid_oracle(
         diag = hypot(al[i + 1] - al[i], be[j + 1] - be[j])
         if not (converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag):
             continue
-        if not box.contains(x, y, slack=1e-9):
+        if not (box.alpha1_lo < x < box.alpha1_hi and box.beta1_lo < y < box.beta1_hi):
             continue
-        if any(hypot(x - r.alpha1, y - r.beta1) < 1e-7 for r in roots):
+        if any(abs(x - r.alpha1) <= x_near and abs(y - r.beta1) <= y_near for r in roots):
             continue
         roots.append(GridRoot(x, y, r1, r2))
     roots.sort(key=lambda r: (r.alpha1, r.beta1))
@@ -466,8 +465,8 @@ def _solved_report(
     r1, r2 = residuals
     angles = DihedralAngles.from_reduced(params, x, y)
     properness = check_properness(params, angles)
-    rx, ry = _CERTIFICATE_RADIUS * abs(x), _CERTIFICATE_RADIUS * abs(y)
-    box = DomainBox(x - rx, min(pi / a, x + rx), y - ry, min(pi / b, y + ry))
+    ux, uy = _units(params)
+    box = DomainBox(x - ux, min(pi / a, x + ux), y - uy, min(pi / b, y + uy))
     try:
         certificate = estimate_contraction(params, box)
         norm_bound, certificate_box = certificate.norm_bound, certificate.box

@@ -3,6 +3,7 @@
 import json
 from math import hypot, pi
 from pathlib import Path
+from sys import float_info
 
 import numpy as np
 import pytest
@@ -195,6 +196,24 @@ class TestOneCertificateBox:
                 assert report.contraction_norm_estimate < 1.0, (a, b)
                 root = (report.angles.alpha1, report.angles.beta1)
                 assert report.certificate_box.contains(*root), (a, b)
+
+    @pytest.mark.parametrize(
+        "pair, root", sorted({**TRUE_ROOTS, **LARGE_A_ROOTS}.items()), ids=str
+    )
+    def test_box_holds_the_reference_root(self, pair, root):
+        """The 50-digit root, not only the float one, lies in the box; a box
+        of 2**-40 times each coordinate missed it at (200, 400)."""
+        assert solve(SimplexParams(*pair)).certificate_box.contains(*root), pair
+
+    @pytest.mark.parametrize("pair", [(2, 4), (3, 7), (200, 381)], ids=str)
+    def test_box_is_one_newton_unit_around_the_root(self, pair):
+        """One unit of Newton's stop per axis, 4 eps pi/a in alpha1 and
+        4 eps pi/b in beta1, on each side of the root."""
+        a, b = pair
+        report = solve(SimplexParams(a, b))
+        x, y = report.angles.alpha1, report.angles.beta1
+        ux, uy = (4.0 * float_info.epsilon * pi / n for n in (a, b))
+        assert report.certificate_box == DomainBox(x - ux, x + ux, y - uy, y + uy)
 
 
 class TestSolveStatuses:
@@ -745,9 +764,11 @@ def newton_starts(monkeypatch):
 
 def _reference_scan(params, resolution, box):
     """grid_oracle with the grid from edge_conditions_raw on broadcast axes
-    and the flagged cells in np.nonzero order."""
+    and the flagged cells in np.nonzero order: converged points strictly
+    inside the box, one of those within 2**26 Newton units on both axes."""
     a, b = params.a, params.b
     cfg = SolverConfig()
+    near = [2.0**26 * 4.0 * float_info.epsilon * pi / n for n in (a, b)]
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
     be = np.linspace(box.beta1_lo, box.beta1_hi, resolution + 1)
     g1, g2 = conditions.edge_conditions_raw(al[:, None], be[None, :], a, b)
@@ -759,9 +780,9 @@ def _reference_scan(params, resolution, box):
         diag = hypot(al[i + 1] - al[i], be[j + 1] - be[j])
         if not (converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag):
             continue
-        if not box.contains(x, y, slack=1e-9):
+        if not (box.alpha1_lo < x < box.alpha1_hi and box.beta1_lo < y < box.beta1_hi):
             continue
-        if any(hypot(x - r.alpha1, y - r.beta1) < 1e-7 for r in roots):
+        if any(abs(x - r.alpha1) <= near[0] and abs(y - r.beta1) <= near[1] for r in roots):
             continue
         roots.append(solver.GridRoot(float(x), float(y), r1, r2))
     roots.sort(key=lambda r: (r.alpha1, r.beta1))
@@ -822,6 +843,6 @@ class TestContraction:
         x, y = box.center
         for _ in range(200):
             x, y = step(x, y)
-            assert box.contains(x, y, slack=1e-15)
+            assert box.contains(x, y)
         tx, ty = TRUE_ROOTS[(2, 4)]
         assert abs(x - tx) < 1e-3 and abs(y - ty) < 1e-3
