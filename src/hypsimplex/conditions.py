@@ -18,12 +18,12 @@ splits each condition into per-axis factors whose product is the grid, and
 ``edge_conditions_grid`` multiplies them out whole.
 
 The ``*_raw`` kernels take floats, numpy arrays (broadcasting) and
-``Interval`` boxes alike, and take the sine and cosine of each argument by
-its type: ``math`` for Python floats and ints (``np.float64`` is a float),
-the ``Interval``'s own enclosures for boxes, and numpy for anything else,
-numpy being imported only then.  So scalar calls return Python floats and
-never load numpy.  The public operations wrap the kernels for scalar
-slices.
+``Interval`` boxes alike, and take the sine and cosine of each argument
+together, testing its type once: ``math`` for Python floats and ints
+(``np.float64`` is a float), the ``Interval``'s own ``sincos`` for boxes,
+and numpy for anything else, numpy being imported only then.  So scalar
+calls return Python floats and never load numpy.  The public operations
+wrap the kernels for scalar slices.
 """
 
 from __future__ import annotations
@@ -71,25 +71,16 @@ def _derived(alpha1, beta1, a: int, b: int):
     return two_pi / a - 2 * alpha1, two_pi / b - 2 * beta1
 
 
-def _trig(x):
-    """The (sin, cos) pair for the type of x: math's on Python numbers, the
-    Interval enclosures on a box, numpy's on anything else."""
+def _sincos(x):
+    """(sin x, cos x) by the type of x, tested once: math's on Python
+    numbers, the Interval enclosures on a box, numpy's on anything else."""
     if isinstance(x, (float, int)):
-        return sin, cos
+        return sin(x), cos(x)
     if isinstance(x, Interval):
-        return Interval.sin, Interval.cos
+        return x.sincos()
     import numpy as np
 
-    return np.sin, np.cos
-
-
-def _sincos(x):
-    sin_, cos_ = _trig(x)
-    return sin_(x), cos_(x)
-
-
-def _cos(x):
-    return _trig(x)[1](x)
+    return np.sin(x), np.cos(x)
 
 
 def _minor(x, y, z):
@@ -106,7 +97,7 @@ def gram_raw(alpha1, alpha2, beta1, beta2):
     adjugate identity cof_ii cof_jj - cof_ij^2 = det sin^2 theta, where theta
     is beta1 for (0, 1), alpha2 for (0, 2), alpha1 for (0, 3), beta2 for (1, 3).
     """
-    c1, c2, d1, d2 = _cos(alpha1), _cos(alpha2), _cos(beta1), _cos(beta2)
+    c1, c2, d1, d2 = (_sincos(x)[1] for x in (alpha1, alpha2, beta1, beta2))
     det = ((c1 - d1) ** 2 - (1 + c2) * (1 + d2)) * ((c1 + d1) ** 2 - (1 - c2) * (1 - d2))
     c1sq, d1sq, c2d2, cd = c1**2, d1**2, c2 * d2, 2 * c1 * d1
     return det, _minor(c1, c2, d1), _minor(c1, d1, d2), (
@@ -117,8 +108,8 @@ def gram_raw(alpha1, alpha2, beta1, beta2):
     )
 
 
-def _conditions(alpha1, beta1, a: int, b: int):
-    """Both edge conditions, and the trig, minors and squared sines behind them."""
+def _terms(alpha1, beta1, a: int, b: int):
+    """The trig, minors and squared sines of both conditions and their Jacobian."""
     alpha2, beta2 = _derived(alpha1, beta1, a, b)
     s1, c1 = _sincos(alpha1)
     s2, c2 = _sincos(alpha2)
@@ -128,13 +119,31 @@ def _conditions(alpha1, beta1, a: int, b: int):
     # the grid-sized minors they kept one more grid's memory resident.
     s1sq, s2sq, t1sq, t2sq = s1**2, s2**2, t1**2, t2**2
     m0, m1 = _minor(c1, c2, d1), _minor(c1, d1, d2)
-    conditions = m0 * t1sq - m1 * s2sq, m1 * s1sq - m0 * t2sq
-    return conditions, (s1, c1, s2, c2, t1, d1, t2, d2, m0, m1, s1sq, s2sq, t1sq, t2sq)
+    return s1, c1, s2, c2, t1, d1, t2, d2, m0, m1, s1sq, s2sq, t1sq, t2sq
+
+
+def _conditions(terms):
+    m0, m1, s1sq, s2sq, t1sq, t2sq = terms[8:]
+    return m0 * t1sq - m1 * s2sq, m1 * s1sq - m0 * t2sq
+
+
+def _jacobian(terms):
+    """The constrained Jacobian from _terms; edge_system_raw has the formulas."""
+    s1, c1, s2, c2, t1, d1, t2, d2, m0, m1, s1sq, s2sq, t1sq, t2sq = terms
+    m0a = 2 * s1 * (c1 + c2 * d1) - 4 * s2 * (c2 + c1 * d1)
+    m0b = 2 * t1 * (d1 + c1 * c2)
+    m1a = 2 * s1 * (c1 + d1 * d2)
+    m1b = 2 * t1 * (d1 + c1 * d2) - 4 * t2 * (d2 + c1 * d1)
+    j11 = m0a * t1sq - m1a * s2sq + 4 * m1 * s2 * c2
+    j12 = m0b * t1sq + 2 * m0 * t1 * d1 - m1b * s2sq
+    j21 = m1a * s1sq + 2 * m1 * s1 * c1 - m0a * t2sq
+    j22 = m1b * s1sq - m0b * t2sq + 4 * m0 * t2 * d2
+    return (j11, j12), (j21, j22)
 
 
 def edge_conditions_raw(alpha1, beta1, a: int, b: int):
     """Both edge conditions (c1, c2) from one evaluation of the minors."""
-    return _conditions(alpha1, beta1, a, b)[0]
+    return _conditions(_terms(alpha1, beta1, a, b))
 
 
 def edge_conditions_factors(alpha1_nodes, beta1_nodes, a: int, b: int):
@@ -216,22 +225,13 @@ def edge_system_raw(alpha1, beta1, a: int, b: int):
         J21 = m1a s1^2 + 2 m1 s1 c1 - m0a t2^2,
         J22 = m1b s1^2 - m0b t2^2 + 4 m0 t2 d2.
     """
-    conditions, terms = _conditions(alpha1, beta1, a, b)
-    s1, c1, s2, c2, t1, d1, t2, d2, m0, m1, s1sq, s2sq, t1sq, t2sq = terms
-    m0a = 2 * s1 * (c1 + c2 * d1) - 4 * s2 * (c2 + c1 * d1)
-    m0b = 2 * t1 * (d1 + c1 * c2)
-    m1a = 2 * s1 * (c1 + d1 * d2)
-    m1b = 2 * t1 * (d1 + c1 * d2) - 4 * t2 * (d2 + c1 * d1)
-    j11 = m0a * t1sq - m1a * s2sq + 4 * m1 * s2 * c2
-    j12 = m0b * t1sq + 2 * m0 * t1 * d1 - m1b * s2sq
-    j21 = m1a * s1sq + 2 * m1 * s1 * c1 - m0a * t2sq
-    j22 = m1b * s1sq - m0b * t2sq + 4 * m0 * t2 * d2
-    return conditions, ((j11, j12), (j21, j22))
+    terms = _terms(alpha1, beta1, a, b)
+    return _conditions(terms), _jacobian(terms)
 
 
 def edge_jacobian_raw(alpha1, beta1, a: int, b: int):
-    """The constrained Jacobian of edge_system_raw alone."""
-    return edge_system_raw(alpha1, beta1, a, b)[1]
+    """The constrained Jacobian of edge_system_raw alone, without the conditions."""
+    return _jacobian(_terms(alpha1, beta1, a, b))
 
 
 def edge_condition1_deriv_raw(alpha1, beta1, a: int, b: int):
@@ -256,12 +256,12 @@ def edge_condition2_cross_deriv_raw(alpha1, beta1, a: int, b: int):
 
 def vertex_minor0(s: AngleSlice) -> float:
     """The vertex minor shared by vertices 0 and 2 (m0 of gram_raw)."""
-    return float(_minor(_cos(s.alpha1), _cos(s.alpha2), _cos(s.beta1)))
+    return float(gram_raw(s.alpha1, s.alpha2, s.beta1, s.beta2)[1])
 
 
 def vertex_minor1(s: AngleSlice) -> float:
     """The vertex minor shared by vertices 1 and 3 (m1 of gram_raw)."""
-    return float(_minor(_cos(s.alpha1), _cos(s.beta1), _cos(s.beta2)))
+    return float(gram_raw(s.alpha1, s.alpha2, s.beta1, s.beta2)[2])
 
 
 def edge_condition1(s: AngleSlice) -> float:

@@ -3,18 +3,23 @@
 Every operation returns an interval that contains the exact result for all
 points of its operands: the float result is rounded to nearest, so moving
 each endpoint one float outward (``math.nextafter``) covers the rounding.
-``sin`` and ``cos`` widen the libm values at the endpoints by a few ulps and
-open the bound to +-1 when an extremum of the function lies inside.
+``sincos`` widens the libm values at the endpoints by a few ulps and opens
+a bound to +-1 where an extremum lies inside, which only a box that
+reaches a quarter turn can hold.
 
 The operations work on the raw endpoint floats: a float or int operand
 enters them as it is, never wrapped in an interval, and ``_make`` builds
 every result without the public constructor's ``float()`` coercion but
 with its ``lo <= hi`` test, which rejects a NaN endpoint that reaches it
-(``inf - inf``).  A NaN product or quotient inside ``*`` or ``/`` may not
-reach it: ``min`` and ``max`` keep or drop a NaN by its position.
+(``inf - inf``).  A product or quotient with a float orders its two
+endpoint results by the float's sign, and a square of a box of one strict
+sign, or a product of two, knows which endpoint products bound it: each
+forms only those two.  A box that holds 0 (a 0.0 or -0.0 endpoint does)
+is squared as [0, max] and multiplied by all four endpoint products, whose
+``min`` and ``max`` may drop a NaN by its position.
 
-The kernels of ``conditions`` call an ``Interval`` argument's own ``sin``
-and ``cos``, so they evaluate on an ``Interval`` unchanged and return an
+The kernels of ``conditions`` call an ``Interval`` argument's own
+``sincos``, so they evaluate on an ``Interval`` unchanged and return an
 enclosure of the kernel over the box.
 """
 
@@ -25,6 +30,10 @@ from math import ceil, cos, floor, inf, nextafter, pi, sin, ulp
 # glibc documents at most 1 ulp of error for sin and cos on its supported
 # targets; widen by more to cover other libms.
 _LIBM_ULPS = 4
+# sincos's tests round turns - phase, below |turns| + 1, and step one float
+# outward: less than 2**-48 (|k| + 1) quarter turns in quarter k.  Turns
+# four times that inside the quarter pass no test.
+_QUARTER_MARGIN = 2.0**-46
 
 
 class Interval:
@@ -68,52 +77,72 @@ class Interval:
     def __mul__(self, other) -> Interval:
         lo, hi = self.lo, self.hi
         if not isinstance(other, Interval):
-            p, q = lo * other, hi * other
-            return _make(nextafter(min(p, q), -inf), nextafter(max(p, q), inf))
+            p, q = (lo * other, hi * other) if other >= 0.0 else (hi * other, lo * other)
+            return _make(nextafter(p, -inf), nextafter(q, inf))
         olo, ohi = other.lo, other.hi
+        if lo > 0.0:
+            if olo > 0.0:
+                return _make(nextafter(lo * olo, -inf), nextafter(hi * ohi, inf))
+            if ohi < 0.0:
+                return _make(nextafter(hi * olo, -inf), nextafter(lo * ohi, inf))
+        elif hi < 0.0:
+            if olo > 0.0:
+                return _make(nextafter(lo * ohi, -inf), nextafter(hi * olo, inf))
+            if ohi < 0.0:
+                return _make(nextafter(hi * ohi, -inf), nextafter(lo * olo, inf))
         products = (lo * olo, lo * ohi, hi * olo, hi * ohi)
         return _make(nextafter(min(products), -inf), nextafter(max(products), inf))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: float) -> Interval:
-        p, q = self.lo / other, self.hi / other
-        return _make(nextafter(min(p, q), -inf), nextafter(max(p, q), inf))
+        lo, hi = self.lo, self.hi
+        p, q = (lo / other, hi / other) if other > 0.0 else (hi / other, lo / other)
+        return _make(nextafter(p, -inf), nextafter(q, inf))
 
     def __pow__(self, exponent: int) -> Interval:
         if exponent != 2:
             return NotImplemented
-        lo2, hi2 = self.lo * self.lo, self.hi * self.hi
-        if self.lo <= 0.0 <= self.hi:
-            return _make(0.0, nextafter(max(lo2, hi2), inf))
-        return _make(nextafter(min(lo2, hi2), -inf), nextafter(max(lo2, hi2), inf))
-
-    def _trig(self, func, max_phase: float, min_phase: float) -> Interval:
-        """func's range, with its maxima at 2*pi*(k + max_phase) and its
-        minima at 2*pi*(k + min_phase) for integers k."""
-        x_lo, x_hi = self.lo, self.hi
-        # turns = x / (2 pi) over the box, rounded outward.  Both ends of the
-        # interval of 1/(2 pi) are positive, so the signs of x pick the products.
-        t0 = nextafter(x_lo * (_INV_TWO_PI_LO if x_lo >= 0.0 else _INV_TWO_PI_HI), -inf)
-        t1 = nextafter(x_hi * (_INV_TWO_PI_HI if x_hi >= 0.0 else _INV_TWO_PI_LO), inf)
-        ends = (func(x_lo), func(x_hi))
-        lo, hi = min(ends), max(ends)
-        # func has an extremum in the box where turns - phase holds an integer.
-        if floor(nextafter(t1 - min_phase, inf)) >= ceil(nextafter(t0 - min_phase, -inf)):
-            lo = -1.0
-        else:
-            lo = max(-1.0, lo - _LIBM_ULPS * ulp(lo))
-        if floor(nextafter(t1 - max_phase, inf)) >= ceil(nextafter(t0 - max_phase, -inf)):
-            hi = 1.0
-        else:
-            hi = min(1.0, hi + _LIBM_ULPS * ulp(hi))
-        return _make(lo, hi)
+        lo, hi = self.lo, self.hi
+        if lo <= 0.0 <= hi:
+            return _make(0.0, nextafter(max(lo * lo, hi * hi), inf))
+        p, q = (lo * lo, hi * hi) if lo > 0.0 else (hi * hi, lo * lo)
+        return _make(nextafter(p, -inf), nextafter(q, inf))
 
     def sin(self) -> Interval:
-        return self._trig(sin, 0.25, -0.25)
+        return self.sincos()[0]
 
     def cos(self) -> Interval:
-        return self._trig(cos, 0.0, 0.5)
+        return self.sincos()[1]
+
+    def sincos(self) -> tuple[Interval, Interval]:
+        """The ranges of sin and cos over the box from one count of its turns
+        x / (2 pi).  A bound opens to -1 or 1 where turns - phase holds an
+        integer, phase -1/4 and 1/4 for sin's minima and maxima, 1/2 and 0
+        for cos's: turns inside one quarter turn need no such test."""
+        x_lo, x_hi = self.lo, self.hi
+        s_lo, s_hi, c_lo, c_hi = sin(x_lo), sin(x_hi), cos(x_lo), cos(x_hi)
+        # 1/(2 pi) lies in a positive interval, so the signs of x pick its end.
+        t0 = nextafter(x_lo * (_INV_TWO_PI_LO if x_lo >= 0.0 else _INV_TWO_PI_HI), -inf)
+        t1 = nextafter(x_hi * (_INV_TWO_PI_HI if x_hi >= 0.0 else _INV_TWO_PI_LO), inf)
+        k = floor(4.0 * t0)
+        margin = _QUARTER_MARGIN * (abs(k) + 1)
+        if 4.0 * t0 - k > margin and k + 1 - 4.0 * t1 > margin:
+            return _range(s_lo, s_hi), _range(c_lo, c_hi)
+        extrema = [
+            floor(nextafter(t1 - phase, inf)) >= ceil(nextafter(t0 - phase, -inf))
+            for phase in (-0.25, 0.25, 0.5, 0.0)
+        ]
+        return _range(s_lo, s_hi, *extrema[:2]), _range(c_lo, c_hi, *extrema[2:])
+
+
+def _range(lo_end: float, hi_end: float, minimum=False, maximum=False) -> Interval:
+    """sin's or cos's range from its values at the ends: widened, or -1, 1."""
+    lo, hi = (hi_end, lo_end) if hi_end < lo_end else (lo_end, hi_end)
+    return _make(
+        -1.0 if minimum else max(-1.0, lo - _LIBM_ULPS * ulp(lo)),
+        1.0 if maximum else min(1.0, hi + _LIBM_ULPS * ulp(hi)),
+    )
 
 
 _new = object.__new__

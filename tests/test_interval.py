@@ -116,7 +116,8 @@ def test_lean_operations_have_the_textbook_endpoints():
 
 
 def _textbook_trig(x: Interval, func, max_phase: float, min_phase: float) -> Interval:
-    """Interval._trig with turns built as an Interval by the textbook rule."""
+    """One range of Interval.sincos, with the turns and every extremum
+    test built from Interval endpoints by the textbook rule."""
     inv_two_pi = Interval(_down(1.0 / (2.0 * PI.hi)), _up(1.0 / (2.0 * PI.lo)))
     turns = _textbook(lambda p, q: p * q, (x.lo, x.hi), (inv_two_pi.lo, inv_two_pi.hi))
 
@@ -131,7 +132,21 @@ def _textbook_trig(x: Interval, func, max_phase: float, min_phase: float) -> Int
     return Interval(lo, hi)
 
 
+def _steps(x: float, n: int) -> list[float]:
+    """x and the n floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(_down(below[-1]))
+        above.append(_up(above[-1]))
+    return below[:0:-1] + above
+
+
 def test_sin_and_cos_match_the_textbook_turns():
+    """sincos, and sin and cos as its halves, skip the extremum tests only
+    for turns well inside one quarter turn.  Boxes that end up to 3 ulps
+    from k pi/2, or about as far from it as that margin, and points far out,
+    where an ulp of the turns is a sizeable part of a quarter turn, get the
+    textbook ranges all the same."""
     rng = random.Random(19)
     half = math.pi / 2
     boxes = [_edge_interval(rng) for _ in range(1000)]
@@ -142,9 +157,48 @@ def test_sin_and_cos_match_the_textbook_turns():
             m = k * half
             boxes += [Interval(m - w, m + w), Interval(m, m + w), Interval(m - w, m)]
         boxes += [Interval(_down(k * half)), Interval(_up(k * half)), Interval(k * half)]
+        near = _steps(m, 3)
+        boxes += [Interval(p, q) for p in near for q in near if p <= q]
+        for p in near + [m + d for d in (-1e-12, -1e-13, -3e-14, 3e-14, 1e-13, 1e-12)]:
+            for w in (1e-15, 1e-9, 0.5):
+                boxes += [Interval(p, p + w), Interval(p - w, p)]
+    for scale in (1e6, 1e12, 1e15, 1e17):
+        for _ in range(1000):
+            x = rng.uniform(-scale, scale)
+            boxes += [Interval(x), Interval(x, _up(_up(x)))]
     for x in boxes:
-        assert _same(x.sin(), _textbook_trig(x, math.sin, 0.25, -0.25)), x
-        assert _same(x.cos(), _textbook_trig(x, math.cos, 0.0, 0.5)), x
+        s, c = x.sincos()
+        assert _same(s, _textbook_trig(x, math.sin, 0.25, -0.25)) and _same(x.sin(), s), x
+        assert _same(c, _textbook_trig(x, math.cos, 0.0, 0.5)) and _same(x.cos(), c), x
+
+
+def _outcome(make):
+    """The endpoints of make(), or ValueError if it raises one."""
+    try:
+        x = make()
+    except ValueError:
+        return ValueError
+    return x.lo, x.hi
+
+
+def test_sign_definite_paths_have_the_textbook_endpoints():
+    """*, / by a float and **2 form two endpoint products where the signs
+    allow it.  With 0.0, -0.0 and infinite endpoints they give the textbook
+    interval still; where inf meets 0, a product of boxes takes the four
+    textbook products in the textbook order, and raises where it does."""
+    ends = (-math.inf, -2.5, -1e-300, -0.0, 0.0, 1e-300, 0.75, math.inf)
+    boxes = [Interval(p, q) for p in ends for q in ends if p <= q]
+    mul, div = (lambda p, q: p * q), (lambda p, q: p / q)
+    for x in boxes:
+        xs = (x.lo, x.hi)
+        assert _same(x**2, _textbook_square(x)), x
+        for y in boxes:
+            ys = (y.lo, y.hi)
+            assert _outcome(lambda: x * y) == _outcome(lambda: _textbook(mul, xs, ys)), (x, y)
+        for c in (-3.0, -1e-300, 1e-300, 2.0):
+            assert _same(x * c, _textbook(mul, xs, (c,))), (x, c)
+            assert _same(c * x, _textbook(mul, (c,), xs)), (x, c)
+            assert _same(x / c, _textbook(div, xs, (c,))), (x, c)
 
 
 @pytest.mark.parametrize("make", [

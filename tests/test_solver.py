@@ -36,7 +36,7 @@ from hypsimplex import (
     solve,
 )
 
-from hypsimplex import conditions, solver
+from hypsimplex import conditions, interval, solver
 from hypsimplex.interval import Interval
 from hypsimplex.solver import _sign_change_cells
 
@@ -44,6 +44,31 @@ from oracles import IMPROPER_ROOT_23, IMPROPER_ROOTS, LARGE_A_ROOTS, TRUE_ROOTS
 
 ROOT_TOL = 1e-15
 REFS_JSON = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
+# (a, b) -> (contraction_norm_estimate, certificate_box as alpha1_lo,
+# alpha1_hi, beta1_lo, beta1_hi) of solve(), as the four-product interval
+# rule computed them.
+PINNED_CERTIFICATES = {
+    (2, 4): (0.6404937587844729, (
+        1.3323370066493712, 1.3323370066493738,
+        0.3618511293880834, 0.36185112938808484,
+    )),
+    (3, 7): (0.780661312216767, (
+        1.0068184520374415, 1.0068184520374432,
+        0.06617048283447223, 0.06617048283447304,
+    )),
+    (12, 24): (0.754010475099927, (
+        0.2602971100527687, 0.2602971100527691,
+        0.002954807529877747, 0.0029548075298779794,
+    )),
+    (200, 381): (0.7500128413981595, (
+        0.015446523480215878, 0.015446523480215905,
+        0.0005228484245520447, 0.0005228484245520594,
+    )),
+    (10**12, 15 * 10**11): (0.7500000000000137, (
+        2.792526803190924e-12, 2.7925268031909298e-12,
+        6.981317007977301e-13, 6.981317007977338e-13,
+    )),
+}
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +239,40 @@ class TestOneCertificateBox:
         x, y = report.angles.alpha1, report.angles.beta1
         ux, uy = (4.0 * float_info.epsilon * pi / n for n in (a, b))
         assert report.certificate_box == DomainBox(x - ux, x + ux, y - uy, y + uy)
+
+    @pytest.mark.parametrize("pair", sorted(PINNED_CERTIFICATES), ids=str)
+    def test_certificate_is_pinned_bit_for_bit(self, pair):
+        """A faster interval path must not widen or shift an enclosure: the
+        bound and the box stay these floats exactly."""
+        bound, box = PINNED_CERTIFICATES[pair]
+        report = solve(SimplexParams(*pair))
+        assert report.contraction_norm_estimate == bound, pair
+        assert report.certificate_box == DomainBox(*box), pair
+
+    def test_certificate_cost_is_counted(self, monkeypatch):
+        """One certificate at (7, 12) builds at most 99 Interval results, and
+        every product in it has operands of one strict sign each, so none
+        takes the four endpoint products."""
+        params = SimplexParams(7, 12)
+        box = solve(params).certificate_box
+        made, mixed = [], []
+        make, mul = interval._make, Interval.__mul__
+
+        def counting_make(lo, hi):
+            made.append((lo, hi))
+            return make(lo, hi)
+
+        def checking_mul(x, y):
+            if isinstance(y, Interval) and not all(v.lo > 0.0 or v.hi < 0.0 for v in (x, y)):
+                mixed.append((x, y))
+            return mul(x, y)
+
+        monkeypatch.setattr(interval, "_make", counting_make)
+        monkeypatch.setattr(Interval, "__mul__", checking_mul)
+        monkeypatch.setattr(Interval, "__rmul__", checking_mul)
+        assert estimate_contraction(params, box).norm_bound < 1.0
+        assert len(made) <= 99
+        assert not mixed
 
 
 class TestSolveStatuses:
