@@ -48,9 +48,6 @@ _STATUS_EXIT = {
     SolveStatus.DIVERGED: EXIT_DIVERGED,
 }
 
-_SOLVABLE = (RealizationClass.HYPERBOLIC_OUTER, RealizationClass.NO_PROPER_SOLUTION)
-
-
 def _token(value, fmt: str, depth: int = 0) -> str:
     """One value as a JSON token or a CSV cell.
 
@@ -310,7 +307,7 @@ def cmd_table(a_range, b_range, max_iter, fmt, degrees) -> None:
                 params = SimplexParams(a, b)
                 cls = classify_realization(params)
                 report = None
-                if cls in _SOLVABLE:
+                if cls in solver_lib._SOLVABLE:
                     report = solver_lib.solve(params, config)
                     diverged |= report.status is SolveStatus.DIVERGED
                 yield _table_row(a, b, cls, report, degrees)
@@ -339,7 +336,7 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
         _fail(f"resolution must be at least 2 nodes per axis, got {resolution}",
               EXIT_INVALID_PARAMS)
     cls = classify_realization(params)
-    if cls not in _SOLVABLE:
+    if cls not in solver_lib._SOLVABLE:
         _fail(
             f"grid applies to hyperbolic pairs with outer vertices; "
             f"({params.a}, {params.b}) classifies as {cls.value}",

@@ -2,22 +2,23 @@
 
 The solve pipeline is: gate on the realization class, which alone decides
 solvability, then locate the root of the two edge conditions by Newton's
-method with the analytic Jacobian, started from the centre of the reduced
-domain box and stopped once a step is within one unit of _units, 4 machine
-epsilons of the box's side, and finally verify the solved angles
-geometrically (positivity, determinant sign, vertex classes, Gram sign
-pattern) from the closed forms of conditions.gram_raw.  At a = 2 the
+method with the analytic Jacobian, started from the centre of the box
+[0, pi/a] x [0, pi/b] (alpha1 >= pi/3 at a = 2), stopped once a step is
+within one unit of _units, 4 machine epsilons of the box's side, and
+verify the solved angles geometrically (positivity, determinant sign,
+vertex classes, Gram sign pattern) from conditions.gram_raw.  At a = 2 the
 second, improper root is found on a closed-form curve through the roots.
-A grid-based oracle locates roots independently, and an interval-arithmetic
-bound proves the paper's damped fixed-point map a contraction on Newton's
-stop box, one unit per axis around the root.
+A grid-based oracle locates roots independently, more than _NEAR units
+inside its box, and an interval-arithmetic bound proves the paper's damped
+fixed-point map a contraction on Newton's stop box, one unit per axis
+around the root.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import acos, asinh, hypot, inf, isfinite, nextafter, pi, sin, sqrt
+from math import acos, asinh, inf, isfinite, nextafter, pi, sin, sqrt
 from numbers import Integral
 from sys import float_info
 from typing import TYPE_CHECKING
@@ -61,6 +62,8 @@ _NEAR = 2.0**26
 # 0.97-1.02 and 0.95-0.97 ms, and from 16040 nodes on the scans page-fault
 # again; the whole 401 x 401 grid read 0.54-0.58 and 1.98-2.04 ms.
 _TILE_NODES = 12288
+# The realization classes solve() accepts, whether or not they have a root.
+_SOLVABLE = (RealizationClass.HYPERBOLIC_OUTER, RealizationClass.NO_PROPER_SOLUTION)
 
 
 class SolveStatus(enum.Enum):
@@ -206,20 +209,18 @@ class SolveReport:
 
 
 def domain_for(params: SimplexParams) -> DomainBox:
-    """Reduced search box containing exactly the proper root.
+    """Search box of the proper root: [0, pi/a] x [0, pi/b], cut to
+    alpha1 >= pi/3 at a = 2.
 
-    For the two smallest families part of the nominal alpha1 range is
-    excluded analytically (no proper solution lives there), which also cuts
-    away the second, improper root of each a = 2 system (_second_root).
+    At a = 2 every root with a nonzero vertex minor lies on the curve
+    cos alpha1 = sin beta1/(2 sin beta2), which passes alpha1 = pi/3 at
+    beta1 = 2 pi/(3b).  That point separates the proper root from the
+    second, improper root, and _second_root's path starts there.  For
+    a >= 3 the full box holds one root: the full-box grid_oracle at
+    resolution 400 finds exactly one on every admissible pair, a = 3..20.
     """
-    a, b = params.a, params.b
-    if a == 2:
-        alpha_lo, alpha_hi = pi / 3, pi / 2
-    elif a == 3:
-        alpha_lo, alpha_hi = pi / 12, pi / 3
-    else:
-        alpha_lo, alpha_hi = 0.0, pi / a
-    return DomainBox(alpha_lo, alpha_hi, 0.0, pi / b)
+    alpha_lo = pi / 3 if params.a == 2 else 0.0
+    return DomainBox(alpha_lo, pi / params.a, 0.0, pi / params.b)
 
 
 def estimate_contraction(params: SimplexParams, box: DomainBox) -> ContractionEstimate:
@@ -353,11 +354,13 @@ def grid_oracle(
     corner <= 0 and some corner >= 0).  A tile on which the first condition
     has one strict sign (min > 0 or max < 0) holds no such cell and is
     skipped before the second condition's tile is multiplied.  Runs Newton
-    from the centre of each flagged cell, accepts a converged point (both
-    residuals below RESIDUAL_TOL) at most three cell diagonals from that
-    centre and strictly inside the box, and keeps one point of those within
-    _NEAR _units of each other on both axes.  Raises ValueError unless
-    ``resolution`` (cells per side) is an int of at least 1.
+    from the centre of each flagged cell and keeps a point by two rules:
+    Newton converged (both residuals below RESIDUAL_TOL), and the point lies
+    more than _NEAR _units inside the box on both axes.  A point nearer the
+    edge counts as on it, as do the rounding artefacts of the alpha1 ~ 0
+    valley on every a = 2 full box; likewise two points within _NEAR units
+    of each other on both axes are one root, and the first is kept.  Raises
+    ValueError unless ``resolution`` (cells per side) is an int of at least 1.
     """
     import numpy as np
 
@@ -387,10 +390,8 @@ def grid_oracle(
         i, j = divmod(cell, resolution)
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
         (x, y), _, converged, (r1, r2) = _newton(params, center, SolverConfig())
-        diag = hypot(al[i + 1] - al[i], be[j + 1] - be[j])
-        if not (converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag):
-            continue
-        if not (box.alpha1_lo < x < box.alpha1_hi and box.beta1_lo < y < box.beta1_hi):
+        if not (converged and min(x - box.alpha1_lo, box.alpha1_hi - x) > x_near
+                and min(y - box.beta1_lo, box.beta1_hi - y) > y_near):
             continue
         if any(abs(x - r.alpha1) <= x_near and abs(y - r.beta1) <= y_near for r in roots):
             continue
@@ -439,13 +440,14 @@ def _second_root(params: SimplexParams, config: SolverConfig) -> tuple[tuple[flo
     clamped to alpha1 = 0 once t1/(2 t2) reaches 1, where c1 = -(1 - cos
     beta1)^2 t1^2 < 0.  For b = 3..7, the a = 2 pairs solved, c1 > 0 at the
     start and changes sign once on the path: a finite check on 200 000
-    nodes per pair.  Newton starts at the midpoint after 20 halvings; it
-    converges at every b after 14 to 60 of them, but not after 11 or 13,
-    and here in fewer steps than solve()'s run to the proper root.
+    nodes per pair.  The bracket is halved until it is at most _NEAR _units
+    wide in beta1, where _newton's steps shrink quadratically; b cancels,
+    so that is 23 halvings at every b.  Newton starts at the last midpoint.
     """
     b = params.b
     lo, hi = 2.0 * pi / (3 * b), pi / b
-    for _ in range(21):
+    y_near = _NEAR * _units(params)[1]
+    while hi - lo > y_near:
         y = 0.5 * (lo + hi)
         x = acos(min(1.0, sin(y) / (2.0 * sin(2.0 * pi / b - 2.0 * y))))
         lo, hi = (y, hi) if edge_conditions_raw(x, y, 2, b)[0] > 0.0 else (lo, y)
@@ -498,7 +500,7 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
     """
     cfg = config or SolverConfig()
     cls = classify_realization(params)
-    if cls not in (RealizationClass.HYPERBOLIC_OUTER, RealizationClass.NO_PROPER_SOLUTION):
+    if cls not in _SOLVABLE:
         raise InvalidClass(
             f"solve applies to hyperbolic pairs with outer vertices; "
             f"(a, b) = ({params.a}, {params.b}) classifies as {cls.value}"

@@ -1,0 +1,53 @@
+"""Print one ``key<TAB>value`` line per output of the library and the CLI.
+
+Run from the repository root of two checkouts and diff the two outputs; the
+lines that differ are the outputs a change moved:
+
+    PYTHONPATH=src python3 tests/fingerprint.py > outputs.tsv
+
+The outputs are ``repr(solve())`` on every bench/refs.json pair;
+``repr(grid_oracle())`` at resolution 200 on domain_for's box and at
+resolution 400 on the full box [0, pi/a] x [0, pi/b], for every pair with
+a = 2..20 and a < b <= b_max + 2; and the exit code and the sha256 of the
+stdout of CLI_COMMANDS, run through click's CliRunner.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from math import pi
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from hypsimplex import DomainBox, SimplexParams, compute_bmax, domain_for, grid_oracle, solve
+from hypsimplex.cli import cli
+
+REFS_JSON = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
+CLI_COMMANDS = ("classify 3 7", "solve 2 3", "solve 3 7", "table", "grid 3 7 --resolution 20")
+
+
+def main() -> None:
+    for key in json.loads(REFS_JSON.read_text())["roots"]:
+        a, b = map(int, key.split(","))
+        print(f"solve {a},{b}\t{solve(SimplexParams(a, b))!r}")
+    for a in range(2, 21):
+        for b in range(a + 1, compute_bmax(a) + 3):
+            params = SimplexParams(a, b)
+            scans = (
+                ("domain", 200, domain_for(params)),
+                ("full", 400, DomainBox(0.0, pi / a, 0.0, pi / b)),
+            )
+            for name, resolution, box in scans:
+                roots = grid_oracle(params, resolution=resolution, box=box)
+                print(f"oracle {a},{b} {name} {resolution}\t{roots!r}")
+    runner = CliRunner()
+    for command in CLI_COMMANDS:
+        result = runner.invoke(cli, command.split())
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        print(f"cli {command}\t{result.exit_code} {digest}")
+
+
+if __name__ == "__main__":
+    main()

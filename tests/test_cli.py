@@ -377,15 +377,16 @@ class TestGridCommand:
         result = run(runner, "grid", 3, 5, "--resolution", "2")
         rows = csv_rows(result)
         first = rows[0]
-        assert float(first["alpha1"]) == pytest.approx(pi / 12)
+        assert float(first["alpha1"]) == 0.0
         assert float(first["beta1"]) == 0.0
 
     def test_first_condition_positive_on_low_alpha_edge(self, runner):
-        result = run(runner, "grid", 3, 5, "--resolution", "100")
-        rows = csv_rows(result)
-        edge = [row for row in rows if float(row["alpha1"]) == pytest.approx(pi / 12)]
-        assert len(edge) == 100
-        assert all(float(row["cond1"]) > 0 for row in edge)
+        for b in range(4, 9):
+            result = run(runner, "grid", 3, b, "--resolution", "100")
+            rows = csv_rows(result)
+            edge = [row for row in rows if float(row["alpha1"]) == 0.0]
+            assert len(edge) == 100, b
+            assert all(float(row["cond1"]) > 0 for row in edge), b
 
     def test_second_condition_nonpositive_on_high_beta_edge(self, runner):
         result = run(runner, "grid", 2, 5, "--resolution", "100")

@@ -1,7 +1,7 @@
 """Tests for the solve pipeline, grid oracle, and contraction estimates."""
 
 import json
-from math import hypot, pi
+from math import pi
 from pathlib import Path
 from sys import float_info
 
@@ -52,9 +52,9 @@ PINNED_CERTIFICATES = {
         1.3323370066493712, 1.3323370066493738,
         0.3618511293880834, 0.36185112938808484,
     )),
-    (3, 7): (0.780661312216767, (
+    (3, 7): (0.7806613122167669, (
         1.0068184520374415, 1.0068184520374432,
-        0.06617048283447223, 0.06617048283447304,
+        0.06617048283447222, 0.06617048283447302,
     )),
     (12, 24): (0.754010475099927, (
         0.2602971100527687, 0.2602971100527691,
@@ -81,12 +81,9 @@ class TestDomainBox:
         box = domain_for(SimplexParams(2, 3))
         assert box.alpha1_lo == pytest.approx(pi / 3)
         assert box.alpha1_hi == pytest.approx(pi / 2)
-        box = domain_for(SimplexParams(3, 8))
-        assert box.alpha1_lo == pytest.approx(pi / 12)
-        assert box.alpha1_hi == pytest.approx(pi / 3)
 
     def test_generic_boxes(self):
-        for a, b in ((4, 7), (6, 12)):
+        for a, b in ((3, 8), (4, 7), (6, 12)):
             box = domain_for(SimplexParams(a, b))
             assert box.alpha1_lo == 0.0
             assert box.alpha1_hi == pytest.approx(pi / a)
@@ -410,13 +407,15 @@ def _closed_form_cases(a2_second_roots):
 
 class TestCheckProperness:
     def test_near_singular_matrix_fails_the_gram_check(self):
-        # A valley point of the (2, 3) full-box scan at resolution 400.  At
-        # 50 digits the determinant of its matrix is +2.7147e-17; the 4x4
-        # cofactor expansion reads -4.2e-17, rounding noise of the wrong
-        # sign.  Both are too near zero for matrices.inverse, so the Gram
-        # check fails.  m0 is -2.7137e-17 at 50 digits and rounds to 0.0,
-        # so vertices 0 and 2 read IDEAL; only an interval evaluation could
-        # call that sign undecided.
+        # A point of the (2, 3) alpha1 ~ 0 valley, where Newton converges
+        # from some cells of the full-box scan; it lies within _NEAR units
+        # of the alpha1 = 0 edge, so grid_oracle counts it as on the edge,
+        # not as a root.  At 50 digits the determinant of its matrix is
+        # +2.7147e-17; the 4x4 cofactor expansion reads -4.2e-17, rounding
+        # noise of the wrong sign.  Both are too near zero for
+        # matrices.inverse, so the Gram check fails.  m0 is -2.7137e-17 at
+        # 50 digits and rounds to 0.0, so vertices 0 and 2 read IDEAL; only
+        # an interval evaluation could call that sign undecided.
         mp = pytest.importorskip("mpmath").mp
         from regen_oracles import angle_matrix
 
@@ -549,19 +548,46 @@ class TestImproperRootScan:
 
     @pytest.mark.parametrize("b", range(3, 8))
     def test_matches_the_full_box_oracle(self, solved_reports, b):
-        """The second root equals the full-box grid_oracle's transversal
-        roots left of the cut alpha1 = pi/3, and fails properness."""
+        """At resolutions 100 to 800 the full-box grid_oracle returns exactly
+        two roots: the second root, left of the cut alpha1 = pi/3 and failing
+        properness, and the proper root.  No point of the alpha1 ~ 0 valley
+        is among them."""
         params = SimplexParams(2, b)
         full = DomainBox(0.0, pi / 2, 0.0, pi / b)
-        want = []
-        for r in grid_oracle(params, resolution=400, box=full):
-            (j11, j12), (j21, j22) = conditions.edge_jacobian_raw(r.alpha1, r.beta1, 2, b)
-            if r.alpha1 < pi / 3 and abs(j11 * j22 - j12 * j21) >= 1e-8:
-                want.append((r.alpha1, r.beta1))
-        (root,) = solved_reports[(2, b)].improper_roots
-        assert len(want) == 1 and root == pytest.approx(want[0], abs=1e-12)
+        report = solved_reports[(2, b)]
+        (root,) = report.improper_roots
+        for resolution in (100, 200, 400, 800):
+            roots = grid_oracle(params, resolution=resolution, box=full)
+            assert len(roots) == 2, (resolution, roots)
+            second, proper = roots
+            assert second.alpha1 < pi / 3 < proper.alpha1
+            assert (second.alpha1, second.beta1) == pytest.approx(root, abs=1e-12)
+            assert proper.alpha1 == pytest.approx(report.angles.alpha1, abs=1e-12)
+            assert proper.beta1 == pytest.approx(report.angles.beta1, abs=1e-12)
         report = check_properness(params, DihedralAngles.from_reduced(params, *root))
         assert not report.determinant_negative and not report.all_pass
+
+    @pytest.mark.parametrize("b", range(3, 8))
+    def test_bracket_is_halved_to_near_units(self, monkeypatch, b):
+        """The bracket, pi/(3b) wide, is halved until it is at most _NEAR
+        units of 4 eps pi/b: b cancels, so the first condition is evaluated
+        23 times at every b before the one Newton run."""
+        calls, before_newton = [], []
+        derived, newton = conditions._derived, solver._newton
+
+        def counting(*args):
+            calls.append(args)
+            return derived(*args)
+
+        def recording(params, start, config):
+            before_newton.append(len(calls))
+            return newton(params, start, config)
+
+        monkeypatch.setattr(conditions, "_derived", counting)
+        monkeypatch.setattr(solver, "_newton", recording)
+        (root,) = solver._second_root(SimplexParams(2, b), SolverConfig())
+        assert before_newton == [23]
+        assert root == pytest.approx(IMPROPER_ROOTS[(2, b)], abs=2e-15)
 
     @pytest.mark.parametrize("b", range(3, 8))
     def test_first_condition_changes_sign_once_on_the_curve(self, b):
@@ -617,6 +643,19 @@ class TestGridOracle:
         (2, 5): (0.016370, 0.505929),
         (2, 7): (0.0058828, 0.3602157),
     }
+
+    @pytest.mark.parametrize("b", range(3, 10))
+    def test_no_root_within_near_units_of_the_edge(self, b):
+        """The (2, b) full box holds the alpha1 ~ 0 valley, where Newton
+        converges to rounding artefacts with alpha1 up to 3.2e-8; every
+        root kept lies more than 2**26 units, 9.4e-8 in alpha1, inside."""
+        full = DomainBox(0.0, pi / 2, 0.0, pi / b)
+        x_near, y_near = (2.0**26 * 4.0 * float_info.epsilon * pi / n for n in (2, b))
+        roots = grid_oracle(SimplexParams(2, b), resolution=400, box=full)
+        assert roots
+        for r in roots:
+            assert min(r.alpha1, pi / 2 - r.alpha1) > x_near, r
+            assert min(r.beta1, pi / b - r.beta1) > y_near, r
 
     @pytest.mark.parametrize("pair", sorted(SECOND_ROOTS))
     def test_full_box_scan_finds_the_second_root(self, pair):
@@ -823,8 +862,9 @@ def newton_starts(monkeypatch):
 
 def _reference_scan(params, resolution, box):
     """grid_oracle with the grid from edge_conditions_raw on broadcast axes
-    and the flagged cells in np.nonzero order: converged points strictly
-    inside the box, one of those within 2**26 Newton units on both axes."""
+    and the flagged cells in np.nonzero order: converged points more than
+    2**26 Newton units inside the box on both axes, one of those within
+    2**26 units of each other on both axes."""
     a, b = params.a, params.b
     cfg = SolverConfig()
     near = [2.0**26 * 4.0 * float_info.epsilon * pi / n for n in (a, b)]
@@ -836,10 +876,11 @@ def _reference_scan(params, resolution, box):
     for i, j in zip(*np.nonzero(flagged)):
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
         (x, y), _, converged, (r1, r2) = solver._newton(params, center, cfg)
-        diag = hypot(al[i + 1] - al[i], be[j + 1] - be[j])
-        if not (converged and hypot(x - center[0], y - center[1]) <= 3.0 * diag):
+        if not converged:
             continue
-        if not (box.alpha1_lo < x < box.alpha1_hi and box.beta1_lo < y < box.beta1_hi):
+        if not (box.alpha1_lo + near[0] < x < box.alpha1_hi - near[0]):
+            continue
+        if not (box.beta1_lo + near[1] < y < box.beta1_hi - near[1]):
             continue
         if any(abs(x - r.alpha1) <= near[0] and abs(y - r.beta1) <= near[1] for r in roots):
             continue
