@@ -4,10 +4,11 @@ Every admissible pair with 2 <= a <= 6 is solved, printed, and then
 located again by the grid oracle: a sign-change scan over the domain box
 that flags the cells where both edge conditions change sign and runs Newton
 from the centre of each flagged cell.  solve() starts Newton once, from the
-centre of the domain box; the oracle's starting points come from the scan
-instead, so agreement shows that the root solve() reports is the only one
-the grid sees in the box.  Both share the Newton routine and the kernels,
-so the check does not cover an error in those.
+pair's asymptotic root or the centre of the domain box; the oracle's
+starting points come from the scan instead, so agreement shows that the
+root solve() reports is the only one the grid sees in the box.  Both share
+the Newton routine and the kernels, so the check does not cover an error
+in those.
 
 Runtime: under a second.
 """

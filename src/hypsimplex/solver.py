@@ -1,17 +1,18 @@
 """Root finding for the edge-condition system.
 
 The solve pipeline is: gate on the realization class, which alone decides
-solvability, then locate the root of the two edge conditions by Newton's
-method with the analytic Jacobian, started from the centre of the box
-[0, pi/a] x [0, pi/b] (alpha1 >= pi/3 at a = 2), stopped once a step is
-within one unit of _units, 4 machine epsilons of the box's side, and
-verify the solved angles geometrically (positivity, determinant sign,
-vertex classes, Gram sign pattern) from conditions.gram_raw.  At a = 2 the
-second, improper root is found on a closed-form curve through the roots.
-A grid-based oracle locates roots independently, more than _NEAR units
-inside its box, and an interval-arithmetic bound proves the paper's damped
-fixed-point map a contraction on Newton's stop box, one unit per axis
-around the root.
+solvability, then locate the root of the two edge conditions in the box
+[0, pi/a] x [0, pi/b] (alpha1 >= pi/3 at a = 2) by Newton's method with the
+analytic Jacobian, started at the pair's large-a limit root for a >= 3 and
+b < 2a, at its corner expansion on b = 2a and at the box's centre
+elsewhere (_start), stopped once a step is within one unit of _units, 4
+machine epsilons of the box's side, and verify the solved angles
+geometrically (positivity, determinant sign, vertex classes, Gram sign
+pattern) from conditions.gram_raw.  At a = 2 the second, improper root is
+found on a closed-form curve through the roots.  A grid-based oracle
+locates roots independently, more than _NEAR units inside its box, and an
+interval-arithmetic bound proves the paper's damped fixed-point map a
+contraction on Newton's stop box, one unit per axis around the root.
 """
 
 from __future__ import annotations
@@ -293,14 +294,14 @@ def _newton(
 
     Each step takes the conditions and the Jacobian from one edge_system_raw
     call, and is measured in _units in each coordinate.  Newton stops once a
-    step is at most one unit.  It also stops once a step is no smaller than
-    the one before, if that one was at most _NEAR units: from there
-    quadratic convergence takes the next step below one unit, so a step
-    that does not shrink is rounding, as near the a = 2 second roots,
-    where it stays at a few units.  It converges only if both residuals are
-    then below RESIDUAL_TOL.  A singular or non-finite Jacobian or step, or
-    config.max_iterations steps, end it unconverged at the last finite
-    iterate.
+    step is at most one unit.  It also stops once a step is larger than the
+    square root of the one before, if that one was at most _NEAR units: a
+    step that near which does not shrink quadratically is rounding, as near
+    the a = 2 second roots, where it stays at a few units, or the linear
+    approach into the alpha1 ~ 0 valley of an a = 2 full box.  It converges
+    only if both residuals are then below RESIDUAL_TOL.  A singular or
+    non-finite Jacobian or step, or config.max_iterations steps, end it
+    unconverged at the last finite iterate.
     """
     a, b = params.a, params.b
     x, y = start
@@ -317,7 +318,7 @@ def _newton(
             return (x, y), step - 1, False, (f1, f2)
         x, y = x - dx, y - dy
         size = max(abs(dx) / x_unit, abs(dy) / y_unit)
-        if size <= 1.0 or (last <= _NEAR and size >= last):
+        if size <= 1.0 or (last <= _NEAR and size * size > last):
             r1, r2 = edge_conditions_raw(x, y, a, b)
             return (x, y), step, max(abs(r1), abs(r2)) < RESIDUAL_TOL, (r1, r2)
         last = size
@@ -488,6 +489,27 @@ def _solved_report(
     )
 
 
+def _start(params: SimplexParams, box: DomainBox) -> tuple[float, float]:
+    """Newton's start for solve(): the pair's asymptotic root where known.
+
+    With rho = b/a, a alpha1 and b beta1 tend to 2 pi (2 rho - 1)/(3 rho)
+    and 2 pi (2 - rho)/3 as a grows, the relative error falling as 1/a^2;
+    for a >= 3 and b < 2a that limit, inside the box for 1/2 <= rho <= 2,
+    is the start.  On b = 2a the limit's beta1 is 0 and the root collapses
+    into the corner (pi/a, 0): alpha1 = pi/a - pi^3/(12 a^3) and beta1 =
+    pi^3/(6 a^3) to leading order.  Elsewhere, at a = 2 and on the pairs
+    with b > 2a, where the limit's beta1 is negative, Newton starts at the
+    box's centre.
+    """
+    a, b = params.a, params.b
+    if a == 2 or b > 2 * a:
+        return box.center
+    if b == 2 * a:
+        return pi / a - pi**3 / (12 * a**3), pi**3 / (6 * a**3)
+    rho = b / a
+    return 2 * pi * (2 * rho - 1) / (3 * rho * a), 2 * pi * (2 - rho) / (3 * b)
+
+
 def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveReport:
     """Decide solvability and solve the edge-condition system.
 
@@ -495,8 +517,10 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
     vertices out of the absolute or as the unsolvable remainder.  The class
     decides solvability exactly (see classify_realization); the one pair on
     the boundary between the two reports the degenerate corner root as a
-    boundary solution.  Otherwise Newton runs from the domain box centre,
-    and the result is DIVERGED unless it converges inside the box.
+    boundary solution.  Otherwise Newton runs from _start's point, the
+    pair's asymptotic root for a >= 3 and b <= 2a and the domain box's
+    centre elsewhere, and the result is DIVERGED unless it converges inside
+    the box.
     """
     cfg = config or SolverConfig()
     cls = classify_realization(params)
@@ -522,7 +546,7 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
         return SolveReport(SolveStatus.NO_PROPER_SOLUTION)
 
     box = domain_for(params)
-    root, steps, converged, residuals = _newton(params, box.center, cfg)
+    root, steps, converged, residuals = _newton(params, _start(params, box), cfg)
     if converged and box.contains(*root):
         return _solved_report(params, root, steps, residuals, cfg)
     return SolveReport(SolveStatus.DIVERGED, iterations=steps)

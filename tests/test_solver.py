@@ -46,7 +46,9 @@ ROOT_TOL = 1e-15
 REFS_JSON = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
 # (a, b) -> (contraction_norm_estimate, certificate_box as alpha1_lo,
 # alpha1_hi, beta1_lo, beta1_hi) of solve(), as the four-product interval
-# rule computed them.
+# rule computed them.  The (12, 24) and (200, 381) boxes sit on the roots
+# Newton reaches from the pair's asymptotic start, whose beta1 lies 3.8e-15
+# and 2.1e-16 relative from the one it reached from the box centre.
 PINNED_CERTIFICATES = {
     (2, 4): (0.6404937587844729, (
         1.3323370066493712, 1.3323370066493738,
@@ -56,13 +58,13 @@ PINNED_CERTIFICATES = {
         1.0068184520374415, 1.0068184520374432,
         0.06617048283447222, 0.06617048283447302,
     )),
-    (12, 24): (0.754010475099927, (
+    (12, 24): (0.754010475099928, (
         0.2602971100527687, 0.2602971100527691,
-        0.002954807529877747, 0.0029548075298779794,
+        0.0029548075298777583, 0.0029548075298779907,
     )),
-    (200, 381): (0.7500128413981595, (
+    (200, 381): (0.7500128413981596, (
         0.015446523480215878, 0.015446523480215905,
-        0.0005228484245520447, 0.0005228484245520594,
+        0.0005228484245520448, 0.0005228484245520595,
     )),
     (10**12, 15 * 10**11): (0.7500000000000137, (
         2.792526803190924e-12, 2.7925268031909298e-12,
@@ -162,6 +164,50 @@ class TestLargeA:
         report = solve(SimplexParams(*pair))
         assert 0.0 < report.contraction_norm_estimate < 1.0, pair
         assert report.certificate_box.contains(report.angles.alpha1, report.angles.beta1)
+
+
+class TestNewtonStart:
+    """solve() starts Newton at the pair's asymptotic root: the large-a limit
+    for b < 2a, the corner expansion on b = 2a, the box centre elsewhere."""
+
+    @pytest.mark.parametrize("exponent", range(3, 10))
+    def test_b_2a_takes_at_most_two_steps(self, exponent):
+        """From the box centre these took 24 to 50 steps."""
+        a = 10**exponent
+        report = solve(SimplexParams(a, 2 * a))
+        assert report.status is SolveStatus.SOLVED
+        assert report.iterations <= 2, a
+
+    @pytest.mark.parametrize("exponent", (3, 6, 9, 12))
+    def test_b_one_and_a_half_a_takes_at_most_three_steps(self, exponent):
+        a = 10**exponent
+        report = solve(SimplexParams(a, 3 * a // 2))
+        assert report.status is SolveStatus.SOLVED
+        assert report.iterations <= 3, a
+
+    @pytest.mark.parametrize("pair", sorted({**TRUE_ROOTS, **LARGE_A_ROOTS}), ids=str)
+    def test_no_more_steps_than_from_the_box_centre(self, pair):
+        params = SimplexParams(*pair)
+        _, centre_steps, converged, _ = solver._newton(
+            params, domain_for(params).center, SolverConfig()
+        )
+        assert converged
+        assert solve(params).iterations <= centre_steps, pair
+
+    @pytest.mark.parametrize("pair", sorted(LARGE_A_ROOTS), ids=str)
+    def test_start_is_near_the_50_digit_root(self, pair):
+        """Every start lies within 2% relative of its root.  On b = 2a,
+        a^3 beta1 = pi^3/6 - 8.5005/a^2 + ..., so the start pi^3/(6 a^3)
+        is 8.5005/(pi^3/6) = 1.645 over a^2 relative above the root."""
+        mp = pytest.importorskip("mpmath").mp
+        a, b = pair
+        params = SimplexParams(a, b)
+        start = solver._start(params, domain_for(params))
+        with mp.workdps(50):
+            rel = [(mp.mpf(s) - mp.mpf(r)) / mp.mpf(r) for s, r in zip(start, LARGE_A_ROOTS[pair])]
+            assert all(abs(e) <= 0.02 for e in rel), (pair, rel)
+            if b == 2 * a:
+                assert 1.64 <= a * a * rel[1] <= 1.66, (pair, rel)
 
 
 class TestOneCertificateBox:
