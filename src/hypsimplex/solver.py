@@ -5,7 +5,7 @@ solvability, then locate the root of the two edge conditions in the box
 [0, pi/a] x [0, pi/b] (alpha1 >= pi/3 at a = 2) by Newton's method with the
 analytic Jacobian, started at the pair's large-a limit root for a >= 3 and
 b < 2a, at its corner expansion on b = 2a and at the box's centre
-elsewhere (_start), stopped once a step is within one unit of _units, 4
+elsewhere (_start), converged once a step is within one unit of _units, 4
 machine epsilons of the box's side, and verify the solved angles
 geometrically (positivity, determinant sign, vertex classes, Gram sign
 pattern) from conditions.gram_raw.  At a = 2 the second, improper root is
@@ -46,9 +46,6 @@ from .model import (
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-# Newton converges only if both edge conditions are below RESIDUAL_TOL in
-# absolute value once it stops.
-RESIDUAL_TOL = 1e-11
 # Newton measures its steps in _units; a step within _NEAR units, 4
 # sqrt(eps) of the box's side, is near convergence (see _newton).
 _NEAR = 2.0**26
@@ -111,9 +108,9 @@ class DomainBox:
 class SolverConfig:
     """Newton's step budget for solve(); the default suits every pair.
 
-    Newton takes at most ``max_iterations`` steps.  Its stop and its
-    residual gate have no settings: _newton derives the stop from the
-    pair's box, and the certificate derives its damping from its box.
+    Newton takes at most ``max_iterations`` steps.  Its stop has no
+    setting: _newton derives it from the pair's box, and the certificate
+    derives its damping from its box.
     Raises ValueError unless ``max_iterations`` is an int of at least 1.
     """
 
@@ -187,6 +184,8 @@ class PropernessReport:
 
 @dataclass(frozen=True)
 class GridRoot:
+    """A root grid_oracle kept, with both edge conditions at it."""
+
     alpha1: float
     beta1: float
     residual1: float
@@ -288,9 +287,9 @@ def _units(params: SimplexParams) -> tuple[float, float]:
 
 def _newton(
     params: SimplexParams, start: tuple[float, float], config: SolverConfig
-) -> tuple[tuple[float, float], int, bool, tuple[float, float]]:
+) -> tuple[tuple[float, float], int, bool]:
     """Newton's method on both edge conditions; returns (point, steps,
-    converged, residuals), the residuals being both conditions at the point.
+    converged), converged meaning that its stop fired.
 
     Each step takes the conditions and the Jacobian from one edge_system_raw
     call, and is measured in _units in each coordinate.  Newton stops once a
@@ -298,10 +297,10 @@ def _newton(
     square root of the one before, if that one was at most _NEAR units: a
     step that near which does not shrink quadratically is rounding, as near
     the a = 2 second roots, where it stays at a few units, or the linear
-    approach into the alpha1 ~ 0 valley of an a = 2 full box.  It converges
-    only if both residuals are then below RESIDUAL_TOL.  A singular or
-    non-finite Jacobian or step, or config.max_iterations steps, end it
-    unconverged at the last finite iterate.
+    approach into the alpha1 ~ 0 valley of an a = 2 full box (only
+    grid_oracle's runs stall: 992 of its 2405 on tests/fingerprint.py's
+    scans, none of solve()'s).  A singular or non-finite Jacobian or step,
+    or config.max_iterations steps, end it unconverged at the last iterate.
     """
     a, b = params.a, params.b
     x, y = start
@@ -311,18 +310,17 @@ def _newton(
         (f1, f2), ((j11, j12), (j21, j22)) = edge_system_raw(x, y, a, b)
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not isfinite(det):
-            return (x, y), step - 1, False, (f1, f2)
+            return (x, y), step - 1, False
         dx = (f1 * j22 - f2 * j12) / det
         dy = (j11 * f2 - j21 * f1) / det
         if not (isfinite(dx) and isfinite(dy)):
-            return (x, y), step - 1, False, (f1, f2)
+            return (x, y), step - 1, False
         x, y = x - dx, y - dy
         size = max(abs(dx) / x_unit, abs(dy) / y_unit)
         if size <= 1.0 or (last <= _NEAR and size * size > last):
-            r1, r2 = edge_conditions_raw(x, y, a, b)
-            return (x, y), step, max(abs(r1), abs(r2)) < RESIDUAL_TOL, (r1, r2)
+            return (x, y), step, True
         last = size
-    return (x, y), config.max_iterations, False, edge_conditions_raw(x, y, a, b)
+    return (x, y), config.max_iterations, False
 
 
 def _sign_change_cells(grid):
@@ -356,12 +354,13 @@ def grid_oracle(
     has one strict sign (min > 0 or max < 0) holds no such cell and is
     skipped before the second condition's tile is multiplied.  Runs Newton
     from the centre of each flagged cell and keeps a point by two rules:
-    Newton converged (both residuals below RESIDUAL_TOL), and the point lies
-    more than _NEAR _units inside the box on both axes.  A point nearer the
-    edge counts as on it, as do the rounding artefacts of the alpha1 ~ 0
-    valley on every a = 2 full box; likewise two points within _NEAR units
-    of each other on both axes are one root, and the first is kept.  Raises
-    ValueError unless ``resolution`` (cells per side) is an int of at least 1.
+    Newton's stop fired, and the point lies more than _NEAR _units inside
+    the box on both axes.  A point nearer the edge counts as on it, as do
+    the rounding artefacts of the alpha1 ~ 0 valley on every a = 2 full
+    box; likewise two points within _NEAR units of each other on both axes
+    are one root, and the first is kept.  Each kept root's residuals are
+    evaluated once.  Raises ValueError unless ``resolution`` (cells per
+    side) is an int of at least 1.
     """
     import numpy as np
 
@@ -390,13 +389,13 @@ def grid_oracle(
     for cell in flagged:
         i, j = divmod(cell, resolution)
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
-        (x, y), _, converged, (r1, r2) = _newton(params, center, SolverConfig())
+        (x, y), _, converged = _newton(params, center, SolverConfig())
         if not (converged and min(x - box.alpha1_lo, box.alpha1_hi - x) > x_near
                 and min(y - box.beta1_lo, box.beta1_hi - y) > y_near):
             continue
         if any(abs(x - r.alpha1) <= x_near and abs(y - r.beta1) <= y_near for r in roots):
             continue
-        roots.append(GridRoot(x, y, r1, r2))
+        roots.append(GridRoot(x, y, *edge_conditions_raw(x, y, params.a, params.b)))
     roots.sort(key=lambda r: (r.alpha1, r.beta1))
     return roots
 
@@ -452,7 +451,7 @@ def _second_root(params: SimplexParams, config: SolverConfig) -> tuple[tuple[flo
         y = 0.5 * (lo + hi)
         x = acos(min(1.0, sin(y) / (2.0 * sin(2.0 * pi / b - 2.0 * y))))
         lo, hi = (y, hi) if edge_conditions_raw(x, y, 2, b)[0] > 0.0 else (lo, y)
-    root, _, converged, _ = _newton(params, (x, y), config)
+    root, _, converged = _newton(params, (x, y), config)
     return (root,) if converged else ()
 
 
@@ -460,12 +459,11 @@ def _solved_report(
     params: SimplexParams,
     root: tuple[float, float],
     iterations: int,
-    residuals: tuple[float, float],
     config: SolverConfig,
 ) -> SolveReport:
     a, b = params.a, params.b
     x, y = root
-    r1, r2 = residuals
+    r1, r2 = edge_conditions_raw(x, y, a, b)
     angles = DihedralAngles.from_reduced(params, x, y)
     properness = check_properness(params, angles)
     ux, uy = _units(params)
@@ -546,7 +544,7 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
         return SolveReport(SolveStatus.NO_PROPER_SOLUTION)
 
     box = domain_for(params)
-    root, steps, converged, residuals = _newton(params, _start(params, box), cfg)
+    root, steps, converged = _newton(params, _start(params, box), cfg)
     if converged and box.contains(*root):
-        return _solved_report(params, root, steps, residuals, cfg)
+        return _solved_report(params, root, steps, cfg)
     return SolveReport(SolveStatus.DIVERGED, iterations=steps)

@@ -5,11 +5,12 @@ lines that differ are the outputs a change moved:
 
     PYTHONPATH=src python3 tests/fingerprint.py > outputs.tsv
 
-The outputs are ``repr(solve())`` on every bench/refs.json pair;
-``repr(grid_oracle())`` at resolution 200 on domain_for's box and at
-resolution 400 on the full box [0, pi/a] x [0, pi/b], for every pair with
-a = 2..20 and a < b <= b_max + 2; and the exit code and the sha256 of the
-stdout of CLI_COMMANDS, run through click's CliRunner.
+The outputs are ``repr(solve())`` on every bench/refs.json pair, on
+LARGE_A_PAIRS and on the boundary pair (2, 8); ``repr(grid_oracle())`` at
+resolution 200 on domain_for's box and at resolution 400 on the full box
+[0, pi/a] x [0, pi/b], for every pair with a = 2..20 and
+a < b <= b_max + 2; and the exit code and the sha256 of the stdout of
+CLI_COMMANDS, run through click's CliRunner.
 """
 
 from __future__ import annotations
@@ -26,11 +27,16 @@ from hypsimplex.cli import cli
 
 REFS_JSON = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
 CLI_COMMANDS = ("classify 3 7", "solve 2 3", "solve 3 7", "table", "grid 3 7 --resolution 20")
+# b = 2a, 2a - 1 and 3a/2 at a = 10**3..10**12: the rows where accuracy
+# decays toward the corner of the domain box, and their neighbours.
+LARGE_A_PAIRS = tuple(
+    (a, b) for a in (10**k for k in range(3, 13)) for b in (2 * a, 2 * a - 1, 3 * a // 2)
+)
 
 
 def main() -> None:
-    for key in json.loads(REFS_JSON.read_text())["roots"]:
-        a, b = map(int, key.split(","))
+    refs = [tuple(map(int, key.split(","))) for key in json.loads(REFS_JSON.read_text())["roots"]]
+    for a, b in (*refs, *LARGE_A_PAIRS, (2, 8)):
         print(f"solve {a},{b}\t{solve(SimplexParams(a, b))!r}")
     for a in range(2, 21):
         for b in range(a + 1, compute_bmax(a) + 3):

@@ -188,7 +188,7 @@ class TestNewtonStart:
     @pytest.mark.parametrize("pair", sorted({**TRUE_ROOTS, **LARGE_A_ROOTS}), ids=str)
     def test_no_more_steps_than_from_the_box_centre(self, pair):
         params = SimplexParams(*pair)
-        _, centre_steps, converged, _ = solver._newton(
+        _, centre_steps, converged = solver._newton(
             params, domain_for(params).center, SolverConfig()
         )
         assert converged
@@ -210,6 +210,28 @@ class TestNewtonStart:
                 assert 1.64 <= a * a * rel[1] <= 1.66, (pair, rel)
 
 
+class TestNewtonStop:
+    def test_one_unit_step_leaves_a_residual_far_below_1e_11(self):
+        """On the full box [0, pi/a] x [0, pi/b] of every admissible pair
+        with a = 2..40, the interval bound max_i sum_j mag(J_ij) unit_j of
+        the edge Jacobian stays below 1e-11 (5.4e-14, at (2, 3)).  A Newton
+        step dx solves J dx = f, so a step of at most one unit per axis
+        starts from a residual within that bound, and by the mean value
+        theorem ends within twice it: the stop alone makes the residual
+        small, and a residual test at 1e-11 cannot refuse a one-unit stop."""
+        worst = 0.0
+        for a in range(2, 41):
+            for b in range(a + 1, compute_bmax(a) + 1):
+                x_unit, y_unit = solver._units(SimplexParams(a, b))
+                (j11, j12), (j21, j22) = conditions.edge_jacobian_raw(
+                    Interval(0.0, pi / a), Interval(0.0, pi / b), a, b
+                )
+                bound = max(j11.mag() * x_unit + j12.mag() * y_unit,
+                            j21.mag() * x_unit + j22.mag() * y_unit)
+                worst = max(worst, bound)
+        assert 0.0 < 2.0 * worst < 1e-11
+
+
 class TestOneCertificateBox:
     @pytest.mark.parametrize("pair", [(2, 7), (200, 400)])
     def test_one_estimate_per_solve(self, pair, monkeypatch):
@@ -228,7 +250,7 @@ class TestOneCertificateBox:
     def test_one_kernel_evaluation_per_newton_step(self, monkeypatch):
         """Each Newton step takes the conditions and the Jacobian from one
         fused call; the certificate makes the one Interval evaluation, and
-        the report reuses the residuals Newton computed at its last iterate."""
+        the report evaluates the residuals once, at the root."""
         calls = {"edge_system_raw": [], "edge_jacobian_raw": [], "edge_conditions_raw": []}
 
         def counting(name):
@@ -249,7 +271,7 @@ class TestOneCertificateBox:
         assert all(type(x) is float and type(y) is float for x, y, _, _ in fused)
         ((x, y, _, _),) = jacobian
         assert isinstance(x, Interval) and isinstance(y, Interval)
-        # Newton's final residual, once; the report does not evaluate it again.
+        # The report's residuals, once; Newton evaluates none.
         ((x, y, _, _),) = conds
         assert (x, y) == (report.angles.alpha1, report.angles.beta1)
         assert (report.residual_cond1, report.residual_cond2) == (
@@ -547,8 +569,8 @@ class TestSolverConfig:
         "value", [0.0, -1e-12, float("nan"), float("inf"), None, True, False]
     )
     def test_rejects_bad_tolerance(self, name, value):
-        """Newton's stop and residual gate are not settings, so every
-        tolerance is rejected, whatever its value."""
+        """Newton's stop is not a setting, so every tolerance is rejected,
+        whatever its value."""
         with pytest.raises(TypeError, match=name):
             SolverConfig(**{name: value})
 
@@ -665,8 +687,8 @@ class TestGridOracle:
 
     def test_residuals_meet_oracle_tolerance(self):
         for root in grid_oracle(SimplexParams(4, 7)):
-            assert abs(root.residual1) < solver.RESIDUAL_TOL
-            assert abs(root.residual2) < solver.RESIDUAL_TOL
+            assert abs(root.residual1) < 1e-11
+            assert abs(root.residual2) < 1e-11
 
     def test_empty_for_unsolvable(self):
         assert grid_oracle(SimplexParams(2, 9)) == []
@@ -721,40 +743,49 @@ class TestGridOracle:
         2e-15 of the 50-digit root (0.0093931459932947413,
         0.42075764967729805)."""
         center = (0.009817477042468103, 0.4129885342531582)
-        (x, y), steps, converged, _ = solver._newton(SimplexParams(2, 6), center, SolverConfig())
+        (x, y), steps, converged = solver._newton(SimplexParams(2, 6), center, SolverConfig())
         assert converged and steps <= 20
         assert abs(x - 0.0093931459932947413) <= 2e-15
         assert abs(y - 0.42075764967729805) <= 2e-15
 
-    def test_kernel_calls_are_what_newton_per_flagged_cell_needs(
-        self, monkeypatch, newton_starts
-    ):
-        """One array evaluation for the grid, then one Newton run per
-        flagged cell: at most NEWTON_STEPS steps of one fused kernel call
-        each, and one final residual.  Every kernel goes through
-        conditions._derived, so a per-cell search through any kernel counts
-        here, and a second Newton run from a converged point shows in the
-        starts."""
-        NEWTON_STEPS = 10
-        params = SimplexParams(3, 7)
-        box = domain_for(params)
-        al = np.linspace(box.alpha1_lo, box.alpha1_hi, 201)
-        be = np.linspace(box.beta1_lo, box.beta1_hi, 201)
-        g1, g2 = conditions.edge_conditions_raw(al[:, None], be[None, :], 3, 7)
-        flagged = int((_reference_cells(g1) & _reference_cells(g2)).sum())
-        assert flagged >= 1
-        calls = []
-        derived = conditions._derived
+    def test_kernel_calls_are_what_newton_per_flagged_cell_needs(self, monkeypatch):
+        """One array evaluation for the grid, one Newton run per flagged
+        cell at one fused kernel call per step, and one evaluation of the
+        conditions per kept root, for its residuals.  Every kernel goes
+        through conditions._derived, so a per-cell search through any
+        kernel, or a residual evaluated at a point that is not kept, counts
+        here; on the (2, 3) full box 31 of the 33 runs are not kept."""
+        calls, steps = [], []
+        derived, newton = conditions._derived, solver._newton
 
         def counting(*args):
             calls.append(args)
             return derived(*args)
 
+        def recording(*args):
+            result = newton(*args)
+            steps.append(result[1])
+            return result
+
+        monkeypatch.setattr(solver, "_newton", recording)
         monkeypatch.setattr(conditions, "_derived", counting)
-        (root,) = grid_oracle(params)
-        assert root.alpha1 == pytest.approx(TRUE_ROOTS[(3, 7)][0], abs=1e-15)
-        assert len(calls) <= 1 + flagged * (NEWTON_STEPS + 1)
-        assert len(newton_starts) == flagged
+        found = {}
+        for (a, b), resolution, full, runs, kept in (
+            ((3, 7), 200, False, 1, 1), ((2, 3), 400, True, 33, 2),
+        ):
+            params = SimplexParams(a, b)
+            box = DomainBox(0.0, pi / a, 0.0, pi / b) if full else domain_for(params)
+            al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
+            be = np.linspace(box.beta1_lo, box.beta1_hi, resolution + 1)
+            g1, g2 = conditions.edge_conditions_raw(al[:, None], be[None, :], a, b)
+            assert int((_reference_cells(g1) & _reference_cells(g2)).sum()) == runs
+            calls[:], steps[:] = [], []
+            roots = found[a, b] = grid_oracle(params, resolution=resolution, box=box)
+            assert len(roots) == kept and len(steps) == runs, (a, b)
+            assert len(calls) == 1 + sum(steps) + kept, (a, b)
+        assert found[3, 7][0].alpha1 == pytest.approx(TRUE_ROOTS[(3, 7)][0], abs=1e-15)
+        _, proper = found[2, 3]
+        assert (proper.alpha1, proper.beta1) == pytest.approx(TRUE_ROOTS[(2, 3)], abs=1e-15)
 
     @pytest.mark.parametrize("pair, resolution, full", [
         ((2, 3), 400, True), ((2, 5), 400, True), ((4, 7), 400, True),
@@ -883,7 +914,7 @@ class TestGridOracle:
 
         def recording(params, start, config):
             starts.append(start)
-            return start, 0, False, (1.0, 1.0)
+            return start, 0, False
 
         monkeypatch.setattr(solver, "edge_conditions_factors", lambda *_: ((u1, v1), (u2, v2)))
         monkeypatch.setattr(solver, "_newton", recording)
@@ -910,7 +941,8 @@ def _reference_scan(params, resolution, box):
     """grid_oracle with the grid from edge_conditions_raw on broadcast axes
     and the flagged cells in np.nonzero order: converged points more than
     2**26 Newton units inside the box on both axes, one of those within
-    2**26 units of each other on both axes."""
+    2**26 units of each other on both axes, and the residuals evaluated at
+    each point kept."""
     a, b = params.a, params.b
     cfg = SolverConfig()
     near = [2.0**26 * 4.0 * float_info.epsilon * pi / n for n in (a, b)]
@@ -921,7 +953,7 @@ def _reference_scan(params, resolution, box):
     roots = []
     for i, j in zip(*np.nonzero(flagged)):
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
-        (x, y), _, converged, (r1, r2) = solver._newton(params, center, cfg)
+        (x, y), _, converged = solver._newton(params, center, cfg)
         if not converged:
             continue
         if not (box.alpha1_lo + near[0] < x < box.alpha1_hi - near[0]):
@@ -930,7 +962,8 @@ def _reference_scan(params, resolution, box):
             continue
         if any(abs(x - r.alpha1) <= near[0] and abs(y - r.beta1) <= near[1] for r in roots):
             continue
-        roots.append(solver.GridRoot(float(x), float(y), r1, r2))
+        x, y = float(x), float(y)
+        roots.append(solver.GridRoot(x, y, *conditions.edge_conditions_raw(x, y, a, b)))
     roots.sort(key=lambda r: (r.alpha1, r.beta1))
     return roots
 
