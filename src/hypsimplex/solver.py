@@ -3,15 +3,13 @@
 The solve pipeline is: gate on the realization class, which alone decides
 solvability, then locate the root of the two edge conditions in the box
 [0, pi/a] x [0, pi/b] (alpha1 >= pi/3 at a = 2) by Newton's method with the
-analytic Jacobian, started at the pair's large-a limit root for a >= 3 and
-b < 2a, at its corner expansion on b = 2a and at the box's centre
-elsewhere (_start), converged once a step is within one unit of _units, 4
-machine epsilons of the box's side, and verify the solved angles
-geometrically (positivity, determinant sign, vertex classes, Gram sign
-pattern) from conditions.gram_raw.  At a = 2 the second, improper root is
-found on a closed-form curve through the roots.  A grid-based oracle
-locates roots independently, more than _NEAR units inside its box, and an
-interval-arithmetic bound proves the paper's damped fixed-point map a
+analytic Jacobian from _start's point, converged once a step is within one
+unit of _units, 4 machine epsilons of the box's side, and verify the solved
+angles geometrically (positivity, determinant sign, vertex classes, Gram
+sign pattern) from conditions.gram_raw.  At a = 2 the second, improper root
+is found on a closed-form curve through the roots.  A grid-based oracle
+locates roots independently, each Newton run kept to its cell's
+neighbourhood, and an interval bound proves the paper's damped map a
 contraction on Newton's stop box, one unit per axis around the root.
 """
 
@@ -285,9 +283,8 @@ def _units(params: SimplexParams) -> tuple[float, float]:
     return tuple(4.0 * float_info.epsilon * pi / n for n in (params.a, params.b))
 
 
-def _newton(
-    params: SimplexParams, start: tuple[float, float], config: SolverConfig
-) -> tuple[tuple[float, float], int, bool]:
+def _newton(params: SimplexParams, start: tuple[float, float], config: SolverConfig,
+            region: DomainBox | None = None) -> tuple[tuple[float, float], int, bool]:
     """Newton's method on both edge conditions; returns (point, steps,
     converged), converged meaning that its stop fired.
 
@@ -296,11 +293,11 @@ def _newton(
     step is at most one unit.  It also stops once a step is larger than the
     square root of the one before, if that one was at most _NEAR units: a
     step that near which does not shrink quadratically is rounding, as near
-    the a = 2 second roots, where it stays at a few units, or the linear
-    approach into the alpha1 ~ 0 valley of an a = 2 full box (only
-    grid_oracle's runs stall: 992 of its 2405 on tests/fingerprint.py's
-    scans, none of solve()'s).  A singular or non-finite Jacobian or step,
-    or config.max_iterations steps, end it unconverged at the last iterate.
+    the a = 2 second roots or on the linear approach into the alpha1 ~ 0
+    valley of an a = 2 full box (3 of grid_oracle's 1573 runs on
+    tests/fingerprint.py's scans, none of solve()'s).  A step out of
+    ``region``, if given, a singular or non-finite Jacobian or step, or
+    config.max_iterations steps end it unconverged at the last iterate.
     """
     a, b = params.a, params.b
     x, y = start
@@ -316,6 +313,8 @@ def _newton(
         if not (isfinite(dx) and isfinite(dy)):
             return (x, y), step - 1, False
         x, y = x - dx, y - dy
+        if region is not None and not region.contains(x, y):
+            return (x, y), step, False
         size = max(abs(dx) / x_unit, abs(dy) / y_unit)
         if size <= 1.0 or (last <= _NEAR and size * size > last):
             return (x, y), step, True
@@ -346,21 +345,20 @@ def grid_oracle(
     """Independent root locator: sign-change cells plus Newton per cell.
 
     Multiplies the factors of edge_conditions_factors one tile of alpha1
-    node rows at a time, so no whole grid is ever held: a tile has at most
-    _TILE_NODES nodes (two rows at least) whatever the resolution, and
-    shares its last node row with the next tile.  Flags, in row-major
+    node rows at a time (see _TILE_NODES), each sharing its last node row
+    with the next, so no whole grid is ever held.  Flags, in row-major
     order, every cell on which both edge conditions change sign (some
     corner <= 0 and some corner >= 0).  A tile on which the first condition
     has one strict sign (min > 0 or max < 0) holds no such cell and is
-    skipped before the second condition's tile is multiplied.  Runs Newton
-    from the centre of each flagged cell and keeps a point by two rules:
-    Newton's stop fired, and the point lies more than _NEAR _units inside
-    the box on both axes.  A point nearer the edge counts as on it, as do
-    the rounding artefacts of the alpha1 ~ 0 valley on every a = 2 full
-    box; likewise two points within _NEAR units of each other on both axes
-    are one root, and the first is kept.  Each kept root's residuals are
-    evaluated once.  Raises ValueError unless ``resolution`` (cells per
-    side) is an int of at least 1.
+    skipped before the second condition's tile is multiplied.  Newton runs
+    from the centre of each flagged cell whose neighbourhood (the cell and
+    its eight neighbours, clipped to the box) holds no root kept yet, and a
+    step out of that neighbourhood ends the run.  A point is kept when
+    Newton's stop fired and it lies more than _NEAR _units inside the box
+    on both axes: one nearer the edge counts as on it, as do the rounding
+    artefacts of the alpha1 ~ 0 valley on every a = 2 full box.  Each kept
+    root's residuals are evaluated once.  Raises ValueError unless
+    ``resolution`` (cells per side) is an int of at least 1.
     """
     import numpy as np
 
@@ -385,17 +383,19 @@ def grid_oracle(
         flagged += (cells + i0 * resolution).tolist()
     al, be = al.tolist(), be.tolist()
     x_near, y_near = (_NEAR * unit for unit in _units(params))
+    config = SolverConfig()
     roots: list[GridRoot] = []
     for cell in flagged:
         i, j = divmod(cell, resolution)
+        near = DomainBox(al[max(i - 1, 0)], al[min(i + 2, resolution)],
+                         be[max(j - 1, 0)], be[min(j + 2, resolution)])
+        if any(near.contains(r.alpha1, r.beta1) for r in roots):
+            continue
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
-        (x, y), _, converged = _newton(params, center, SolverConfig())
-        if not (converged and min(x - box.alpha1_lo, box.alpha1_hi - x) > x_near
-                and min(y - box.beta1_lo, box.beta1_hi - y) > y_near):
-            continue
-        if any(abs(x - r.alpha1) <= x_near and abs(y - r.beta1) <= y_near for r in roots):
-            continue
-        roots.append(GridRoot(x, y, *edge_conditions_raw(x, y, params.a, params.b)))
+        (x, y), _, converged = _newton(params, center, config, near)
+        if converged and (min(x - box.alpha1_lo, box.alpha1_hi - x) > x_near
+                          and min(y - box.beta1_lo, box.beta1_hi - y) > y_near):
+            roots.append(GridRoot(x, y, *edge_conditions_raw(x, y, params.a, params.b)))
     roots.sort(key=lambda r: (r.alpha1, r.beta1))
     return roots
 
@@ -515,10 +515,10 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
     vertices out of the absolute or as the unsolvable remainder.  The class
     decides solvability exactly (see classify_realization); the one pair on
     the boundary between the two reports the degenerate corner root as a
-    boundary solution.  Otherwise Newton runs from _start's point, the
-    pair's asymptotic root for a >= 3 and b <= 2a and the domain box's
-    centre elsewhere, and the result is DIVERGED unless it converges inside
-    the box.
+    boundary solution.  Otherwise Newton runs from _start's point with no
+    region, since from the box centre at (2, 7), (3, 7) and (3, 8) it leaves
+    the box and comes back, and the result is DIVERGED unless it converges
+    inside the box.
     """
     cfg = config or SolverConfig()
     cls = classify_realization(params)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from math import pi
 from pathlib import Path
 
@@ -34,20 +35,26 @@ LARGE_A_PAIRS = tuple(
 )
 
 
-def main() -> None:
-    refs = [tuple(map(int, key.split(","))) for key in json.loads(REFS_JSON.read_text())["roots"]]
-    for a, b in (*refs, *LARGE_A_PAIRS, (2, 8)):
-        print(f"solve {a},{b}\t{solve(SimplexParams(a, b))!r}")
+def ref_pairs() -> list[tuple[int, int]]:
+    """The (a, b) pairs of bench/refs.json, in file order."""
+    return [tuple(map(int, key.split(","))) for key in json.loads(REFS_JSON.read_text())["roots"]]
+
+
+def oracle_scans() -> Iterator[tuple[str, SimplexParams, int, DomainBox]]:
+    """(name, params, resolution, box) of every grid_oracle scan, in print order."""
     for a in range(2, 21):
         for b in range(a + 1, compute_bmax(a) + 3):
             params = SimplexParams(a, b)
-            scans = (
-                ("domain", 200, domain_for(params)),
-                ("full", 400, DomainBox(0.0, pi / a, 0.0, pi / b)),
-            )
-            for name, resolution, box in scans:
-                roots = grid_oracle(params, resolution=resolution, box=box)
-                print(f"oracle {a},{b} {name} {resolution}\t{roots!r}")
+            yield f"{a},{b} domain 200", params, 200, domain_for(params)
+            yield f"{a},{b} full 400", params, 400, DomainBox(0.0, pi / a, 0.0, pi / b)
+
+
+def main() -> None:
+    for a, b in (*ref_pairs(), *LARGE_A_PAIRS, (2, 8)):
+        print(f"solve {a},{b}\t{solve(SimplexParams(a, b))!r}")
+    for name, params, resolution, box in oracle_scans():
+        roots = grid_oracle(params, resolution=resolution, box=box)
+        print(f"oracle {name}\t{roots!r}")
     runner = CliRunner()
     for command in CLI_COMMANDS:
         result = runner.invoke(cli, command.split())

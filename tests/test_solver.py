@@ -647,9 +647,9 @@ class TestImproperRootScan:
             calls.append(args)
             return derived(*args)
 
-        def recording(params, start, config):
+        def recording(params, start, config, region=None):
             before_newton.append(len(calls))
-            return newton(params, start, config)
+            return newton(params, start, config, region)
 
         monkeypatch.setattr(conditions, "_derived", counting)
         monkeypatch.setattr(solver, "_newton", recording)
@@ -748,44 +748,129 @@ class TestGridOracle:
         assert abs(x - 0.0093931459932947413) <= 2e-15
         assert abs(y - 0.42075764967729805) <= 2e-15
 
-    def test_kernel_calls_are_what_newton_per_flagged_cell_needs(self, monkeypatch):
+    def test_kernel_calls_are_what_newton_per_flagged_cell_needs(self, monkeypatch, newton_runs):
         """One array evaluation for the grid, one Newton run per flagged
-        cell at one fused kernel call per step, and one evaluation of the
-        conditions per kept root, for its residuals.  Every kernel goes
-        through conditions._derived, so a per-cell search through any
-        kernel, or a residual evaluated at a point that is not kept, counts
-        here; on the (2, 3) full box 31 of the 33 runs are not kept."""
-        calls, steps = [], []
-        derived, newton = conditions._derived, solver._newton
+        cell whose neighbourhood holds no root kept before it, from the
+        cell's centre and kept to that neighbourhood, at one fused kernel
+        call per step, and one evaluation of the conditions per kept root,
+        for its residuals.  Every kernel goes through conditions._derived,
+        so a per-cell search through any kernel, or a residual evaluated at
+        a point that is not kept, counts here; the (2, 3) full box flags 33
+        cells, skips 2 and keeps 2 of its 31 runs."""
+        calls, runs = [], newton_runs
+        derived = conditions._derived
 
         def counting(*args):
             calls.append(args)
             return derived(*args)
 
-        def recording(*args):
-            result = newton(*args)
-            steps.append(result[1])
-            return result
-
-        monkeypatch.setattr(solver, "_newton", recording)
         monkeypatch.setattr(conditions, "_derived", counting)
         found = {}
-        for (a, b), resolution, full, runs, kept in (
-            ((3, 7), 200, False, 1, 1), ((2, 3), 400, True, 33, 2),
+        for (a, b), resolution, full, flagged, ran, kept in (
+            ((3, 7), 200, False, 1, 1, 1), ((2, 3), 400, True, 33, 31, 2),
         ):
             params = SimplexParams(a, b)
             box = DomainBox(0.0, pi / a, 0.0, pi / b) if full else domain_for(params)
             al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution + 1)
             be = np.linspace(box.beta1_lo, box.beta1_hi, resolution + 1)
             g1, g2 = conditions.edge_conditions_raw(al[:, None], be[None, :], a, b)
-            assert int((_reference_cells(g1) & _reference_cells(g2)).sum()) == runs
-            calls[:], steps[:] = [], []
+            cells = np.argwhere(_reference_cells(g1) & _reference_cells(g2))
+            assert len(cells) == flagged, (a, b)
+            calls[:], runs[:] = [], []
             roots = found[a, b] = grid_oracle(params, resolution=resolution, box=box)
-            assert len(roots) == kept and len(steps) == runs, (a, b)
-            assert len(calls) == 1 + sum(steps) + kept, (a, b)
+            assert len(roots) == kept and len(runs) == ran, (a, b)
+            assert len(calls) == 1 + sum(steps for *_, (_, steps, _) in runs) + kept, (a, b)
+            kept_points, pending = [], iter(runs)
+            for i, j in cells:
+                region = _neighbourhood(al, be, i, j)
+                if any(region.contains(*point) for point in kept_points):
+                    continue
+                start, got_region, (point, _, _) = next(pending)
+                assert start == (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
+                assert got_region == region
+                if any(point == (r.alpha1, r.beta1) for r in roots):
+                    kept_points.append(point)
+            assert next(pending, None) is None and len(kept_points) == kept, (a, b)
         assert found[3, 7][0].alpha1 == pytest.approx(TRUE_ROOTS[(3, 7)][0], abs=1e-15)
         _, proper = found[2, 3]
         assert (proper.alpha1, proper.beta1) == pytest.approx(TRUE_ROOTS[(2, 3)], abs=1e-15)
+
+    def test_full_box_scan_of_2_3_keeps_its_roots_in_at_most_60_newton_steps(self, newton_runs):
+        """Before Newton's runs were kept to their cells' neighbourhoods
+        this scan took 33 runs and 628 steps, 29 of the runs ending on the
+        stall rule.  Now a run that steps out of its cell's
+        neighbourhood ends there, and every converged run ends inside it."""
+        box = DomainBox(0.0, pi / 2, 0.0, pi / 3)
+        roots = grid_oracle(SimplexParams(2, 3), resolution=400, box=box)
+        assert len(roots) == 2
+        assert sum(steps for *_, (_, steps, _) in newton_runs) <= 60
+        converged = [(region, point) for _, region, (point, _, done) in newton_runs if done]
+        assert len(converged) >= len(roots)
+        assert all(region.contains(*point) for region, point in converged)
+
+    @pytest.mark.parametrize("pair", [(2, 3), (2, 7), (12, 24)], ids=str)
+    def test_a_step_out_of_the_neighbourhood_ends_the_run_there(
+        self, monkeypatch, newton_runs, pair
+    ):
+        """Each Newton run of a full-box scan at resolution 400, run again
+        without its region and its iterates recorded: with the region it
+        ends unconverged at the first iterate outside the region, after as
+        many steps, and is the same run when no iterate leaves."""
+        a, b = pair
+        params = SimplexParams(a, b)
+        points = []
+        system = solver.edge_system_raw
+
+        def evaluating(x, y, a, b):
+            points.append((x, y))
+            return system(x, y, a, b)
+
+        grid_oracle(params, resolution=400, box=DomainBox(0.0, pi / a, 0.0, pi / b))
+        monkeypatch.setattr(solver, "edge_system_raw", evaluating)
+        left = 0
+        for start, region, result in list(newton_runs):
+            points[:] = []
+            free = solver._newton(params, start, SolverConfig())
+            iterates = [*points[1:], free[0]]
+            out = [k for k, point in enumerate(iterates, 1) if not region.contains(*point)]
+            if out:
+                left += 1
+                assert result == (iterates[out[0] - 1], out[0], False)
+            else:
+                assert result == free
+        assert left > 0
+
+    def test_a_run_out_of_its_region_does_not_spend_its_budget(self):
+        """From the point of the a = 2 curve path where alpha1 is clamped
+        to 0 at (2, 3), Newton without a region runs to alpha1 ~ 1e14 and
+        uses its whole step budget; with the full box as its region the
+        first step leaves the box and ends the run."""
+        params = SimplexParams(2, 3)
+        start = (0.0, 5 * pi / 18)
+        (x, _), steps, converged = solver._newton(params, start, SolverConfig())
+        assert (steps, converged) == (2000, False) and x > 1e13
+        full = DomainBox(0.0, pi / 2, 0.0, pi / 3)
+        point, steps, converged = solver._newton(params, start, SolverConfig(), full)
+        assert (steps, converged) == (1, False) and not full.contains(*point)
+
+    def test_kept_roots_lie_more_than_near_units_apart(self):
+        """A cell whose neighbourhood holds a kept root is skipped and a run
+        ends inside its own neighbourhood, so a root is kept twice only if
+        it lies within a few units of a grid line.  Over the domain and
+        full-box scans of every pair with a = 2..20 and b <= b_max + 2, any
+        two kept roots of a scan differ by more than _NEAR units on some
+        axis; the closest two are 8e14 units apart."""
+        for a in range(2, 21):
+            for b in range(a + 1, compute_bmax(a) + 3):
+                params = SimplexParams(a, b)
+                x_near, y_near = (solver._NEAR * unit for unit in solver._units(params))
+                for resolution, box in ((200, domain_for(params)),
+                                        (400, DomainBox(0.0, pi / a, 0.0, pi / b))):
+                    roots = grid_oracle(params, resolution=resolution, box=box)
+                    for k, r in enumerate(roots):
+                        for s in roots[k + 1:]:
+                            assert (abs(r.alpha1 - s.alpha1) > x_near
+                                    or abs(r.beta1 - s.beta1) > y_near), (a, b, r, s)
 
     @pytest.mark.parametrize("pair, resolution, full", [
         ((2, 3), 400, True), ((2, 5), 400, True), ((4, 7), 400, True),
@@ -912,7 +997,7 @@ class TestGridOracle:
         ]
         starts = []
 
-        def recording(params, start, config):
+        def recording(params, start, config, region=None):
             starts.append(start)
             return start, 0, False
 
@@ -929,20 +1014,43 @@ def newton_starts(monkeypatch):
     starts = []
     newton = solver._newton
 
-    def recording(params, start, config):
+    def recording(params, start, config, region=None):
         starts.append(start)
-        return newton(params, start, config)
+        return newton(params, start, config, region)
 
     monkeypatch.setattr(solver, "_newton", recording)
     return starts
 
 
+@pytest.fixture
+def newton_runs(monkeypatch):
+    """(start, region, result) of every solver._newton run, in call order."""
+    runs = []
+    newton = solver._newton
+
+    def recording(params, start, config, region=None):
+        result = newton(params, start, config, region)
+        runs.append((start, region, result))
+        return result
+
+    monkeypatch.setattr(solver, "_newton", recording)
+    return runs
+
+
+def _neighbourhood(al, be, i, j):
+    """Cell (i, j) and its eight neighbours, clipped to the grid's box."""
+    n = len(al) - 1
+    return DomainBox(float(al[max(i - 1, 0)]), float(al[min(i + 2, n)]),
+                     float(be[max(j - 1, 0)]), float(be[min(j + 2, n)]))
+
+
 def _reference_scan(params, resolution, box):
     """grid_oracle with the grid from edge_conditions_raw on broadcast axes
-    and the flagged cells in np.nonzero order: converged points more than
-    2**26 Newton units inside the box on both axes, one of those within
-    2**26 units of each other on both axes, and the residuals evaluated at
-    each point kept."""
+    and the flagged cells in np.nonzero order: a cell whose neighbourhood
+    holds a root kept before is skipped, Newton from every other cell's
+    centre is kept to its neighbourhood, converged points more than 2**26
+    Newton units inside the box on both axes are kept, and the residuals
+    are evaluated at each point kept."""
     a, b = params.a, params.b
     cfg = SolverConfig()
     near = [2.0**26 * 4.0 * float_info.epsilon * pi / n for n in (a, b)]
@@ -952,15 +1060,16 @@ def _reference_scan(params, resolution, box):
     flagged = _sign_change_cells(g1) & _sign_change_cells(g2)
     roots = []
     for i, j in zip(*np.nonzero(flagged)):
+        region = _neighbourhood(al, be, i, j)
+        if any(region.contains(r.alpha1, r.beta1) for r in roots):
+            continue
         center = (0.5 * (al[i] + al[i + 1]), 0.5 * (be[j] + be[j + 1]))
-        (x, y), _, converged = solver._newton(params, center, cfg)
+        (x, y), _, converged = solver._newton(params, center, cfg, region)
         if not converged:
             continue
         if not (box.alpha1_lo + near[0] < x < box.alpha1_hi - near[0]):
             continue
         if not (box.beta1_lo + near[1] < y < box.beta1_hi - near[1]):
-            continue
-        if any(abs(x - r.alpha1) <= near[0] and abs(y - r.beta1) <= near[1] for r in roots):
             continue
         x, y = float(x), float(y)
         roots.append(solver.GridRoot(x, y, *conditions.edge_conditions_raw(x, y, a, b)))
