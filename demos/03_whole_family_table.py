@@ -46,8 +46,10 @@ def main() -> None:
         print(f"  (2, {b}) -> {report.status.value}")
     print()
     print("At b = 8 the inequality degenerates to equality and the only root")
-    print("is the corner of the box itself, a simplex collapsed to zero")
-    print("edge length; past it there is no root at all.")
+    print("in domain_for's box is its corner, a simplex collapsed to zero")
+    print("edge length; past it there is no root in domain_for's box.  The")
+    print("full box [0, pi/2] x [0, pi/b] of (2, 8) and (2, 9) still holds one")
+    print("improper root each, near alpha1 = 0.")
 
 
 if __name__ == "__main__":

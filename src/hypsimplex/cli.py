@@ -6,18 +6,19 @@ digits and fields keep a fixed order, so the output is diffable.  `grid`
 and `table` stream their rows: `table` writes each row once its pair is
 solved, and `grid` formats its rows from one precompiled template and writes
 them a block of one alpha1 node at a time.  Diagnostics go to stderr.  Exit
-codes: 0 solved / all checks pass, 1 no proper or boundary solution, 2
-invalid parameters, 3 diverged, 4 check failure.
+codes: 0 solved / all checks pass, 1 no proper or boundary solution (or
+stdout closed by its reader, which prints nothing), 2 invalid parameters or
+a usage error, 3 diverged, 4 check failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+import os
 import sys
 from math import pi
-
-import click
 
 from . import solver as solver_lib
 from .conditions import (
@@ -102,7 +103,7 @@ def _emit(rows, fmt: str) -> bool:
 
 
 def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -124,26 +125,6 @@ def _parse_range(text: str, label: str) -> tuple[int, int]:
     if lo > hi:
         _fail(f"empty {label} range {text!r}", EXIT_INVALID_PARAMS)
     return lo, hi
-
-
-def _max_iter_option(func):
-    return click.option(
-        "--max-iter", type=int, default=SolverConfig().max_iterations,
-        show_default=True, help="Newton step budget.",
-    )(func)
-
-
-def _format_option(func):
-    return click.option(
-        "--format", "fmt", type=click.Choice(["json-lines", "csv"]),
-        default="json-lines", show_default=True, help="Output format.",
-    )(func)
-
-
-def _degrees_option(func):
-    return click.option(
-        "--degrees", is_flag=True, help="Print angles in degrees instead of radians.",
-    )(func)
 
 
 def _make_config(max_iter) -> SolverConfig:
@@ -181,15 +162,6 @@ def _normalized(a: int, b: int) -> SimplexParams:
         _fail(str(exc), EXIT_INVALID_PARAMS)
 
 
-@click.group()
-def cli() -> None:
-    """Realizability and angle solving for a family of hyperbolic simplices."""
-
-
-@cli.command(name="classify")
-@click.argument("a", type=int)
-@click.argument("b", type=int)
-@_format_option
 def cmd_classify(a: int, b: int, fmt: str) -> None:
     """Classify the parameter pair (A, B)."""
     params = _normalized(a, b)
@@ -248,12 +220,6 @@ def _solve_row(params: SimplexParams, report, degrees: bool) -> list:
     ]
 
 
-@cli.command(name="solve")
-@click.argument("a", type=int)
-@click.argument("b", type=int)
-@_max_iter_option
-@_format_option
-@_degrees_option
 def cmd_solve(a, b, max_iter, fmt, degrees) -> None:
     """Solve the edge-condition system for the pair (A, B)."""
     params = _normalized(a, b)
@@ -277,14 +243,6 @@ def _table_row(a: int, b: int, cls: RealizationClass, report, degrees: bool) -> 
     ]
 
 
-@cli.command(name="table")
-@click.option("--a", "a_range", default="2..6", show_default=True,
-              help="First parameter, as N or LO..HI.")
-@click.option("--b", "b_range", default=None,
-              help="Second parameter, as N or LO..HI; default a+1..b_max.")
-@_max_iter_option
-@_format_option
-@_degrees_option
 def cmd_table(a_range, b_range, max_iter, fmt, degrees) -> None:
     """Tabulate solved angles over a parameter range."""
     a_lo, a_hi = _parse_range(a_range, "a")
@@ -317,14 +275,6 @@ def cmd_table(a_range, b_range, max_iter, fmt, degrees) -> None:
     sys.exit(EXIT_DIVERGED if diverged else EXIT_SOLVED)
 
 
-@cli.command(name="grid")
-@click.argument("a", type=int)
-@click.argument("b", type=int)
-@click.option("--resolution", type=int, default=200, show_default=True,
-              help="Sample nodes per axis (>= 2; the endpoints are included).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json-lines"]),
-              default="csv", show_default=True, help="Output format.")
-@_degrees_option
 def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
     """Sample the edge conditions and their derivatives over the domain box."""
     from itertools import repeat
@@ -366,14 +316,6 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
         write("".join([template % row for row in zip(repeat(a_text), beta, *block)]))
 
 
-@cli.command(name="check")
-@click.option("--trials", type=int, default=1000, show_default=True,
-              help="Number of random matrix/minor trials.")
-@click.option("--seed", type=int, default=42, show_default=True,
-              help="Seed for the random matrix and minor draws.")
-@click.option("--identity-only", is_flag=True,
-              help="Use the identity matrix instead of random draws.")
-@_format_option
 def cmd_check(trials: int, seed: int, identity_only: bool, fmt: str) -> None:
     """Run the randomized minor-identity verification suite."""
     from .matrices import run_minor_identity_suite
@@ -382,7 +324,7 @@ def cmd_check(trials: int, seed: int, identity_only: bool, fmt: str) -> None:
         _fail(f"trials must be at least 1, got {trials}", EXIT_INVALID_PARAMS)
     summary = run_minor_identity_suite(trials, seed, identity_only)
     for note in summary["notes"]:
-        click.echo(note, err=True)
+        print(note, file=sys.stderr)
     _emit(
         [[(key, summary[key]) for key in (
             "trials", "seed", "identity_only", "passes", "failures",
@@ -393,8 +335,64 @@ def cmd_check(trials: int, seed: int, identity_only: bool, fmt: str) -> None:
     sys.exit(EXIT_SOLVED if summary["failures"] == 0 else EXIT_CHECK_FAILURE)
 
 
-def main() -> None:
-    cli(prog_name="hypsimplex")
+def _parser() -> argparse.ArgumentParser:
+    """One subparser per command, naming the cmd_* function that runs it; no
+    parser accepts an abbreviated option."""
+    parser = argparse.ArgumentParser(
+        prog="hypsimplex", allow_abbrev=False,
+        description="Realizability and angle solving for a family of hyperbolic simplices.",
+    )
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+    sub = {}
+    for func in (cmd_classify, cmd_solve, cmd_table, cmd_grid, cmd_check):
+        name = func.__name__.removeprefix("cmd_")
+        sub[name] = commands.add_parser(name, help=func.__doc__, description=func.__doc__,
+                                        allow_abbrev=False)
+        sub[name].set_defaults(run=func)
+    for name in ("classify", "solve", "grid"):
+        sub[name].add_argument("a", type=int, metavar="A")
+        sub[name].add_argument("b", type=int, metavar="B")
+    table, grid, check = sub["table"], sub["grid"], sub["check"]
+    table.add_argument("--a", dest="a_range", default="2..6", metavar="RANGE",
+                       help="First parameter, as N or LO..HI (default: %(default)s).")
+    table.add_argument("--b", dest="b_range", default=None, metavar="RANGE",
+                       help="Second parameter, as N or LO..HI; default a+1..b_max.")
+    grid.add_argument("--resolution", type=int, default=200, help="Sample nodes per axis "
+                      "(>= 2; the endpoints are included; default: %(default)s).")
+    check.add_argument("--trials", type=int, default=1000,
+                       help="Number of random matrix/minor trials (default: %(default)s).")
+    check.add_argument("--seed", type=int, default=42, help="Seed for the random matrix "
+                       "and minor draws (default: %(default)s).")
+    check.add_argument("--identity-only", action="store_true",
+                       help="Use the identity matrix instead of random draws.")
+    for name in ("solve", "table"):
+        sub[name].add_argument("--max-iter", type=int, default=SolverConfig().max_iterations,
+                               help="Newton step budget (default: %(default)s).")
+    for command in sub.values():
+        choices = ("csv", "json-lines") if command is grid else ("json-lines", "csv")
+        command.add_argument("--format", dest="fmt", choices=choices, default=choices[0],
+                             help="Output format (default: %(default)s).")
+    for name in ("solve", "table", "grid"):
+        sub[name].add_argument("--degrees", action="store_true",
+                               help="Print angles in degrees instead of radians.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the command that argv (default: sys.argv[1:]) names."""
+    args = vars(_parser().parse_args(argv))
+    run = args.pop("run")
+    try:
+        try:
+            run(**args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head -1` does): exit 1 with nothing
+        # on stderr, and point stdout at devnull so the flush at exit cannot
+        # fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -206,7 +206,7 @@ def classify_realization(params: SimplexParams) -> RealizationClass:
     b > a >= 2 the strict realizability inequality, decided exactly by
     b <= _b_max(a), separates a hyperbolic simplex with all vertices beyond
     the absolute from no proper solution at all (equality counts as
-    failure: the only root is a degenerate corner).
+    failure: the only root in the domain box is a degenerate corner).
     """
     a, b = params.a, params.b
     if a == 1:

@@ -529,7 +529,7 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
         )
     # At a = 2 the realizability inequality reads sin y > cos y, y = 2 pi/b,
     # with equality only at b = 8, where the corner (pi/2, 0) is the only
-    # root.  For a >= 3 equality holds at no integer b (model._b_max).
+    # root in domain_for's box; for a >= 3 it holds at no integer b (_b_max).
     if params.a == 2 and params.b == 8:
         angles = DihedralAngles.from_reduced(params, pi / params.a, 0.0)
         r1, r2 = edge_conditions_raw(pi / params.a, 0.0, params.a, params.b)

@@ -9,9 +9,8 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from hypsimplex.cli import cli
+from clirun import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -59,5 +58,5 @@ def test_readme_cli_example_exits_as_documented(line):
     command, _, comment = line.partition("#")
     documented = re.search(r"exit code (\d+)", comment)
     args = shlex.split(command.split(">", 1)[0])[1:]
-    result = CliRunner().invoke(cli, args)
+    result = run_cli(args)
     assert result.exit_code == (int(documented.group(1)) if documented else 0), line
