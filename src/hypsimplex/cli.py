@@ -8,7 +8,8 @@ solved, and `grid` formats its rows from one precompiled template and writes
 them a block of one alpha1 node at a time.  Diagnostics go to stderr.  Exit
 codes: 0 solved / all checks pass, 1 no proper or boundary solution (or
 stdout closed by its reader, which prints nothing), 2 invalid parameters or
-a usage error, 3 diverged, 4 check failure.
+a usage error, 3 diverged (Newton, whose step budget is not an option,
+ended without a root inside the box), 4 check failure.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .model import (
     classify_realization,
     normalize_params,
 )
-from .solver import SolverConfig, SolveStatus
+from .solver import SolveStatus
 
 EXIT_SOLVED = 0
 EXIT_NO_SOLUTION = 1
@@ -127,13 +128,6 @@ def _parse_range(text: str, label: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _make_config(max_iter) -> SolverConfig:
-    try:
-        return SolverConfig(max_iterations=max_iter)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_INVALID_PARAMS)
-
-
 def _b_max_field(a: int) -> int | None:
     """Largest admissible second parameter; None for a = 1."""
     return compute_bmax(a) if a >= 2 else None
@@ -220,13 +214,12 @@ def _solve_row(params: SimplexParams, report, degrees: bool) -> list:
     ]
 
 
-def cmd_solve(a, b, max_iter, fmt, degrees) -> None:
+def cmd_solve(a, b, fmt, degrees) -> None:
     """Solve the edge-condition system for the pair (A, B)."""
     params = _normalized(a, b)
-    config = _make_config(max_iter)
     try:
-        report = solver_lib.solve(params, config)
-    except (InvalidClass, InvalidParams) as exc:
+        report = solver_lib.solve(params)
+    except InvalidClass as exc:
         _fail(str(exc), EXIT_INVALID_PARAMS)
     _emit([_solve_row(params, report, degrees)], fmt)
     sys.exit(_STATUS_EXIT[report.status])
@@ -243,12 +236,11 @@ def _table_row(a: int, b: int, cls: RealizationClass, report, degrees: bool) -> 
     ]
 
 
-def cmd_table(a_range, b_range, max_iter, fmt, degrees) -> None:
+def cmd_table(a_range, b_range, fmt, degrees) -> None:
     """Tabulate solved angles over a parameter range."""
     a_lo, a_hi = _parse_range(a_range, "a")
     if a_lo < 1:
         _fail(f"a must be at least 1, got {a_lo}", EXIT_INVALID_PARAMS)
-    config = _make_config(max_iter)
     b_span = None if b_range is None else _parse_range(b_range, "b")
     diverged = False
 
@@ -266,7 +258,7 @@ def cmd_table(a_range, b_range, max_iter, fmt, degrees) -> None:
                 cls = classify_realization(params)
                 report = None
                 if cls in solver_lib._SOLVABLE:
-                    report = solver_lib.solve(params, config)
+                    report = solver_lib.solve(params)
                     diverged |= report.status is SolveStatus.DIVERGED
                 yield _table_row(a, b, cls, report, degrees)
 
@@ -322,6 +314,8 @@ def cmd_check(trials: int, seed: int, identity_only: bool, fmt: str) -> None:
 
     if trials < 1:
         _fail(f"trials must be at least 1, got {trials}", EXIT_INVALID_PARAMS)
+    if seed < 0:
+        _fail(f"seed must be at least 0, got {seed}", EXIT_INVALID_PARAMS)
     summary = run_minor_identity_suite(trials, seed, identity_only)
     for note in summary["notes"]:
         print(note, file=sys.stderr)
@@ -362,12 +356,9 @@ def _parser() -> argparse.ArgumentParser:
     check.add_argument("--trials", type=int, default=1000,
                        help="Number of random matrix/minor trials (default: %(default)s).")
     check.add_argument("--seed", type=int, default=42, help="Seed for the random matrix "
-                       "and minor draws (default: %(default)s).")
+                       "and minor draws (>= 0; default: %(default)s).")
     check.add_argument("--identity-only", action="store_true",
                        help="Use the identity matrix instead of random draws.")
-    for name in ("solve", "table"):
-        sub[name].add_argument("--max-iter", type=int, default=SolverConfig().max_iterations,
-                               help="Newton step budget (default: %(default)s).")
     for command in sub.values():
         choices = ("csv", "json-lines") if command is grid else ("json-lines", "csv")
         command.add_argument("--format", dest="fmt", choices=choices, default=choices[0],
@@ -378,9 +369,9 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> None:
-    """Run the command that argv (default: sys.argv[1:]) names."""
-    args = vars(_parser().parse_args(argv))
+def main() -> None:
+    """Run the command that sys.argv names."""
+    args = vars(_parser().parse_args())
     run = args.pop("run")
     try:
         try:

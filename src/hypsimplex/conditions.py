@@ -14,8 +14,7 @@ determinant and Gram cofactors of the angle matrix (``gram_raw``), the
 realizability inequality, and the derived largest admissible second
 parameter.  Newton and ``hypsimplex grid`` call the fused kernel; the
 oracle's sign-change grid comes from ``edge_conditions_factors``, which
-splits each condition into per-axis factors whose product is the grid, and
-``edge_conditions_grid`` multiplies them out whole.
+splits each condition into per-axis factors whose product is the grid.
 
 The ``*_raw`` kernels take floats, numpy arrays (broadcasting) and
 ``Interval`` boxes alike, and take the sine and cosine of each argument
@@ -181,16 +180,6 @@ def edge_conditions_factors(alpha1_nodes, beta1_nodes, a: int, b: int):
     u2 = np.stack([R * s1sq, s1sq, c1 * s1sq, -P, -ones_a, -Q], axis=1)
     v2 = np.stack([ones_b, S, T, t2sq, -d1sq * t2sq, d1 * t2sq])
     return (u1, v1), (u2, v2)
-
-
-def edge_conditions_grid(alpha1_nodes, beta1_nodes, a: int, b: int):
-    """Both edge conditions on the whole grid of two 1-D node arrays, as two
-    arrays of shape (len(alpha1_nodes), len(beta1_nodes)): the rank-6
-    products U1 @ V1 and U2 @ V2 of edge_conditions_factors.  The oracle
-    multiplies the same factors one row tile at a time instead.
-    """
-    (u1, v1), (u2, v2) = edge_conditions_factors(alpha1_nodes, beta1_nodes, a, b)
-    return u1 @ v1, u2 @ v2
 
 
 def edge_condition1_raw(alpha1, beta1, a: int, b: int):

@@ -109,12 +109,6 @@ class Interval:
         p, q = (lo * lo, hi * hi) if lo > 0.0 else (hi * hi, lo * lo)
         return _make(nextafter(p, -inf), nextafter(q, inf))
 
-    def sin(self) -> Interval:
-        return self.sincos()[0]
-
-    def cos(self) -> Interval:
-        return self.sincos()[1]
-
     def sincos(self) -> tuple[Interval, Interval]:
         """The ranges of sin and cos over the box from one count of its turns
         x / (2 pi).  A bound opens to -1 or 1 where turns - phase holds an

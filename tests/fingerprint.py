@@ -10,9 +10,11 @@ LARGE_A_PAIRS and on the boundary pair (2, 8); ``repr(grid_oracle())`` at
 resolution 200 on domain_for's box and at resolution 400 on the full box
 [0, pi/a] x [0, pi/b], for every pair with a = 2..20 and
 a < b <= b_max + 2; and the exit code and the sha256 of the stdout and of
-the stderr of CLI_COMMANDS, run in this process by ``clirun.run_cli``.
-CLI_COMMANDS reach exit codes 0 to 3 and several ``error:`` lines; none is
-a usage error, whose wording comes from the argument parser.
+the stderr of CLI_COMMANDS, run in this process by ``clirun.run_cli`` (or
+the exception a command raises).
+CLI_COMMANDS reach exit codes 0 to 2 and several ``error:`` lines; none is
+a usage error, whose wording comes from the argument parser.  Newton's step
+budget is not an option, so none of them reaches exit code 3 (diverged).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from hypsimplex import DomainBox, SimplexParams, compute_bmax, domain_for, grid_
 REFS_JSON = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
 CLI_COMMANDS = (
     "classify 3 7", "classify 6 3", "solve 2 3", "solve 3 7", "solve 2 8", "solve 2 9",
-    "solve 2 2", "solve 0 3", "solve 2 4 --max-iter 0", "solve 2 4 --max-iter 1",
+    "solve 2 2", "solve 0 3", "check --trials 2 --seed -1", "check --trials 2 --seed 0",
     "solve 3 7 --degrees --format csv", "table", "table --a 5 --b 2..3",
     "table --a 1 --b 2..3", "table --a 2..3 --format csv --degrees",
     "grid 3 7 --resolution 20", "grid 2 2", "grid 2 5 --resolution 7 --format json-lines --degrees",
@@ -65,7 +67,11 @@ def main() -> None:
         roots = grid_oracle(params, resolution=resolution, box=box)
         print(f"oracle {name}\t{roots!r}")
     for command in CLI_COMMANDS:
-        code, out, err = run_cli(command.split())
+        try:
+            code, out, err = run_cli(command.split())
+        except Exception as exc:  # a shell would see a traceback and exit 1
+            print(f"cli {command}\traised {exc!r}")
+            continue
         digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
         print(f"cli {command}\t{code} {' '.join(digests)}")
 

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import hypsimplex.cli as cli_module
+import hypsimplex.solver as solver_module
 from hypsimplex.cli import _emit
 from hypsimplex.conditions import edge_conditions_raw, edge_jacobian_raw
 from hypsimplex.model import SimplexParams
-from hypsimplex.solver import SolverConfig, domain_for, solve
+from hypsimplex.solver import SolverConfig, domain_for
 
 from clirun import run_cli
 from oracles import TRUE_ROOTS
@@ -33,6 +34,14 @@ def json_lines(result):
 
 def csv_rows(result):
     return list(csv.DictReader(io.StringIO(result.stdout)))
+
+
+def newton_diverges(monkeypatch):
+    """Make every Newton run use up its step budget without converging."""
+    monkeypatch.setattr(
+        solver_module, "_newton",
+        lambda params, start, config, region=None: (start, config.max_iterations, False),
+    )
 
 
 class TestSerialization:
@@ -196,12 +205,13 @@ class TestSolveCommand:
     def test_invalid_params_exit_code(self):
         assert run("solve", 0, 3).exit_code == 2
 
-    def test_diverged_exit_code(self):
-        steps = solve(SimplexParams(2, 4)).iterations
-        result = run("solve", 2, 4, "--max-iter", str(steps - 1))
+    def test_diverged_exit_code(self, monkeypatch):
+        newton_diverges(monkeypatch)
+        result = run("solve", 2, 4)
         assert result.exit_code == 3
         (row,) = json_lines(result)
         assert row["status"] == "Diverged"
+        assert row["iterations"] == SolverConfig().max_iterations
 
     def test_csv_format(self):
         result = run("solve", 2, 3, "--format", "csv")
@@ -236,21 +246,47 @@ class TestSolveCommand:
             assert result.exit_code == 2, (command, option)
             assert result.stdout == ""
 
+    def test_step_budget_is_not_an_option(self):
+        for command in (["solve", 2, 4], ["table", "--a", "2..2"]):
+            result = run(*command, "--max-iter", "2000")
+            assert result.exit_code == 2, command
+            assert result.stdout == ""
+
     @pytest.mark.parametrize("option, value", [("--max-iter", "0")])
     def test_invalid_config_exit_code(self, option, value):
+        """A budget SolverConfig would refuse never reaches it: it is a usage error."""
         for command in (["solve", 2, 4], ["table", "--a", "2..2"]):
             result = run(*command, option, value)
             assert result.exit_code == 2, (command, option)
             assert result.stdout == ""
             assert "error:" in result.stderr, (command, option)
 
-    def test_option_defaults_are_the_solver_config_defaults(self):
-        for command in (["solve", "2", "4"], ["table"]):
-            args = cli_module._parser().parse_args(command)
-            assert SolverConfig(args.max_iter) == SolverConfig(), command
+    def test_option_defaults_are_the_solver_config_defaults(self, monkeypatch):
+        """solve and table run every Newton with SolverConfig()."""
+        newton = solver_module._newton
+        configs = []
+
+        def recording_newton(params, start, config, region=None):
+            configs.append(config)
+            return newton(params, start, config, region)
+
+        monkeypatch.setattr(solver_module, "_newton", recording_newton)
+        for command in (["solve", 2, 4], ["table", "--a", "2..2"]):
+            configs.clear()
+            assert run(*command).exit_code == 0, command
+            assert configs, command
+            assert all(config == SolverConfig() for config in configs), command
 
 
 class TestTableCommand:
+    def test_diverged_exit_code(self, monkeypatch):
+        newton_diverges(monkeypatch)
+        result = run("table", "--a", "2..2")
+        assert result.exit_code == 3
+        rows = json_lines(result)
+        assert [row["b"] for row in rows] == [3, 4, 5, 6, 7]
+        assert all(row["status"] == "Diverged" for row in rows)
+
     def test_default_range_covers_reference_rows(self):
         result = run("table")
         assert result.exit_code == 0
@@ -435,6 +471,12 @@ class TestCheckCommand:
     def test_rejects_nonpositive_trials(self):
         assert run("check", "--trials", "0").exit_code == 2
 
+    def test_rejects_negative_seed(self):
+        result = run("check", "--trials", "2", "--seed", "-1")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: seed must be at least 0, got -1\n"
+
     def test_failure_exit_code(self, monkeypatch):
         import hypsimplex.matrices as matrices_module
 
@@ -449,8 +491,8 @@ class TestCheckCommand:
 
 OPTIONS = {
     "classify": {"--format"},
-    "solve": {"--max-iter", "--format", "--degrees"},
-    "table": {"--a", "--b", "--max-iter", "--format", "--degrees"},
+    "solve": {"--format", "--degrees"},
+    "table": {"--a", "--b", "--format", "--degrees"},
     "grid": {"--resolution", "--format", "--degrees"},
     "check": {"--trials", "--seed", "--identity-only", "--format"},
 }
@@ -503,10 +545,11 @@ class TestArgumentParsing:
 
 
 class TestMinorIdentitySuite:
-    def test_near_singular_draws_are_skipped_not_failed(self):
-        from hypsimplex.matrices import run_minor_identity_suite
+    def test_near_singular_draws_are_skipped_not_failed(self, monkeypatch):
+        import hypsimplex.matrices as matrices_module
 
-        summary = run_minor_identity_suite(20, seed=3, singular_tol=float("inf"))
+        monkeypatch.setattr(matrices_module, "_SUITE_SINGULAR_TOL", float("inf"))
+        summary = matrices_module.run_minor_identity_suite(20, seed=3)
         assert summary["skipped"] == 20
         assert summary["failures"] == 0
         assert summary["passes"] == 0
