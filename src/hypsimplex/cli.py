@@ -6,10 +6,12 @@ digits and fields keep a fixed order, so the output is diffable.  `grid`
 and `table` stream their rows: `table` writes each row once its pair is
 solved, and `grid` formats its rows from one precompiled template and writes
 them a block of one alpha1 node at a time.  Diagnostics go to stderr.  Exit
-codes: 0 solved / all checks pass, 1 no proper or boundary solution (or
-stdout closed by its reader, which prints nothing), 2 invalid parameters or
-a usage error, 3 diverged (Newton, whose step budget is not an option,
-ended without a root inside the box), 4 check failure.
+codes: 0 solved, 1 no proper or boundary solution (or stdout closed by its
+reader, which prints nothing), 2 invalid parameters or a usage error,
+3 diverged (Newton, whose step budget is not an option, ended without a
+root inside the box), 4 a check failure: `check` found a solved row
+improper, or the 4x4 matrix path disagreeing with its verdict.  Otherwise
+`check` exits as `solve` does.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import suppress
 from math import pi
 
 from . import solver as solver_lib
@@ -28,11 +31,14 @@ from .conditions import (
     edge_system_raw,
     realizability_inequality,
 )
-from .errors import InvalidClass, InvalidParams
+from .errors import AmbiguousSignature, InvalidClass, InvalidParams, SingularMatrix
 from .model import (
     RealizationClass,
     SimplexParams,
+    build_coxeter_schlafli,
     classify_realization,
+    classify_vertex,
+    gram_sign_check,
     normalize_params,
 )
 from .solver import SolveStatus
@@ -160,10 +166,13 @@ def cmd_classify(a: int, b: int, fmt: str) -> None:
     """Classify the parameter pair (A, B)."""
     params = _normalized(a, b)
     cls = classify_realization(params)
+    b_max = _b_max_field(params.a)
     lhs = rhs = strict = corner = None
     if params.a >= 2 and params.b > params.a:
-        lhs, rhs, strict = realizability_inequality(params)
-        corner = corner_value(params)
+        strict = params.b <= b_max
+        with suppress(OverflowError):  # pi/a or pi/b is not a float
+            lhs, rhs, _ = realizability_inequality(params)
+            corner = corner_value(params)
     _emit(
         [[
             ("a", params.a),
@@ -174,7 +183,7 @@ def cmd_classify(a: int, b: int, fmt: str) -> None:
             ("inequality_rhs", rhs),
             ("strict", strict),
             ("corner_value", corner),
-            ("b_max", _b_max_field(params.a)),
+            ("b_max", b_max),
         ]],
         fmt,
     )
@@ -214,13 +223,18 @@ def _solve_row(params: SimplexParams, report, degrees: bool) -> list:
     ]
 
 
+def _solved(params: SimplexParams):
+    """solve()'s report; a pair that solve() refuses exits 2."""
+    try:
+        return solver_lib.solve(params)
+    except (InvalidClass, InvalidParams) as exc:
+        _fail(str(exc), EXIT_INVALID_PARAMS)
+
+
 def cmd_solve(a, b, fmt, degrees) -> None:
     """Solve the edge-condition system for the pair (A, B)."""
     params = _normalized(a, b)
-    try:
-        report = solver_lib.solve(params)
-    except InvalidClass as exc:
-        _fail(str(exc), EXIT_INVALID_PARAMS)
+    report = _solved(params)
     _emit([_solve_row(params, report, degrees)], fmt)
     sys.exit(_STATUS_EXIT[report.status])
 
@@ -258,7 +272,7 @@ def cmd_table(a_range, b_range, fmt, degrees) -> None:
                 cls = classify_realization(params)
                 report = None
                 if cls in solver_lib._SOLVABLE:
-                    report = solver_lib.solve(params)
+                    report = _solved(params)
                     diverged |= report.status is SolveStatus.DIVERGED
                 yield _table_row(a, b, cls, report, degrees)
 
@@ -284,7 +298,10 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
             f"({params.a}, {params.b}) classifies as {cls.value}",
             EXIT_INVALID_PARAMS,
         )
-    box = solver_lib.domain_for(params)
+    try:
+        box = solver_lib.domain_for(params)
+    except InvalidParams as exc:
+        _fail(str(exc), EXIT_INVALID_PARAMS)
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution)
     be = np.linspace(box.beta1_lo, box.beta1_hi, resolution)
     axes = (al[:, None], be[None, :], params.a, params.b)
@@ -308,25 +325,57 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
         write("".join([template % row for row in zip(repeat(a_text), beta, *block)]))
 
 
-def cmd_check(trials: int, seed: int, identity_only: bool, fmt: str) -> None:
-    """Run the randomized minor-identity verification suite."""
-    from .matrices import run_minor_identity_suite
+def _matrix_verdict(angles) -> tuple | None:
+    """check_properness's verdict recomputed on the general 4x4 path:
+    (determinant_negative, vertex_classes, gram_signs, signature), or None
+    when a vertex has an inertia of no vertex type."""
+    from . import matrices
 
-    if trials < 1:
-        _fail(f"trials must be at least 1, got {trials}", EXIT_INVALID_PARAMS)
-    if seed < 0:
-        _fail(f"seed must be at least 0, got {seed}", EXIT_INVALID_PARAMS)
-    summary = run_minor_identity_suite(trials, seed, identity_only)
-    for note in summary["notes"]:
-        print(note, file=sys.stderr)
+    matrix = build_coxeter_schlafli(angles)
+    negative = matrices.determinant(matrix) < 0.0
+    try:
+        gram_signs = negative and gram_sign_check(matrices.inverse(matrix))
+    except SingularMatrix:
+        gram_signs = False
+    try:
+        classes = tuple(classify_vertex(matrix, i) for i in range(4))
+    except AmbiguousSignature:
+        return None
+    return negative, classes, gram_signs, matrices.signature(matrix)
+
+
+def cmd_check(a: int, b: int, fmt: str) -> None:
+    """Solve the pair (A, B) and check the answer: the relative gaps between
+    the edge lengths each condition makes equal, and whether the 4x4 matrix
+    path reaches the same verdict."""
+    params = _normalized(a, b)
+    report = _solved(params)
+    properness = report.properness
+    gaps = agrees = None
+    if properness is not None:
+        if properness.edge_lengths is not None:
+            gaps = [abs(p - q) / max(abs(p), abs(q)) if p != q else 0.0
+                    for p, q in properness.edge_lengths]
+        agrees = _matrix_verdict(report.angles) == (
+            properness.determinant_negative, properness.vertex_classes,
+            properness.gram_signs, properness.signature,
+        )
+    proper = getattr(properness, "all_pass", None)
     _emit(
-        [[(key, summary[key]) for key in (
-            "trials", "seed", "identity_only", "passes", "failures",
-            "skipped", "worst_relative_gap",
-        )]],
+        [[
+            ("a", params.a),
+            ("b", params.b),
+            ("swapped", params.swapped),
+            ("class", classify_realization(params).value),
+            ("status", report.status.value),
+            ("proper_all_pass", proper),
+            ("length_gaps", gaps),
+            ("matrix_agrees", agrees),
+        ]],
         fmt,
     )
-    sys.exit(EXIT_SOLVED if summary["failures"] == 0 else EXIT_CHECK_FAILURE)
+    failed = agrees is False or (report.status is SolveStatus.SOLVED and not proper)
+    sys.exit(EXIT_CHECK_FAILURE if failed else _STATUS_EXIT[report.status])
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -343,22 +392,16 @@ def _parser() -> argparse.ArgumentParser:
         sub[name] = commands.add_parser(name, help=func.__doc__, description=func.__doc__,
                                         allow_abbrev=False)
         sub[name].set_defaults(run=func)
-    for name in ("classify", "solve", "grid"):
+    for name in ("classify", "solve", "grid", "check"):
         sub[name].add_argument("a", type=int, metavar="A")
         sub[name].add_argument("b", type=int, metavar="B")
-    table, grid, check = sub["table"], sub["grid"], sub["check"]
+    table, grid = sub["table"], sub["grid"]
     table.add_argument("--a", dest="a_range", default="2..6", metavar="RANGE",
                        help="First parameter, as N or LO..HI (default: %(default)s).")
     table.add_argument("--b", dest="b_range", default=None, metavar="RANGE",
                        help="Second parameter, as N or LO..HI; default a+1..b_max.")
     grid.add_argument("--resolution", type=int, default=200, help="Sample nodes per axis "
                       "(>= 2; the endpoints are included; default: %(default)s).")
-    check.add_argument("--trials", type=int, default=1000,
-                       help="Number of random matrix/minor trials (default: %(default)s).")
-    check.add_argument("--seed", type=int, default=42, help="Seed for the random matrix "
-                       "and minor draws (>= 0; default: %(default)s).")
-    check.add_argument("--identity-only", action="store_true",
-                       help="Use the identity matrix instead of random draws.")
     for command in sub.values():
         choices = ("csv", "json-lines") if command is grid else ("json-lines", "csv")
         command.add_argument("--format", dest="fmt", choices=choices, default=choices[0],

@@ -4,12 +4,11 @@ Everything here is exact-shape: determinants and minors come from cofactor
 expansion rather than a general LU path, the inverse is the adjugate divided
 by the determinant, and the classical Jacobi identity relating a minor of a
 regular matrix to the complementary minor of its inverse is exposed as a
-checkable pair of numbers, which ``run_minor_identity_suite`` compares over
-seeded random matrices.  Hyperbolic distances between points of projective
-space are evaluated from a Gram matrix.
+checkable pair of numbers.  Hyperbolic distances between points of
+projective space are evaluated from a Gram matrix.
 This general path is the reference for the closed forms of
-``conditions.gram_raw`` and serves ``hypsimplex check``; solve() does not
-use it.
+``conditions.gram_raw``: ``hypsimplex check`` recomputes each solved
+verdict on it.  solve() does not use it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import acosh, sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +30,6 @@ ZERO_EIG_FACTOR = 1e-9
 ARC_CLAMP_TOL = 1e-9
 
 _SYMMETRY_TOL = 1e-12
-_IDENTITY_TOL = 1e-9
-# The suite skips draws with |det| below this, well above the 1.6e-11 at
-# which inverse refuses a matrix with entries in [-2, 2].
-_SUITE_SINGULAR_TOL = 1e-8
 _ALL = (0, 1, 2, 3)
 
 
@@ -68,14 +63,6 @@ class SymMatrix4:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    @classmethod
-    def identity(cls) -> "SymMatrix4":
-        return cls(np.eye(4))
-
-    @classmethod
-    def diagonal(cls, d: Sequence[float]) -> "SymMatrix4":
-        return cls(np.diag(np.asarray(d, dtype=float)))
-
     def __getitem__(self, idx: tuple[int, int]) -> float:
         return float(self.entries[idx])
 
@@ -84,9 +71,8 @@ class SymMatrix4:
 
     @cached_property
     def _determinant(self) -> float:
-        """The determinant, expanded once per matrix: the minor-identity
-        suite reads it for its skip test, ``inverse`` and the identity's
-        right-hand side."""
+        """The determinant, expanded once per matrix: ``determinant``,
+        ``inverse`` and the minor identity's right-hand side share it."""
         return _det(self.entries.tolist())
 
 
@@ -117,14 +103,10 @@ class MinorSpec:
         object.__setattr__(self, "cols", cols)
 
     @classmethod
-    def principal(cls, keep: Iterable[int]) -> "MinorSpec":
-        idx = tuple(sorted(keep))
-        return cls(idx, idx)
-
-    @classmethod
     def without_vertex(cls, i: int) -> "MinorSpec":
         """The principal 3x3 selection deleting row and column ``i``."""
-        return cls.principal(j for j in _ALL if j != i)
+        keep = tuple(j for j in _ALL if j != i)
+        return cls(keep, keep)
 
 
 def _without(m: list[list[float]], i: int, j: int) -> list[list[float]]:
@@ -232,55 +214,6 @@ def jacobi_minor_identity(m: SymMatrix4, spec: MinorSpec) -> tuple[float, float]
     sign = (-1.0) ** (sum(spec.rows) + sum(spec.cols))
     rhs = float(m._determinant * comp * sign)
     return lhs, rhs
-
-
-def run_minor_identity_suite(trials: int, seed: int, identity_only: bool = False) -> dict:
-    """Sweep the minor/cofactor identity over seeded random matrices.
-
-    Each trial draws a random symmetric 4x4 matrix and random row/column
-    index sets for a minor, evaluates both sides of the identity apart and
-    compares them at _IDENTITY_TOL relative.  Draws with |det| below
-    _SUITE_SINGULAR_TOL violate the regularity precondition and are skipped
-    (recorded in ``notes``), not failed.  With ``identity_only`` the
-    identity matrix replaces the random draw, which makes every trial exact.
-    """
-    rng = np.random.default_rng(seed)
-    passes = failures = skipped = 0
-    worst_gap = 0.0
-    notes: list[str] = []
-    for index in range(trials):
-        if identity_only:
-            matrix = SymMatrix4(np.eye(4))
-        else:
-            raw = rng.uniform(-2.0, 2.0, size=(4, 4))
-            matrix = SymMatrix4((raw + raw.T) / 2.0)
-        size = int(rng.integers(1, 4))
-        rows = tuple(sorted(int(v) for v in rng.choice(4, size=size, replace=False)))
-        cols = tuple(sorted(int(v) for v in rng.choice(4, size=size, replace=False)))
-        det = determinant(matrix)
-        if abs(det) < _SUITE_SINGULAR_TOL:
-            skipped += 1
-            notes.append(
-                f"SingularMatrix: trial {index} skipped (determinant {det:.3e})"
-            )
-            continue
-        lhs, rhs = jacobi_minor_identity(matrix, MinorSpec(rows, cols))
-        gap = abs(lhs - rhs) / max(1.0, abs(lhs))
-        worst_gap = max(worst_gap, gap)
-        if gap <= _IDENTITY_TOL:
-            passes += 1
-        else:
-            failures += 1
-    return {
-        "trials": trials,
-        "seed": seed,
-        "identity_only": identity_only,
-        "passes": passes,
-        "failures": failures,
-        "skipped": skipped,
-        "worst_relative_gap": worst_gap,
-        "notes": notes,
-    }
 
 
 def projective_distance(gram: SymMatrix4, i: int, j: int) -> float:

@@ -119,13 +119,6 @@ class DihedralAngles:
             beta2=2 * pi / params.b - 2 * beta1,
         )
 
-    def constraint_residuals(self, params: SimplexParams) -> tuple[float, float]:
-        """Deviation of both linear constraints from zero."""
-        return (
-            2 * self.alpha1 + self.alpha2 - 2 * pi / params.a,
-            2 * self.beta1 + self.beta2 - 2 * pi / params.b,
-        )
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)
 

@@ -29,7 +29,7 @@ from .conditions import (
     edge_system_raw,
     gram_raw,
 )
-from .errors import InvalidClass, NoContraction
+from .errors import InvalidClass, InvalidParams, NoContraction
 from .interval import Interval
 from .model import (
     SINGULARITY_FACTOR,
@@ -216,9 +216,18 @@ def domain_for(params: SimplexParams) -> DomainBox:
     second, improper root, and _second_root's path starts there.  For
     a >= 3 the full box holds one root: the full-box grid_oracle at
     resolution 400 finds exactly one on every admissible pair, a = 3..20.
+    Raises InvalidParams when pi/a or pi/b is not a float, from about
+    a = 2**1024 on.
     """
+    try:
+        alpha_hi, beta_hi = pi / params.a, pi / params.b
+    except OverflowError:
+        raise InvalidParams(
+            f"pi/a or pi/b is not a float: parameters must be below about 2**1024, "
+            f"got a {params.b.bit_length()}-bit b"
+        ) from None
     alpha_lo = pi / 3 if params.a == 2 else 0.0
-    return DomainBox(alpha_lo, pi / params.a, 0.0, pi / params.b)
+    return DomainBox(alpha_lo, alpha_hi, 0.0, beta_hi)
 
 
 def estimate_contraction(params: SimplexParams, box: DomainBox) -> ContractionEstimate:
@@ -512,13 +521,14 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
     """Decide solvability and solve the edge-condition system.
 
     Raises InvalidClass unless the pair classifies as hyperbolic with
-    vertices out of the absolute or as the unsolvable remainder.  The class
-    decides solvability exactly (see classify_realization); the one pair on
-    the boundary between the two reports the degenerate corner root as a
-    boundary solution.  Otherwise Newton runs from _start's point with no
-    region, since from the box centre at (2, 7), (3, 7) and (3, 8) it leaves
-    the box and comes back, and the result is DIVERGED unless it converges
-    inside the box.
+    vertices out of the absolute or as the unsolvable remainder, and
+    domain_for's InvalidParams on an admissible pair too large for floats.
+    The class decides solvability exactly (see classify_realization); the
+    one pair on the boundary between the two reports the degenerate corner
+    root as a boundary solution.  Otherwise Newton runs from _start's point
+    with no region, since from the box centre at (2, 7), (3, 7) and (3, 8)
+    it leaves the box and comes back, and the result is DIVERGED unless it
+    converges inside the box.
     """
     cfg = config or SolverConfig()
     cls = classify_realization(params)

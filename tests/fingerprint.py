@@ -12,9 +12,10 @@ resolution 200 on domain_for's box and at resolution 400 on the full box
 a < b <= b_max + 2; and the exit code and the sha256 of the stdout and of
 the stderr of CLI_COMMANDS, run in this process by ``clirun.run_cli`` (or
 the exception a command raises).
-CLI_COMMANDS reach exit codes 0 to 2 and several ``error:`` lines; none is
-a usage error, whose wording comes from the argument parser.  Newton's step
-budget is not an option, so none of them reaches exit code 3 (diverged).
+CLI_COMMANDS reach exit codes 0, 1, 2 and 4 and several ``error:`` lines;
+none is a usage error, whose wording comes from the argument parser.
+Newton's step budget is not an option, so none of them reaches exit code 3
+(diverged).
 """
 
 from __future__ import annotations
@@ -30,14 +31,17 @@ from clirun import run_cli
 from hypsimplex import DomainBox, SimplexParams, compute_bmax, domain_for, grid_oracle, solve
 
 REFS_JSON = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
+# pi/a and pi/b are not floats from about 2**1024 on.
+_HUGE = f"{2**1024} {2**1024 + 1}"
 CLI_COMMANDS = (
     "classify 3 7", "classify 6 3", "solve 2 3", "solve 3 7", "solve 2 8", "solve 2 9",
-    "solve 2 2", "solve 0 3", "check --trials 2 --seed -1", "check --trials 2 --seed 0",
+    "solve 2 2", "solve 0 3", "check 3 7", "check 2 8",
     "solve 3 7 --degrees --format csv", "table", "table --a 5 --b 2..3",
     "table --a 1 --b 2..3", "table --a 2..3 --format csv --degrees",
     "grid 3 7 --resolution 20", "grid 2 2", "grid 2 5 --resolution 7 --format json-lines --degrees",
-    "check --trials 20 --seed 3", "check --trials 20 --seed 3 --format csv",
-    "check --trials 1 --identity-only",
+    "check 2 9", "check 2 2", "check 100000000 200000000", "check 7 12 --format csv",
+    f"classify {_HUGE}", f"solve {_HUGE}", f"grid {_HUGE}", f"check {_HUGE}",
+    f"table --a {2**1024} --b {2**1024 + 1}", f"solve 3 {2**1024 + 1}",
 )
 # b = 2a, 2a - 1 and 3a/2 at a = 10**3..10**12: the rows where accuracy
 # decays toward the corner of the domain box, and their neighbours.

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from math import pi
 from pathlib import Path
 
@@ -16,8 +17,9 @@ import pytest
 import hypsimplex.cli as cli_module
 import hypsimplex.solver as solver_module
 from hypsimplex.cli import _emit
-from hypsimplex.conditions import edge_conditions_raw, edge_jacobian_raw
-from hypsimplex.model import SimplexParams
+from hypsimplex.conditions import compute_bmax, edge_conditions_raw, edge_jacobian_raw
+from hypsimplex.errors import AmbiguousSignature, SingularMatrix
+from hypsimplex.model import DihedralAngles, SimplexParams
 from hypsimplex.solver import SolverConfig, domain_for
 
 from clirun import run_cli
@@ -439,54 +441,137 @@ class TestGridCommand:
         assert run("grid", 2, 4, "--resolution", "0").exit_code == 2
 
 
+# The relative gap between the two edge lengths that each condition makes
+# equal stays far below this on every admissible pair with a = 2..40.
+GAP_BOUND = 1e-12
+
+
 class TestCheckCommand:
-    def test_thousand_seeded_trials_all_pass(self):
-        result = run("check", "--trials", "1000", "--seed", "42")
+    def test_solved_pair_passes(self):
+        result = run("check", 3, 7)
         assert result.exit_code == 0
         (row,) = json_lines(result)
-        assert row["passes"] + row["skipped"] == 1000
-        assert row["failures"] == 0
-        assert row["worst_relative_gap"] < 1e-9
+        assert (row["status"], row["proper_all_pass"], row["matrix_agrees"]) == (
+            "Solved", True, True)
+        assert max(row["length_gaps"]) < GAP_BOUND
 
-    def test_identity_only_single_trial(self):
-        result = run("check", "--trials", "1", "--identity-only")
-        assert result.exit_code == 0
-        (row,) = json_lines(result)
-        assert row["identity_only"] is True
-        assert row["passes"] == 1
-        assert row["worst_relative_gap"] == 0.0
-
-    def test_same_seed_reproduces_output(self):
-        first = run("check", "--trials", "100", "--seed", "7")
-        second = run("check", "--trials", "100", "--seed", "7")
-        assert first.stdout == second.stdout
-
-    def test_csv_format(self):
-        result = run("check", "--trials", "25", "--format", "csv")
-        assert result.exit_code == 0
-        (row,) = csv_rows(result)
-        assert row["failures"] == "0"
-        assert int(row["passes"]) + int(row["skipped"]) == 25
-
-    def test_rejects_nonpositive_trials(self):
-        assert run("check", "--trials", "0").exit_code == 2
-
-    def test_rejects_negative_seed(self):
-        result = run("check", "--trials", "2", "--seed", "-1")
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert result.stderr == "error: seed must be at least 0, got -1\n"
-
-    def test_failure_exit_code(self, monkeypatch):
-        import hypsimplex.matrices as matrices_module
-
-        monkeypatch.setattr(
-            matrices_module, "jacobi_minor_identity", lambda m, spec: (1.0, 2.0)
-        )
-        result = run("check", "--trials", "3")
+    def test_failure_exit_code(self):
+        # Solved with alpha2 = 0.0: the first pair of lengths is 2.6e-24 and 0.
+        result = run("check", 100000000, 200000000)
         assert result.exit_code == 4
         (row,) = json_lines(result)
-        assert row["failures"] == 3
+        assert (row["status"], row["proper_all_pass"], row["matrix_agrees"]) == (
+            "Solved", False, True)
+        assert row["length_gaps"][0] == 1.0
+
+    def test_rejects_invalid_class(self):
+        result = run("check", 2, 2)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    def test_random_draw_options_are_usage_errors(self):
+        for options in (["--trials", "0"], ["--seed", "-1"], ["--identity-only"]):
+            result = run("check", 3, 7, *options)
+            assert (result.exit_code, result.stdout) == (2, ""), options
+
+    def test_unsolvable_pair_exits_as_solve_does(self):
+        result = run("check", 2, 9)
+        assert result.exit_code == 1
+        (row,) = json_lines(result)
+        assert row["status"] == "NoProperSolution"
+        assert [row[k] for k in ("proper_all_pass", "length_gaps", "matrix_agrees")] == [
+            None, None, None]
+
+    def test_csv_format(self):
+        (json_row,) = json_lines(run("check", 7, 12))
+        result = run("check", 7, 12, "--format", "csv")
+        assert result.exit_code == 0
+        (row,) = csv_rows(result)
+        assert list(row) == list(json_row)
+        assert row["length_gaps"] == ";".join(format(g, ".17g") for g in json_row["length_gaps"])
+        assert (row["status"], row["matrix_agrees"]) == ("Solved", "true")
+
+    def test_moved_angle_raises_the_gaps_above_the_bound(self, monkeypatch):
+        solve = solver_module.solve
+
+        def moved(params):
+            report = solve(params)
+            alpha1 = report.angles.alpha1 * (1 + 1e-6)
+            angles = DihedralAngles.from_reduced(params, alpha1, report.angles.beta1)
+            return replace(report, angles=angles,
+                           properness=solver_module.check_properness(params, angles))
+
+        monkeypatch.setattr(solver_module, "solve", moved)
+        (row,) = json_lines(run("check", 3, 7))
+        assert min(row["length_gaps"]) > GAP_BOUND
+
+    def test_worst_gap_over_a_2_to_40(self):
+        """At aa4273f the worst gap is 8.39e-14, at (39, 78), over the 826
+        admissible pairs with a = 2..40."""
+        worst = 0.0
+        for a in range(2, 41):
+            for b in range(a + 1, compute_bmax(a) + 1):
+                result = run("check", a, b)
+                assert result.exit_code == 0, (a, b)
+                (row,) = json_lines(result)
+                assert row["matrix_agrees"] is True, (a, b)
+                worst = max(worst, *row["length_gaps"])
+        assert worst < GAP_BOUND
+
+    def test_singular_inverse_reads_as_failed_gram_check(self, monkeypatch):
+        import hypsimplex.matrices as matrices_module
+
+        def singular(matrix):
+            raise SingularMatrix("forced")
+
+        monkeypatch.setattr(matrices_module, "inverse", singular)
+        result = run("check", 3, 7)
+        assert result.exit_code == 4
+        (row,) = json_lines(result)
+        assert (row["proper_all_pass"], row["matrix_agrees"]) == (True, False)
+
+    def test_ambiguous_vertex_reads_as_disagreement(self, monkeypatch):
+        def ambiguous(matrix, i):
+            raise AmbiguousSignature("forced")
+
+        monkeypatch.setattr(cli_module, "classify_vertex", ambiguous)
+        result = run("check", 3, 7)
+        assert result.exit_code == 4
+        (row,) = json_lines(result)
+        assert (row["proper_all_pass"], row["matrix_agrees"]) == (True, False)
+
+
+class TestLargeParameters:
+    """pi/a and pi/b are not floats from about 2**1024 on."""
+
+    A = 2**1024
+
+    def test_classify_answers_from_integers(self):
+        result = run("classify", self.A, self.A + 1)
+        assert result.exit_code == 0
+        (row,) = json_lines(result)
+        assert (row["class"], row["strict"], row["b_max"]) == (
+            "HyperbolicOuter", True, 2 * self.A)
+        assert [row[k] for k in ("inequality_lhs", "inequality_rhs", "corner_value")] == [
+            None, None, None]
+
+    @pytest.mark.parametrize("command", ["solve", "grid", "check"])
+    def test_admissible_pair_is_refused(self, command):
+        result = run(command, self.A, self.A + 1)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: pi/a or pi/b is not a float")
+
+    def test_table_refuses_the_pair(self):
+        result = run("table", "--a", self.A, "--b", self.A + 1)
+        assert (result.exit_code, result.stdout) == (2, "")
+
+    def test_class_decides_a_pair_with_large_b(self):
+        result = run("solve", 3, self.A + 1)
+        assert result.exit_code == 1
+        (row,) = json_lines(result)
+        assert (row["class"], row["status"]) == ("NoProperSolution", "NoProperSolution")
 
 
 OPTIONS = {
@@ -494,7 +579,7 @@ OPTIONS = {
     "solve": {"--format", "--degrees"},
     "table": {"--a", "--b", "--format", "--degrees"},
     "grid": {"--resolution", "--format", "--degrees"},
-    "check": {"--trials", "--seed", "--identity-only", "--format"},
+    "check": {"--format"},
 }
 
 
@@ -542,22 +627,3 @@ class TestArgumentParsing:
             stderr = child.stderr.read()
         assert child.returncode == 1
         assert stderr == b""
-
-
-class TestMinorIdentitySuite:
-    def test_near_singular_draws_are_skipped_not_failed(self, monkeypatch):
-        import hypsimplex.matrices as matrices_module
-
-        monkeypatch.setattr(matrices_module, "_SUITE_SINGULAR_TOL", float("inf"))
-        summary = matrices_module.run_minor_identity_suite(20, seed=3)
-        assert summary["skipped"] == 20
-        assert summary["failures"] == 0
-        assert summary["passes"] == 0
-        assert all(note.startswith("SingularMatrix") for note in summary["notes"])
-
-    def test_random_suite_counts_are_consistent(self):
-        from hypsimplex.matrices import run_minor_identity_suite
-
-        summary = run_minor_identity_suite(200, seed=11)
-        assert summary["passes"] + summary["failures"] + summary["skipped"] == 200
-        assert summary["failures"] == 0

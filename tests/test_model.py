@@ -67,7 +67,8 @@ class TestDihedralAngles:
     def test_from_reduced_satisfies_constraints(self):
         p = SimplexParams(3, 7)
         angles = DihedralAngles.from_reduced(p, 0.9, 0.05)
-        r1, r2 = angles.constraint_residuals(p)
+        r1 = 2 * angles.alpha1 + angles.alpha2 - 2 * pi / p.a
+        r2 = 2 * angles.beta1 + angles.beta2 - 2 * pi / p.b
         assert abs(r1) < 1e-15 and abs(r2) < 1e-15
         assert angles.alpha2 == pytest.approx(2 * pi / 3 - 1.8)
         assert angles.beta2 == pytest.approx(2 * pi / 7 - 0.1)
@@ -126,7 +127,7 @@ class TestVertexClassification:
         assert classify_vertex(m, 3) is VertexClass.OUTER
 
     def test_ambiguous_raises(self):
-        m = SymMatrix4.diagonal((1.0, 0.0, 0.0, 1.0))
+        m = SymMatrix4(np.diag((1.0, 0.0, 0.0, 1.0)))
         with pytest.raises(AmbiguousSignature):
             classify_vertex(m, 3)
 
@@ -173,4 +174,4 @@ class TestGramSignCheck:
         assert gram_sign_check(gram) is True
 
     def test_false_for_identity(self):
-        assert gram_sign_check(SymMatrix4.identity()) is False
+        assert gram_sign_check(SymMatrix4(np.eye(4))) is False

@@ -14,6 +14,7 @@ from hypsimplex import (
     DomainBox,
     DomainError,
     InvalidClass,
+    InvalidParams,
     NoContraction,
     SimplexParams,
     SingularMatrix,
@@ -106,6 +107,15 @@ class TestDomainBox:
         with pytest.raises(ValueError):
             DomainBox(1.0, 1.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("a, b", [(2**1024, 2**1024 + 1), (2**1023, 2**1024)])
+    def test_refuses_parameters_whose_angles_are_not_floats(self, a, b):
+        # pi/a overflows in the first pair and only pi/b in the second; both
+        # pairs are admissible, so solve() reaches domain_for.
+        with pytest.raises(InvalidParams, match="not a float"):
+            domain_for(SimplexParams(a, b))
+        with pytest.raises(InvalidParams, match="not a float"):
+            solve(SimplexParams(a, b))
+
 
 class TestSolveRegression:
     def test_matches_frozen_roots(self, solved_reports):
@@ -132,7 +142,10 @@ class TestSolveRegression:
 
     def test_angles_satisfy_linear_constraints(self, solved_reports):
         for pair, report in solved_reports.items():
-            r1, r2 = report.angles.constraint_residuals(SimplexParams(*pair))
+            a, b = pair
+            angles = report.angles
+            r1 = 2 * angles.alpha1 + angles.alpha2 - 2 * pi / a
+            r2 = 2 * angles.beta1 + angles.beta2 - 2 * pi / b
             assert max(abs(r1), abs(r2)) < 1e-12
 
 
