@@ -8,8 +8,10 @@ dihedral angles.  Solutions are verified from closed forms of the
 bilinear form: the sign of its determinant, the vertex minors, the signs of
 the Gram cofactors, and the edge lengths.
 
-Importing the package does not load numpy: the names of the general matrix
-path (``matrices``) are resolved on first access.
+Importing the package loads neither the solver nor numpy: the names
+defined in ``solver`` and in the general matrix path (``matrices``) are
+resolved on first access, so code that only classifies pairs loads
+neither.
 """
 
 from .conditions import (
@@ -45,48 +47,51 @@ from .model import (
     gram_sign_check,
     normalize_params,
 )
-from .solver import (
-    ContractionEstimate,
-    DomainBox,
-    GridRoot,
-    PropernessReport,
-    SolveReport,
-    SolveStatus,
-    SolverConfig,
-    check_properness,
-    contraction_map,
-    domain_for,
-    estimate_contraction,
-    grid_oracle,
-    solve,
-)
 
 __version__ = "0.1.0"
 
-_MATRIX_NAMES = frozenset({
-    "MinorSpec",
-    "SymMatrix4",
-    "determinant",
-    "inverse",
-    "jacobi_minor_identity",
-    "minor",
-    "projective_distance",
-    "signature",
-})
+# Name -> defining module, for the names resolved on first access.
+_LAZY = {
+    **dict.fromkeys((
+        "ContractionEstimate",
+        "DomainBox",
+        "GridRoot",
+        "PropernessReport",
+        "SolveReport",
+        "SolveStatus",
+        "SolverConfig",
+        "check_properness",
+        "contraction_map",
+        "domain_for",
+        "estimate_contraction",
+        "grid_oracle",
+        "solve",
+    ), "solver"),
+    **dict.fromkeys((
+        "MinorSpec",
+        "SymMatrix4",
+        "determinant",
+        "inverse",
+        "jacobi_minor_identity",
+        "minor",
+        "projective_distance",
+        "signature",
+    ), "matrices"),
+}
 
 
 def __getattr__(name: str):
-    if name not in _MATRIX_NAMES:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import matrices
+    from importlib import import_module
 
-    value = getattr(matrices, name)
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _MATRIX_NAMES)
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "AmbiguousSignature",

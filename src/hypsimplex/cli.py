@@ -12,19 +12,20 @@ reader, which prints nothing), 2 invalid parameters or a usage error,
 root inside the box), 4 a check failure: `check` found a solved row
 improper, or the 4x4 matrix path disagreeing with its verdict.  Otherwise
 `check` exits as `solve` does.
+
+Only the commands that solve (`solve`, `table`, `grid`, `check`) load the
+solver, and only `grid` and `check` load numpy: `classify` loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from contextlib import suppress
 from math import pi
 
-from . import solver as solver_lib
 from .conditions import (
     compute_bmax,
     corner_value,
@@ -41,7 +42,6 @@ from .model import (
     gram_sign_check,
     normalize_params,
 )
-from .solver import SolveStatus
 
 EXIT_SOLVED = 0
 EXIT_NO_SOLUTION = 1
@@ -49,11 +49,13 @@ EXIT_INVALID_PARAMS = 2
 EXIT_DIVERGED = 3
 EXIT_CHECK_FAILURE = 4
 
+# Keyed by SolveStatus member name, so that the CLI loads the solver only in
+# the commands that solve.
 _STATUS_EXIT = {
-    SolveStatus.SOLVED: EXIT_SOLVED,
-    SolveStatus.NO_PROPER_SOLUTION: EXIT_NO_SOLUTION,
-    SolveStatus.BOUNDARY_SOLUTION: EXIT_NO_SOLUTION,
-    SolveStatus.DIVERGED: EXIT_DIVERGED,
+    "SOLVED": EXIT_SOLVED,
+    "NO_PROPER_SOLUTION": EXIT_NO_SOLUTION,
+    "BOUNDARY_SOLUTION": EXIT_NO_SOLUTION,
+    "DIVERGED": EXIT_DIVERGED,
 }
 
 def _token(value, fmt: str, depth: int = 0) -> str:
@@ -98,6 +100,8 @@ def _emit(rows, fmt: str) -> bool:
                 "{" + ",".join([n + _token(v, fmt) for n, (_, v) in zip(names, row)]) + "}\n"
             )
     else:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(keys)
 
@@ -225,8 +229,10 @@ def _solve_row(params: SimplexParams, report, degrees: bool) -> list:
 
 def _solved(params: SimplexParams):
     """solve()'s report; a pair that solve() refuses exits 2."""
+    from .solver import solve
+
     try:
-        return solver_lib.solve(params)
+        return solve(params)
     except (InvalidClass, InvalidParams) as exc:
         _fail(str(exc), EXIT_INVALID_PARAMS)
 
@@ -236,7 +242,7 @@ def cmd_solve(a, b, fmt, degrees) -> None:
     params = _normalized(a, b)
     report = _solved(params)
     _emit([_solve_row(params, report, degrees)], fmt)
-    sys.exit(_STATUS_EXIT[report.status])
+    sys.exit(_STATUS_EXIT[report.status.name])
 
 
 def _table_row(a: int, b: int, cls: RealizationClass, report, degrees: bool) -> list:
@@ -252,6 +258,8 @@ def _table_row(a: int, b: int, cls: RealizationClass, report, degrees: bool) -> 
 
 def cmd_table(a_range, b_range, fmt, degrees) -> None:
     """Tabulate solved angles over a parameter range."""
+    from .solver import _SOLVABLE, SolveStatus
+
     a_lo, a_hi = _parse_range(a_range, "a")
     if a_lo < 1:
         _fail(f"a must be at least 1, got {a_lo}", EXIT_INVALID_PARAMS)
@@ -271,7 +279,7 @@ def cmd_table(a_range, b_range, fmt, degrees) -> None:
                 params = SimplexParams(a, b)
                 cls = classify_realization(params)
                 report = None
-                if cls in solver_lib._SOLVABLE:
+                if cls in _SOLVABLE:
                     report = _solved(params)
                     diverged |= report.status is SolveStatus.DIVERGED
                 yield _table_row(a, b, cls, report, degrees)
@@ -285,6 +293,9 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
     """Sample the edge conditions and their derivatives over the domain box."""
     from itertools import repeat
 
+    # The solver before numpy: loaded after it, it raised the child's peak RSS.
+    from .solver import _SOLVABLE, domain_for
+
     import numpy as np
 
     params = _normalized(a, b)
@@ -292,14 +303,14 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
         _fail(f"resolution must be at least 2 nodes per axis, got {resolution}",
               EXIT_INVALID_PARAMS)
     cls = classify_realization(params)
-    if cls not in solver_lib._SOLVABLE:
+    if cls not in _SOLVABLE:
         _fail(
             f"grid applies to hyperbolic pairs with outer vertices; "
             f"({params.a}, {params.b}) classifies as {cls.value}",
             EXIT_INVALID_PARAMS,
         )
     try:
-        box = solver_lib.domain_for(params)
+        box = domain_for(params)
     except InvalidParams as exc:
         _fail(str(exc), EXIT_INVALID_PARAMS)
     al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution)
@@ -348,6 +359,8 @@ def cmd_check(a: int, b: int, fmt: str) -> None:
     """Solve the pair (A, B) and check the answer: the relative gaps between
     the edge lengths each condition makes equal, and whether the 4x4 matrix
     path reaches the same verdict."""
+    from .solver import SolveStatus
+
     params = _normalized(a, b)
     report = _solved(params)
     properness = report.properness
@@ -375,7 +388,7 @@ def cmd_check(a: int, b: int, fmt: str) -> None:
         fmt,
     )
     failed = agrees is False or (report.status is SolveStatus.SOLVED and not proper)
-    sys.exit(EXIT_CHECK_FAILURE if failed else _STATUS_EXIT[report.status])
+    sys.exit(EXIT_CHECK_FAILURE if failed else _STATUS_EXIT[report.status.name])
 
 
 def _parser() -> argparse.ArgumentParser:

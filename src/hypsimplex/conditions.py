@@ -35,6 +35,8 @@ from .interval import PI, Interval
 from .model import SimplexParams, _b_max, _require_integers
 
 _BOX_TOL = 1e-12
+# On intervals, 2*pi/a must enclose the true value, not math.pi's.
+_TWO_PI = 2 * PI
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,7 @@ class AngleSlice:
 
 
 def _derived(alpha1, beta1, a: int, b: int):
-    # On intervals, 2*pi/a must enclose the true value, not math.pi's.
-    two_pi = 2 * PI if isinstance(alpha1, Interval) or isinstance(beta1, Interval) else 2 * pi
+    two_pi = _TWO_PI if isinstance(alpha1, Interval) or isinstance(beta1, Interval) else 2 * pi
     return two_pi / a - 2 * alpha1, two_pi / b - 2 * beta1
 
 

@@ -20,7 +20,7 @@ from hypsimplex.cli import _emit
 from hypsimplex.conditions import compute_bmax, edge_conditions_raw, edge_jacobian_raw
 from hypsimplex.errors import AmbiguousSignature, SingularMatrix
 from hypsimplex.model import DihedralAngles, SimplexParams
-from hypsimplex.solver import SolverConfig, domain_for
+from hypsimplex.solver import SolveStatus, SolverConfig, domain_for
 
 from clirun import run_cli
 from oracles import TRUE_ROOTS
@@ -206,6 +206,18 @@ class TestSolveCommand:
 
     def test_invalid_params_exit_code(self):
         assert run("solve", 0, 3).exit_code == 2
+
+    def test_every_status_has_its_exit_code(self):
+        """The CLI keys its exit codes by status name, so a status it does
+        not name would raise KeyError instead of exiting."""
+        codes = {status: cli_module._STATUS_EXIT[status.name] for status in SolveStatus}
+        assert codes == {
+            SolveStatus.SOLVED: 0,
+            SolveStatus.NO_PROPER_SOLUTION: 1,
+            SolveStatus.BOUNDARY_SOLUTION: 1,
+            SolveStatus.DIVERGED: 3,
+        }
+        assert len(cli_module._STATUS_EXIT) == len(SolveStatus)
 
     def test_diverged_exit_code(self, monkeypatch):
         newton_diverges(monkeypatch)

@@ -1,5 +1,5 @@
-"""numpy is loaded only where an array or a general 4x4 matrix exists, and
-the CLI never loads click.
+"""numpy is loaded only where an array or a general 4x4 matrix exists, the
+solver only where a pair is solved, and the CLI never loads click.
 
 Each case runs in a fresh interpreter, so the modules loaded by the rest of
 the suite do not hide an import.
@@ -70,3 +70,23 @@ def test_array_paths_load_numpy(code):
 ], ids=["import-cli", "cli-classify", "cli-solve", "cli-table"])
 def test_cli_does_not_load_click(code):
     assert not _loads(code, "click")
+
+
+@pytest.mark.parametrize("code", [
+    "import hypsimplex",
+    "import hypsimplex.cli",
+    _cli("classify", "3", "7"),
+], ids=["import", "import-cli", "cli-classify"])
+def test_classifying_does_not_load_the_solver(code):
+    assert not _loads(code, "hypsimplex.solver")
+
+
+@pytest.mark.parametrize("code", [
+    _cli("solve", "3", "7"),
+    _cli("table", "--a", "3"),
+    _cli("grid", "2", "4", "--resolution", "4"),
+    _cli("check", "3", "7"),
+    "import hypsimplex\nhypsimplex.solve",
+], ids=["cli-solve", "cli-table", "cli-grid", "cli-check", "solver-name"])
+def test_solving_loads_the_solver(code):
+    assert _loads(code, "hypsimplex.solver")

@@ -328,7 +328,7 @@ class TestOneCertificateBox:
         assert report.certificate_box == DomainBox(*box), pair
 
     def test_certificate_cost_is_counted(self, monkeypatch):
-        """One certificate at (7, 12) builds at most 99 Interval results, and
+        """One certificate at (7, 12) builds at most 98 Interval results, and
         every product in it has operands of one strict sign each, so none
         takes the four endpoint products."""
         params = SimplexParams(7, 12)
@@ -349,7 +349,7 @@ class TestOneCertificateBox:
         monkeypatch.setattr(Interval, "__mul__", checking_mul)
         monkeypatch.setattr(Interval, "__rmul__", checking_mul)
         assert estimate_contraction(params, box).norm_bound < 1.0
-        assert len(made) <= 99
+        assert len(made) <= 98
         assert not mixed
 
 
