@@ -2,16 +2,17 @@
 
 Subcommands: classify, solve, table, grid, check.  Output goes to stdout as
 JSON lines (default) or CSV; every float is printed with 17 significant
-digits and fields keep a fixed order, so the output is diffable.  `grid`
-and `table` stream their rows: `table` writes each row once its pair is
-solved, and `grid` formats its rows from one precompiled template and writes
-them a block of one alpha1 node at a time.  Diagnostics go to stderr.  Exit
-codes: 0 solved, 1 no proper or boundary solution (or stdout closed by its
-reader, which prints nothing), 2 invalid parameters or a usage error,
-3 diverged (Newton, whose step budget is not an option, ended without a
-root inside the box), 4 a check failure: `check` found a solved row
-improper, or the 4x4 matrix path disagreeing with its verdict.  Otherwise
-`check` exits as `solve` does.
+digits and fields keep a fixed order, so the output is diffable.  `table`
+and `check` rows are projections of the one `solve` record (`_record`).
+`grid` and `table` stream their rows: `table` writes each row once its pair
+is solved, and `grid` formats its rows from one precompiled template and
+writes them a block of one alpha1 node at a time.  Diagnostics go to stderr.
+Exit codes: 0 solved, 1 no proper or boundary solution (or stdout closed by
+its reader, which prints nothing), 2 invalid parameters or a usage error, 3
+diverged (Newton, whose step budget is not an option, ended without a root
+inside the box), 4 a check failure: `check` found a solved row improper, or
+the 4x4 matrix path disagreeing with its verdict.  Otherwise `check` exits
+as `solve` does.
 
 Only the commands that solve (`solve`, `table`, `grid`, `check`) load the
 solver, and only `grid` and `check` load numpy: `classify` loads neither.
@@ -34,7 +35,6 @@ from .conditions import (
 )
 from .errors import AmbiguousSignature, InvalidClass, InvalidParams, SingularMatrix
 from .model import (
-    RealizationClass,
     SimplexParams,
     build_coxeter_schlafli,
     classify_realization,
@@ -84,29 +84,28 @@ def _token(value, fmt: str, depth: int = 0) -> str:
 
 
 def _emit(rows, fmt: str) -> bool:
-    """Write rows (lists of (key, value) pairs) in the requested format, each
-    as it comes; the keys are read from the first row.  Returns whether any
-    row was written."""
+    """Write rows (dicts with the first row's keys, in its order) in the
+    requested format, each as it comes.  Returns whether any row was
+    written."""
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
         return False
-    keys = [k for k, _ in first]
     if fmt == "json-lines":
-        names = [json.dumps(k) + ":" for k in keys]
+        names = [json.dumps(k) + ":" for k in first]
 
         def write(row):
             sys.stdout.write(
-                "{" + ",".join([n + _token(v, fmt) for n, (_, v) in zip(names, row)]) + "}\n"
+                "{" + ",".join([n + _token(v, fmt) for n, v in zip(names, row.values())]) + "}\n"
             )
     else:
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(keys)
+        writer.writerow(first)
 
         def write(row):
-            writer.writerow([_token(v, fmt) for _, v in row])
+            writer.writerow([_token(v, fmt) for v in row.values()])
     write(first)
     for row in rows:
         write(row)
@@ -116,12 +115,6 @@ def _emit(rows, fmt: str) -> bool:
 def _fail(message: str, code: int) -> None:
     print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
-
-
-def _angles_out(value: float | None, degrees: bool) -> float | None:
-    if value is None:
-        return None
-    return value * 180.0 / pi if degrees else value
 
 
 def _parse_range(text: str, label: str) -> tuple[int, int]:
@@ -138,27 +131,6 @@ def _parse_range(text: str, label: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _b_max_field(a: int) -> int | None:
-    """Largest admissible second parameter; None for a = 1."""
-    return compute_bmax(a) if a >= 2 else None
-
-
-def _geometry_fields(report) -> list:
-    """The determinant, the inertia of the angle matrix, the vertex classes
-    and the two verified edge-length pairs, read from the report's
-    properness check: all null for a report without angles, and the edge
-    lengths null outside their domain (see PropernessReport)."""
-    properness = getattr(report, "properness", None)
-    if properness is None:
-        return [(k, None) for k in ("determinant", "signature", "vertex_classes", "edge_lengths")]
-    return [
-        ("determinant", properness.determinant),
-        ("signature", list(properness.signature.as_tuple())),
-        ("vertex_classes", [c.value for c in properness.vertex_classes]),
-        ("edge_lengths", properness.edge_lengths),
-    ]
-
-
 def _normalized(a: int, b: int) -> SimplexParams:
     try:
         return normalize_params(a, b)
@@ -166,65 +138,67 @@ def _normalized(a: int, b: int) -> SimplexParams:
         _fail(str(exc), EXIT_INVALID_PARAMS)
 
 
+# The head of every record but grid's.
+_PREFIX = ("a", "b", "swapped", "class")
+_ANGLES = ("alpha1", "alpha2", "beta1", "beta2")
+_FLAGS = ("angles_positive", "determinant_negative", "vertices_outer", "gram_signs", "all_pass")
+_SOLVE_KEYS = (
+    *_PREFIX, "status", *_ANGLES, "residual_cond1", "residual_cond2", "iterations",
+    "determinant", "signature", "vertex_classes", "edge_lengths", "b_max",
+    "contraction_norm_estimate", *[f"proper_{name}" for name in _FLAGS], "improper_roots",
+)
+# A table row is the solve record without "swapped", cut after "b_max"; a
+# check row starts with these fields of it.
+_TABLE_KEYS = [k for k in _SOLVE_KEYS[:_SOLVE_KEYS.index("b_max") + 1] if k != "swapped"]
+_CHECK_KEYS = (*_PREFIX, "status", "proper_all_pass")
+
+
+def _record(params: SimplexParams, report, degrees: bool = False) -> dict:
+    """The solve record of a pair, with the fields of _SOLVE_KEYS.  Without a
+    report every report field is null; without angles or a properness check,
+    the fields read from them are null (see PropernessReport)."""
+    record = dict.fromkeys(_SOLVE_KEYS)
+    record.update({"a": params.a, "b": params.b, "swapped": params.swapped,
+                   "class": classify_realization(params).value,
+                   "b_max": compute_bmax(params.a) if params.a >= 2 else None})
+    if report is None:
+        return record
+
+    def out(angle):
+        return angle * 180.0 / pi if degrees else angle
+
+    record.update(
+        status=report.status.value, residual_cond1=report.residual_cond1,
+        residual_cond2=report.residual_cond2, iterations=report.iterations,
+        contraction_norm_estimate=report.contraction_norm_estimate,
+        improper_roots=[[out(x), out(y)] for x, y in report.improper_roots],
+    )
+    if report.angles is not None:
+        record.update(zip(_ANGLES, map(out, report.angles.as_tuple())))
+    properness = report.properness
+    if properness is not None:
+        record.update(
+            determinant=properness.determinant,
+            signature=list(properness.signature.as_tuple()),
+            vertex_classes=[c.value for c in properness.vertex_classes],
+            edge_lengths=properness.edge_lengths,
+            **{f"proper_{name}": getattr(properness, name) for name in _FLAGS},
+        )
+    return record
+
+
 def cmd_classify(a: int, b: int, fmt: str) -> None:
     """Classify the parameter pair (A, B)."""
     params = _normalized(a, b)
-    cls = classify_realization(params)
-    b_max = _b_max_field(params.a)
+    record = _record(params, None)
     lhs = rhs = strict = corner = None
     if params.a >= 2 and params.b > params.a:
-        strict = params.b <= b_max
-        with suppress(OverflowError):  # pi/a or pi/b is not a float
+        strict = params.b <= record["b_max"]
+        with suppress(InvalidParams):  # pi/a or pi/b is not a float
             lhs, rhs, _ = realizability_inequality(params)
             corner = corner_value(params)
-    _emit(
-        [[
-            ("a", params.a),
-            ("b", params.b),
-            ("swapped", params.swapped),
-            ("class", cls.value),
-            ("inequality_lhs", lhs),
-            ("inequality_rhs", rhs),
-            ("strict", strict),
-            ("corner_value", corner),
-            ("b_max", b_max),
-        ]],
-        fmt,
-    )
-
-
-def _report_fields(report, degrees: bool) -> list:
-    """Status, the four angles, both residuals and the iterations of a
-    solve report; every field is null when there is no report."""
-    status = getattr(report, "status", None)
-    angles = getattr(report, "angles", None)
-    return [
-        ("status", status.value if status is not None else None),
-        *[(name, _angles_out(getattr(angles, name, None), degrees))
-          for name in ("alpha1", "alpha2", "beta1", "beta2")],
-        *[(name, getattr(report, name, None))
-          for name in ("residual_cond1", "residual_cond2", "iterations")],
-    ]
-
-
-def _solve_row(params: SimplexParams, report, degrees: bool) -> list:
-    return [
-        ("a", params.a),
-        ("b", params.b),
-        ("swapped", params.swapped),
-        ("class", classify_realization(params).value),
-        *_report_fields(report, degrees),
-        *_geometry_fields(report),
-        ("b_max", _b_max_field(params.a)),
-        ("contraction_norm_estimate", report.contraction_norm_estimate),
-        *[(f"proper_{name}", getattr(report.properness, name, None))
-          for name in ("angles_positive", "determinant_negative", "vertices_outer",
-                       "gram_signs", "all_pass")],
-        ("improper_roots", [
-            [_angles_out(x, degrees), _angles_out(y, degrees)]
-            for x, y in report.improper_roots
-        ]),
-    ]
+    _emit([{**{k: record[k] for k in _PREFIX}, "inequality_lhs": lhs, "inequality_rhs": rhs,
+            "strict": strict, "corner_value": corner, "b_max": record["b_max"]}], fmt)
 
 
 def _solved(params: SimplexParams):
@@ -241,19 +215,8 @@ def cmd_solve(a, b, fmt, degrees) -> None:
     """Solve the edge-condition system for the pair (A, B)."""
     params = _normalized(a, b)
     report = _solved(params)
-    _emit([_solve_row(params, report, degrees)], fmt)
+    _emit([_record(params, report, degrees)], fmt)
     sys.exit(_STATUS_EXIT[report.status.name])
-
-
-def _table_row(a: int, b: int, cls: RealizationClass, report, degrees: bool) -> list:
-    return [
-        ("a", a),
-        ("b", b),
-        ("class", cls.value),
-        *_report_fields(report, degrees),
-        *_geometry_fields(report),
-        ("b_max", _b_max_field(a)),
-    ]
 
 
 def cmd_table(a_range, b_range, fmt, degrees) -> None:
@@ -277,12 +240,12 @@ def cmd_table(a_range, b_range, fmt, degrees) -> None:
                 b_lo, b_hi = a + 1, compute_bmax(a)
             for b in range(max(b_lo, a + 1), b_hi + 1):
                 params = SimplexParams(a, b)
-                cls = classify_realization(params)
                 report = None
-                if cls in _SOLVABLE:
+                if classify_realization(params) in _SOLVABLE:
                     report = _solved(params)
                     diverged |= report.status is SolveStatus.DIVERGED
-                yield _table_row(a, b, cls, report, degrees)
+                record = _record(params, report, degrees)
+                yield {k: record[k] for k in _TABLE_KEYS}
 
     if not _emit(rows(), fmt):
         _fail("empty parameter range: no pairs with b > a", EXIT_INVALID_PARAMS)
@@ -359,10 +322,9 @@ def cmd_check(a: int, b: int, fmt: str) -> None:
     """Solve the pair (A, B) and check the answer: the relative gaps between
     the edge lengths each condition makes equal, and whether the 4x4 matrix
     path reaches the same verdict."""
-    from .solver import SolveStatus
-
     params = _normalized(a, b)
     report = _solved(params)
+    record = _record(params, report)
     properness = report.properness
     gaps = agrees = None
     if properness is not None:
@@ -373,22 +335,11 @@ def cmd_check(a: int, b: int, fmt: str) -> None:
             properness.determinant_negative, properness.vertex_classes,
             properness.gram_signs, properness.signature,
         )
-    proper = getattr(properness, "all_pass", None)
-    _emit(
-        [[
-            ("a", params.a),
-            ("b", params.b),
-            ("swapped", params.swapped),
-            ("class", classify_realization(params).value),
-            ("status", report.status.value),
-            ("proper_all_pass", proper),
-            ("length_gaps", gaps),
-            ("matrix_agrees", agrees),
-        ]],
-        fmt,
-    )
-    failed = agrees is False or (report.status is SolveStatus.SOLVED and not proper)
-    sys.exit(EXIT_CHECK_FAILURE if failed else _STATUS_EXIT[report.status.name])
+    row = {k: record[k] for k in _CHECK_KEYS}
+    _emit([{**row, "length_gaps": gaps, "matrix_agrees": agrees}], fmt)
+    code = _STATUS_EXIT[report.status.name]
+    failed = agrees is False or (code == EXIT_SOLVED and not row["proper_all_pass"])
+    sys.exit(EXIT_CHECK_FAILURE if failed else code)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -274,17 +274,29 @@ def edge_condition2_deriv(s: AngleSlice) -> float:
     return float(edge_condition2_deriv_raw(s.alpha1, s.beta1, s.params.a, s.params.b))
 
 
+def _angle_caps(params: SimplexParams) -> tuple[float, float]:
+    """pi/a and pi/b; InvalidParams when either is not a float, from about 2**1024."""
+    try:
+        return pi / params.a, pi / params.b
+    except OverflowError:
+        raise InvalidParams(
+            f"pi/a or pi/b is not a float: parameters must be below about 2**1024, "
+            f"got a {params.b.bit_length()}-bit b"
+        ) from None
+
+
 def realizability_inequality(params: SimplexParams) -> tuple[float, float, bool]:
     """Both sides of the strict realizability inequality, as floats, and its
     truth, decided exactly by the b_max lemma (see classify_realization).
 
-    Raises InvalidParams unless b > a >= 2.
+    Raises InvalidParams unless b > a >= 2 and pi/a, pi/b are floats.
     """
     a, b = params.a, params.b
     if a < 2 or b <= a:
         raise InvalidParams(f"inequality requires b > a >= 2, got ({a}, {b})")
-    lhs = (1.0 + cos(pi / a)) * sin(2.0 * pi / b)
-    rhs = (cos(pi / a) + cos(2.0 * pi / b)) * sin(pi / a)
+    t = _angle_caps(params)[0]
+    lhs = (1.0 + cos(t)) * sin(2.0 * pi / b)
+    rhs = (cos(t) + cos(2.0 * pi / b)) * sin(t)
     return lhs, rhs, b <= _b_max(a)
 
 
@@ -307,9 +319,10 @@ def corner_value(params: SimplexParams) -> float:
     It equals (lhs - rhs)(lhs + rhs) for the two sides of the realizability
     inequality, so its sign repeats the class; it is printed as data, and
     solve() does not read it.  Zero is an exact trigonometric identity at
-    (2, 8), the one pair on the boundary.
+    (2, 8), the one pair on the boundary.  Raises InvalidParams unless
+    b > a >= 2 and pi/a, pi/b are floats.
     """
     a, b = params.a, params.b
     if a < 2 or b <= a:
         raise InvalidParams(f"corner value requires b > a >= 2, got ({a}, {b})")
-    return float(edge_condition2_raw(pi / a, 0.0, a, b))
+    return float(edge_condition2_raw(_angle_caps(params)[0], 0.0, a, b))

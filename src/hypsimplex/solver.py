@@ -23,13 +23,14 @@ from sys import float_info
 from typing import TYPE_CHECKING
 
 from .conditions import (
+    _angle_caps,
     edge_conditions_factors,
     edge_conditions_raw,
     edge_jacobian_raw,
     edge_system_raw,
     gram_raw,
 )
-from .errors import InvalidClass, InvalidParams, NoContraction
+from .errors import InvalidClass, NoContraction
 from .interval import Interval
 from .model import (
     SINGULARITY_FACTOR,
@@ -219,13 +220,7 @@ def domain_for(params: SimplexParams) -> DomainBox:
     Raises InvalidParams when pi/a or pi/b is not a float, from about
     a = 2**1024 on.
     """
-    try:
-        alpha_hi, beta_hi = pi / params.a, pi / params.b
-    except OverflowError:
-        raise InvalidParams(
-            f"pi/a or pi/b is not a float: parameters must be below about 2**1024, "
-            f"got a {params.b.bit_length()}-bit b"
-        ) from None
+    alpha_hi, beta_hi = _angle_caps(params)
     alpha_lo = pi / 3 if params.a == 2 else 0.0
     return DomainBox(alpha_lo, alpha_hi, 0.0, beta_hi)
 

@@ -42,6 +42,7 @@ CLI_COMMANDS = (
     "check 2 9", "check 2 2", "check 100000000 200000000", "check 7 12 --format csv",
     f"classify {_HUGE}", f"solve {_HUGE}", f"grid {_HUGE}", f"check {_HUGE}",
     f"table --a {2**1024} --b {2**1024 + 1}", f"solve 3 {2**1024 + 1}",
+    "solve 2 3 --degrees", "classify 3 3", "table --a 1..2 --b 2..4 --format csv",
 )
 # b = 2a, 2a - 1 and 3a/2 at a = 10**3..10**12: the rows where accuracy
 # decays toward the corner of the domain box, and their neighbours.

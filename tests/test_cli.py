@@ -47,19 +47,19 @@ def newton_diverges(monkeypatch):
 
 
 class TestSerialization:
-    ROW = [
-        ("none", None),
-        ("swapped", False),
-        ("iterations", 6),
-        ("class", "HyperbolicOuter"),
-        ("flags", [True, False]),
-        ("signature", [3, 1, 0]),
-        ("value", 0.1),
-        ("vertex_classes", ["Outer", "Ideal"]),
-        ("improper_roots", [[0.5, 0.25]]),
-        ("edge_lengths", [[1.5, 1.5], [2.0, 2.5]]),
-        ("empty", []),
-    ]
+    ROW = {
+        "none": None,
+        "swapped": False,
+        "iterations": 6,
+        "class": "HyperbolicOuter",
+        "flags": [True, False],
+        "signature": [3, 1, 0],
+        "value": 0.1,
+        "vertex_classes": ["Outer", "Ideal"],
+        "improper_roots": [[0.5, 0.25]],
+        "edge_lengths": [[1.5, 1.5], [2.0, 2.5]],
+        "empty": [],
+    }
 
     def test_json_lines(self, capsys):
         _emit([self.ROW], "json-lines")
@@ -88,9 +88,9 @@ class TestSerialization:
         before_second = []
 
         def rows():
-            yield [("a", 1), ("b", 0.5)]
+            yield {"a": 1, "b": 0.5}
             before_second.append(capsys.readouterr().out)
-            yield [("a", 2), ("b", None)]
+            yield {"a": 2, "b": None}
 
         assert _emit(rows(), fmt) is True
         assert before_second == [first]
@@ -100,6 +100,77 @@ class TestSerialization:
     def test_no_rows_write_nothing(self, capsys, fmt):
         assert _emit(iter(()), fmt) is False
         assert capsys.readouterr().out == ""
+
+
+CLASSIFY_KEYS = [
+    "a", "b", "swapped", "class", "inequality_lhs", "inequality_rhs", "strict",
+    "corner_value", "b_max",
+]
+SOLVE_KEYS = [
+    "a", "b", "swapped", "class", "status", "alpha1", "alpha2", "beta1", "beta2",
+    "residual_cond1", "residual_cond2", "iterations", "determinant", "signature",
+    "vertex_classes", "edge_lengths", "b_max", "contraction_norm_estimate",
+    "proper_angles_positive", "proper_determinant_negative", "proper_vertices_outer",
+    "proper_gram_signs", "proper_all_pass", "improper_roots",
+]
+TABLE_KEYS = [
+    "a", "b", "class", "status", "alpha1", "alpha2", "beta1", "beta2",
+    "residual_cond1", "residual_cond2", "iterations", "determinant", "signature",
+    "vertex_classes", "edge_lengths", "b_max",
+]
+CHECK_KEYS = [
+    "a", "b", "swapped", "class", "status", "proper_all_pass", "length_gaps",
+    "matrix_agrees",
+]
+ANGLE_KEYS = ("alpha1", "alpha2", "beta1", "beta2", "improper_roots")
+
+
+class TestRecordShapes:
+    """Every command's record keeps one key order, and the table and check
+    rows are projections of the solve record."""
+
+    @pytest.mark.parametrize("args, keys", [
+        (("classify", 3, 7), CLASSIFY_KEYS),
+        (("classify", 1, 5), CLASSIFY_KEYS),
+        (("solve", 3, 7), SOLVE_KEYS),
+        (("solve", 2, 9), SOLVE_KEYS),
+        (("table", "--a", "1..2", "--b", "2..3"), TABLE_KEYS),
+        (("check", 3, 7), CHECK_KEYS),
+        (("check", 2, 9), CHECK_KEYS),
+    ], ids=lambda value: " ".join(map(str, value)) if isinstance(value, tuple) else None)
+    @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+    def test_key_order(self, args, keys, fmt):
+        result = run(*args, "--format", fmt)
+        assert result.exit_code in (0, 1), result.stderr
+        if fmt == "csv":
+            assert result.stdout.splitlines()[0] == ",".join(keys)
+        else:
+            assert all(list(row) == keys for row in json_lines(result))
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (2, 8), (2, 9)])
+    def test_table_row_is_the_solve_record_cut_after_b_max(self, a, b):
+        (record,) = json_lines(run("solve", a, b))
+        (row,) = json_lines(run("table", "--a", a, "--b", b))
+        assert list(row.items()) == [(k, record[k]) for k in TABLE_KEYS]
+
+    def test_table_row_without_a_report_is_null_past_the_class(self):
+        (row,) = json_lines(run("table", "--a", 1, "--b", 2))
+        (classified,) = json_lines(run("classify", 1, 2))
+        assert [row[k] for k in ("a", "b", "class")] == [
+            classified[k] for k in ("a", "b", "class")]
+        assert [row[k] for k in TABLE_KEYS[3:]] == [None] * (len(TABLE_KEYS) - 3)
+
+    @pytest.mark.parametrize("a, b", [(3, 7), (7, 3), (2, 8), (2, 9)])
+    def test_check_row_starts_with_the_solve_record(self, a, b):
+        (record,) = json_lines(run("solve", a, b))
+        (row,) = json_lines(run("check", a, b))
+        assert list(row.items())[:6] == [(k, record[k]) for k in CHECK_KEYS[:6]]
+
+    @pytest.mark.parametrize("a, b", [(3, 7), (6, 3)])
+    def test_solve_record_starts_with_the_classify_prefix(self, a, b):
+        (classified,) = json_lines(run("classify", a, b))
+        (record,) = json_lines(run("solve", a, b))
+        assert [record[k] for k in SOLVE_KEYS[:4]] == [classified[k] for k in SOLVE_KEYS[:4]]
 
 
 class TestClassifyCommand:
@@ -236,9 +307,20 @@ class TestSolveCommand:
         assert ":" in row["improper_roots"]
 
     def test_degrees_flag(self):
-        radians = json_lines(run("solve", 3, 5))[0]
-        degrees = json_lines(run("solve", 3, 5, "--degrees"))[0]
-        assert degrees["alpha1"] == pytest.approx(radians["alpha1"] * 180 / pi)
+        """Degrees are radians * 180.0 / pi, bit for bit, in the angles and
+        in the improper roots; (2, 3) has one improper root."""
+        for (a, b), improper in (((3, 5), 0), ((2, 3), 1)):
+            (radians,) = json_lines(run("solve", a, b))
+            (degrees,) = json_lines(run("solve", a, b, "--degrees"))
+            for key in ("alpha1", "alpha2", "beta1", "beta2"):
+                assert degrees[key] == radians[key] * 180.0 / pi, (a, b, key)
+            assert degrees["improper_roots"] == [
+                [x * 180.0 / pi for x in root] for root in radians["improper_roots"]
+            ]
+            assert len(degrees["improper_roots"]) == improper
+            assert {k: v for k, v in degrees.items() if k not in ANGLE_KEYS} == {
+                k: v for k, v in radians.items() if k not in ANGLE_KEYS
+            }
 
     def test_floats_roundtrip_at_full_precision(self):
         result = run("solve", 2, 4)

@@ -453,6 +453,17 @@ class TestCornerValue:
             corner_value(SimplexParams(2, 2))
 
 
+@pytest.mark.parametrize("a, b", [(2**1024, 2**1024 + 1), (2**1023, 2**1024)],
+                         ids=["pi-over-a", "pi-over-b"])
+@pytest.mark.parametrize("func", [realizability_inequality, corner_value, domain_for],
+                         ids=lambda func: func.__name__)
+def test_refuses_pairs_whose_angles_are_not_floats_with_one_message(func, a, b):
+    # pi/a overflows in the first pair and only pi/b in the second; all three
+    # functions refuse both with domain_for's message.
+    with pytest.raises(InvalidParams, match=r"^pi/a or pi/b is not a float: .* got a 1025-bit b$"):
+        func(SimplexParams(a, b))
+
+
 def _float_sides(a, b):
     """lhs and rhs of the realizability inequality in floats."""
     lhs = (1.0 + cos(pi / a)) * sin(2.0 * pi / b)
