@@ -15,7 +15,8 @@ the 4x4 matrix path disagreeing with its verdict.  Otherwise `check` exits
 as `solve` does.
 
 Only the commands that solve (`solve`, `table`, `grid`, `check`) load the
-solver, and only `grid` and `check` load numpy: `classify` loads neither.
+solver and `dataclasses`, and only `grid` and `check` load numpy: `classify`
+loads none of them, as the value types it builds are named tuples.
 """
 
 from __future__ import annotations

@@ -22,40 +22,41 @@ together, testing its type once: ``math`` for Python floats and ints
 (``np.float64`` is a float), the ``Interval``'s own ``sincos`` for boxes,
 and numpy for anything else, numpy being imported only then.  So scalar
 calls return Python floats and never load numpy.  The public operations
-wrap the kernels for scalar slices.
+wrap the kernels for scalar slices: ``AngleSlice``, an immutable named tuple
+whose ``_replace`` validates as its constructor does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, pi, sin
+from typing import NamedTuple
 
 from .errors import InvalidParams
 from .interval import PI, Interval
-from .model import SimplexParams, _b_max, _require_integers
+from .model import SimplexParams, _b_max, _require_integers, _validated_make
 
 _BOX_TOL = 1e-12
 # On intervals, 2*pi/a must enclose the true value, not math.pi's.
 _TWO_PI = 2 * PI
 
 
-@dataclass(frozen=True)
-class AngleSlice:
+class AngleSlice(NamedTuple("AngleSlice", [("alpha1", float), ("beta1", float),
+                                           ("params", SimplexParams)])):
     """A point of the reduced coordinate box for fixed parameters.
 
     alpha2 and beta2 are always derived from the constraints, never stored.
     """
 
-    alpha1: float
-    beta1: float
-    params: SimplexParams
+    __slots__ = ()
+    _make = _validated_make
 
-    def __post_init__(self) -> None:
-        a, b = self.params.a, self.params.b
-        if not (-_BOX_TOL <= self.alpha1 <= pi / a + _BOX_TOL):
-            raise ValueError(f"alpha1 = {self.alpha1!r} outside [0, pi/{a}]")
-        if not (-_BOX_TOL <= self.beta1 <= pi / b + _BOX_TOL):
-            raise ValueError(f"beta1 = {self.beta1!r} outside [0, pi/{b}]")
+    def __new__(cls, alpha1: float, beta1: float, params: SimplexParams):
+        a, b = params.a, params.b
+        if not (-_BOX_TOL <= alpha1 <= pi / a + _BOX_TOL):
+            raise ValueError(f"alpha1 = {alpha1!r} outside [0, pi/{a}]")
+        if not (-_BOX_TOL <= beta1 <= pi / b + _BOX_TOL):
+            raise ValueError(f"beta1 = {beta1!r} outside [0, pi/{b}]")
+        return super().__new__(cls, alpha1, beta1, params)
 
     @property
     def alpha2(self) -> float:

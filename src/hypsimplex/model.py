@@ -7,18 +7,19 @@ are tied to the parameters by the linear constraints
 
     2*alpha1 + alpha2 = 2*pi/a,      2*beta1 + beta2 = 2*pi/b.
 
-The module needs no numpy: ``build_coxeter_schlafli`` and
-``classify_vertex``, which build and read a ``SymMatrix4``, load numpy and
-``matrices`` when called.
+Its value types (``Signature``, ``SimplexParams``, ``DihedralAngles``) are
+immutable named tuples, read by name or position, whose ``_replace`` validates.
+The module needs neither numpy nor ``dataclasses``: ``build_coxeter_schlafli``
+and ``classify_vertex``, which build and read a ``SymMatrix4``, load numpy
+and ``matrices`` when called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import cos, pi
 from numbers import Integral
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import AmbiguousSignature, InvalidParams
 
@@ -45,8 +46,7 @@ class VertexClass(Enum):
     OUTER = "Outer"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Inertia of a symmetric matrix: eigenvalue sign counts."""
 
     positive: int
@@ -54,7 +54,11 @@ class Signature:
     zero: int
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.positive, self.negative, self.zero)
+        return tuple(self)
+
+
+# Builds through __new__, so that _make and _replace validate like the constructor.
+_validated_make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def _require_integers(*values) -> None:
@@ -64,22 +68,20 @@ def _require_integers(*values) -> None:
             raise InvalidParams(f"parameters must be integers, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SimplexParams:
+class SimplexParams(NamedTuple("SimplexParams", [("a", int), ("b", int), ("swapped", bool)])):
     """Normalized integer parameters, stored as int, with the swap recorded."""
 
-    a: int
-    b: int
-    swapped: bool = False
+    __slots__ = ()
+    _make = _validated_make
 
-    def __post_init__(self) -> None:
-        _require_integers(self.a, self.b)
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", int(self.b))
-        if self.a < 1 or self.b < 1:
-            raise InvalidParams(f"parameters must be >= 1, got ({self.a}, {self.b})")
-        if self.b < self.a:
+    def __new__(cls, a: int, b: int, swapped: bool = False):
+        _require_integers(a, b)
+        a, b = int(a), int(b)
+        if a < 1 or b < 1:
+            raise InvalidParams(f"parameters must be >= 1, got ({a}, {b})")
+        if b < a:
             raise InvalidParams("SimplexParams requires b >= a; use normalize_params")
+        return super().__new__(cls, a, b, swapped)
 
 
 def normalize_params(a: int, b: int) -> SimplexParams:
@@ -92,20 +94,19 @@ def normalize_params(a: int, b: int) -> SimplexParams:
     return SimplexParams(a=a, b=b, swapped=False)
 
 
-@dataclass(frozen=True)
-class DihedralAngles:
+class DihedralAngles(NamedTuple("DihedralAngles", [("alpha1", float), ("alpha2", float),
+                                                   ("beta1", float), ("beta2", float)])):
     """The four dihedral angles in radians, each within [0, pi]."""
 
-    alpha1: float
-    alpha2: float
-    beta1: float
-    beta2: float
+    __slots__ = ()
+    _make = _validated_make
 
-    def __post_init__(self) -> None:
-        for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            v = getattr(self, name)
+    def __new__(cls, alpha1: float, alpha2: float, beta1: float, beta2: float):
+        self = super().__new__(cls, alpha1, alpha2, beta1, beta2)
+        for name, v in zip(self._fields, self):
             if not (-_ANGLE_TOL <= v <= pi + _ANGLE_TOL):
                 raise ValueError(f"{name} = {v!r} outside [0, pi]")
+        return self
 
     @classmethod
     def from_reduced(
@@ -120,7 +121,7 @@ class DihedralAngles:
         )
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.alpha1, self.alpha2, self.beta1, self.beta2)
+        return tuple(self)
 
 
 def build_coxeter_schlafli(angles: DihedralAngles) -> SymMatrix4:

@@ -11,7 +11,9 @@ resolution 200 on domain_for's box and at resolution 400 on the full box
 [0, pi/a] x [0, pi/b], for every pair with a = 2..20 and
 a < b <= b_max + 2; and the exit code and the sha256 of the stdout and of
 the stderr of CLI_COMMANDS, run in this process by ``clirun.run_cli`` (or
-the exception a command raises).
+the exception a command raises); and the ``repr`` of the value types that
+the CLI and the solver build: ``SimplexParams``, a swapped one, an
+``AngleSlice`` and a ``PropernessReport.signature``.
 CLI_COMMANDS reach exit codes 0, 1, 2 and 4 and several ``error:`` lines;
 none is a usage error, whose wording comes from the argument parser.
 Newton's step budget is not an option, so none of them reaches exit code 3
@@ -28,7 +30,16 @@ from pathlib import Path
 
 from clirun import run_cli
 
-from hypsimplex import DomainBox, SimplexParams, compute_bmax, domain_for, grid_oracle, solve
+from hypsimplex import (
+    AngleSlice,
+    DomainBox,
+    SimplexParams,
+    compute_bmax,
+    domain_for,
+    grid_oracle,
+    normalize_params,
+    solve,
+)
 
 REFS_JSON = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
 # pi/a and pi/b are not floats from about 2**1024 on.
@@ -79,6 +90,15 @@ def main() -> None:
             continue
         digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
         print(f"cli {command}\t{code} {' '.join(digests)}")
+    values = {
+        "SimplexParams(3, 7)": SimplexParams(3, 7),
+        "normalize_params(7, 3)": normalize_params(7, 3),
+        "AngleSlice(0.25, 0.1, SimplexParams(4, 9))": AngleSlice(0.25, 0.1, SimplexParams(4, 9)),
+        "solve(SimplexParams(3, 7)).properness.signature":
+            solve(SimplexParams(3, 7)).properness.signature,
+    }
+    for name, value in values.items():
+        print(f"repr {name}\t{value!r}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Tests for the edge conditions, their derivatives, and derived tables."""
 
+import copy
+import pickle
 from math import cos, pi, sin
 
 import numpy as np
@@ -79,6 +81,30 @@ class TestAngleSlice:
         p = SimplexParams(4, 9)
         AngleSlice(0.0, 0.0, p)
         AngleSlice(pi / 4, pi / 9, p)
+
+    def test_named_tuple_contract(self):
+        # The repr, hash, pickling and copying of the frozen dataclass it replaced.
+        p = SimplexParams(4, 9)
+        s = AngleSlice(0.25, 0.1, p)
+        assert repr(s) == (
+            "AngleSlice(alpha1=0.25, beta1=0.1, params=SimplexParams(a=4, b=9, swapped=False))"
+        )
+        assert AngleSlice(alpha1=0.25, beta1=0.1, params=p) == s == (0.25, 0.1, p)
+        assert hash(s) == hash(AngleSlice(0.25, 0.1, SimplexParams(4, 9)))
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert copied == s and type(copied) is AngleSlice
+        for name in ("alpha1", "params", "alpha2", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 0.2)
+
+    def test_replace_and_make_validate_as_the_constructor(self):
+        s = AngleSlice(0.25, 0.1, SimplexParams(4, 9))
+        with pytest.raises(ValueError, match=r"beta1 = 1\.0 outside \[0, pi/9\]"):
+            s._replace(beta1=1.0)
+        with pytest.raises(ValueError, match=r"alpha1 = 0\.25 outside \[0, pi/20\]"):
+            s._replace(params=SimplexParams(20, 30))
+        with pytest.raises(ValueError, match=r"alpha1 = 1\.0 outside \[0, pi/4\]"):
+            AngleSlice._make((1.0, 0.1, s.params))
 
 
 class TestMinorCrossCheck:

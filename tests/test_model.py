@@ -1,5 +1,8 @@
 """Tests for parameter handling, angle assembly, and classification."""
 
+import copy
+import pickle
+import re
 from math import cos, pi
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypsimplex import (
     DihedralAngles,
     InvalidParams,
     RealizationClass,
+    Signature,
     SimplexParams,
     SymMatrix4,
     VertexClass,
@@ -82,6 +86,61 @@ class TestDihedralAngles:
     def test_as_tuple_order(self):
         angles = DihedralAngles(0.1, 0.2, 0.3, 0.4)
         assert angles.as_tuple() == (0.1, 0.2, 0.3, 0.4)
+
+
+# type -> (fields by position, the repr the frozen dataclass printed)
+VALUES = {
+    Signature: ((3, 1, 0), "Signature(positive=3, negative=1, zero=0)"),
+    SimplexParams: ((3, 7, False), "SimplexParams(a=3, b=7, swapped=False)"),
+    DihedralAngles: (
+        (0.5, 0.25, 0.125, 1.5),
+        "DihedralAngles(alpha1=0.5, alpha2=0.25, beta1=0.125, beta2=1.5)",
+    ),
+}
+
+
+class TestValueTypes:
+    """The value types are immutable named tuples that print, hash, pickle and
+    copy as the frozen dataclasses they replace did."""
+
+    @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+    def test_named_tuple_contract(self, cls):
+        args, text = VALUES[cls]
+        value = cls(*args)
+        assert repr(value) == text
+        assert cls(**dict(zip(cls._fields, args))) == value == args
+        assert hash(value) == hash(cls(*args))
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value and type(copied) is cls
+        with pytest.raises(AttributeError):
+            setattr(value, cls._fields[0], args[0])
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_swapped_defaults_to_false(self):
+        assert SimplexParams(3, 7) == SimplexParams(a=3, b=7, swapped=False)
+
+    @pytest.mark.parametrize("value, field, bad", [
+        (SimplexParams(3, 7), "b", 2),
+        (SimplexParams(3, 7), "a", 2.5),
+        (SimplexParams(3, 7), "a", 0),
+        (DihedralAngles(0.5, 0.25, 0.125, 1.5), "beta1", 3.5),
+        (DihedralAngles(0.5, 0.25, 0.125, 1.5), "alpha2", -0.1),
+    ])
+    def test_replace_and_make_validate_as_the_constructor(self, value, field, bad):
+        cls = type(value)
+        fields = {**value._asdict(), field: bad}
+        with pytest.raises((InvalidParams, ValueError)) as built:
+            cls(**fields)
+        message = re.escape(str(built.value))
+        with pytest.raises(built.type, match=message):
+            value._replace(**{field: bad})
+        with pytest.raises(built.type, match=message):
+            cls._make(fields.values())
+
+    def test_replace_stores_numpy_integers_as_int(self):
+        p = SimplexParams(3, 7)._replace(b=np.int64(8))
+        assert p == SimplexParams(3, 8) and type(p.b) is int
 
 
 class TestCoxeterSchlafliMatrix:

@@ -1,5 +1,7 @@
 """numpy is loaded only where an array or a general 4x4 matrix exists, the
-solver only where a pair is solved, and the CLI never loads click.
+solver only where a pair is solved, ``dataclasses`` (and the ``inspect`` it
+imports) only with the solver or the matrix path, and the CLI never loads
+click.
 
 Each case runs in a fresh interpreter, so the modules loaded by the rest of
 the suite do not hide an import.
@@ -90,3 +92,17 @@ def test_classifying_does_not_load_the_solver(code):
 ], ids=["cli-solve", "cli-table", "cli-grid", "cli-check", "solver-name"])
 def test_solving_loads_the_solver(code):
     assert _loads(code, "hypsimplex.solver")
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+@pytest.mark.parametrize("code", [
+    "import hypsimplex",
+    "import hypsimplex.cli",
+    _cli("classify", "3", "7"),
+], ids=["import", "import-cli", "cli-classify"])
+def test_classifying_does_not_load_dataclasses(code, module):
+    assert not _loads(code, module)
+
+
+def test_solving_loads_dataclasses():
+    assert _loads(_cli("solve", "3", "7"), "dataclasses")
