@@ -8,50 +8,48 @@ dihedral angles.  Solutions are verified from closed forms of the
 bilinear form: the sign of its determinant, the vertex minors, the signs of
 the Gram cofactors, and the edge lengths.
 
-Importing the package loads neither the solver nor numpy: the names
-defined in ``solver`` and in the general matrix path (``matrices``) are
-resolved on first access, so code that only classifies pairs loads
-neither.
+Importing the package loads no module: each public name is resolved from
+its defining module on first access, so code that only classifies pairs
+loads neither the solver nor numpy.
 """
-
-from .conditions import (
-    AngleSlice,
-    compute_bmax,
-    corner_value,
-    edge_condition1,
-    edge_condition1_deriv,
-    edge_condition2,
-    edge_condition2_deriv,
-    realizability_inequality,
-    vertex_minor0,
-    vertex_minor1,
-)
-from .errors import (
-    AmbiguousSignature,
-    DomainError,
-    HypsimplexError,
-    InvalidClass,
-    InvalidParams,
-    NoContraction,
-    SingularMatrix,
-)
-from .model import (
-    DihedralAngles,
-    RealizationClass,
-    Signature,
-    SimplexParams,
-    VertexClass,
-    build_coxeter_schlafli,
-    classify_realization,
-    classify_vertex,
-    gram_sign_check,
-    normalize_params,
-)
 
 __version__ = "0.1.0"
 
-# Name -> defining module, for the names resolved on first access.
+# Name -> defining module, for every public name, resolved on first access.
 _LAZY = {
+    **dict.fromkeys((
+        "AmbiguousSignature",
+        "DomainError",
+        "HypsimplexError",
+        "InvalidClass",
+        "InvalidParams",
+        "NoContraction",
+        "SingularMatrix",
+    ), "errors"),
+    **dict.fromkeys((
+        "DihedralAngles",
+        "RealizationClass",
+        "Signature",
+        "SimplexParams",
+        "VertexClass",
+        "build_coxeter_schlafli",
+        "classify_realization",
+        "classify_vertex",
+        "gram_sign_check",
+        "normalize_params",
+    ), "model"),
+    **dict.fromkeys((
+        "AngleSlice",
+        "compute_bmax",
+        "corner_value",
+        "edge_condition1",
+        "edge_condition1_deriv",
+        "edge_condition2",
+        "edge_condition2_deriv",
+        "realizability_inequality",
+        "vertex_minor0",
+        "vertex_minor1",
+    ), "conditions"),
     **dict.fromkeys((
         "ContractionEstimate",
         "DomainBox",
@@ -93,54 +91,5 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_LAZY))
 
-__all__ = [
-    "AmbiguousSignature",
-    "AngleSlice",
-    "ContractionEstimate",
-    "DihedralAngles",
-    "DomainBox",
-    "DomainError",
-    "GridRoot",
-    "HypsimplexError",
-    "InvalidClass",
-    "InvalidParams",
-    "MinorSpec",
-    "NoContraction",
-    "PropernessReport",
-    "RealizationClass",
-    "Signature",
-    "SimplexParams",
-    "SingularMatrix",
-    "SolveReport",
-    "SolveStatus",
-    "SolverConfig",
-    "SymMatrix4",
-    "VertexClass",
-    "build_coxeter_schlafli",
-    "check_properness",
-    "classify_realization",
-    "classify_vertex",
-    "compute_bmax",
-    "contraction_map",
-    "corner_value",
-    "determinant",
-    "domain_for",
-    "edge_condition1",
-    "edge_condition1_deriv",
-    "edge_condition2",
-    "edge_condition2_deriv",
-    "estimate_contraction",
-    "grid_oracle",
-    "gram_sign_check",
-    "inverse",
-    "jacobi_minor_identity",
-    "minor",
-    "normalize_params",
-    "projective_distance",
-    "realizability_inequality",
-    "signature",
-    "solve",
-    "vertex_minor0",
-    "vertex_minor1",
-    "__version__",
-]
+
+__all__ = [*_LAZY, "__version__"]

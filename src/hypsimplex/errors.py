@@ -10,8 +10,8 @@ class SingularMatrix(HypsimplexError):
 
 
 class DomainError(HypsimplexError):
-    """A distance-formula argument left its valid range; the configuration
-    is not realizable in the requested geometry."""
+    """``projective_distance`` was given a point index outside 0..3, a
+    non-positive diagonal product, or an arccosh argument below 1."""
 
 
 class InvalidParams(HypsimplexError):

@@ -13,7 +13,9 @@ a < b <= b_max + 2; and the exit code and the sha256 of the stdout and of
 the stderr of CLI_COMMANDS, run in this process by ``clirun.run_cli`` (or
 the exception a command raises); and the ``repr`` of the value types that
 the CLI and the solver build: ``SimplexParams``, a swapped one, an
-``AngleSlice`` and a ``PropernessReport.signature``.
+``AngleSlice`` and a ``PropernessReport.signature``; and, for each name of
+``hypsimplex.__all__`` in sorted order, the ``__module__`` of the object it
+resolves to (the value of ``__version__``).
 CLI_COMMANDS reach exit codes 0, 1, 2 and 4 and several ``error:`` lines;
 none is a usage error, whose wording comes from the argument parser.
 Newton's step budget is not an option, so none of them reaches exit code 3
@@ -30,6 +32,7 @@ from pathlib import Path
 
 from clirun import run_cli
 
+import hypsimplex
 from hypsimplex import (
     AngleSlice,
     DomainBox,
@@ -99,6 +102,9 @@ def main() -> None:
     }
     for name, value in values.items():
         print(f"repr {name}\t{value!r}")
+    for name in sorted(hypsimplex.__all__):
+        value = getattr(hypsimplex, name)
+        print(f"api {name}\t{value if name == '__version__' else value.__module__}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
-"""numpy is loaded only where an array or a general 4x4 matrix exists, the
-solver only where a pair is solved, ``dataclasses`` (and the ``inspect`` it
-imports) only with the solver or the matrix path, and the CLI never loads
-click.
+"""``import hypsimplex`` loads no submodule, and reading a public name loads
+only its defining module and that module's imports.  numpy is loaded only
+where an array or a general 4x4 matrix exists, the solver only where a pair
+is solved, ``dataclasses`` (and the ``inspect`` it imports) only with the
+solver or the matrix path, and the CLI never loads click.
 
 Each case runs in a fresh interpreter, so the modules loaded by the rest of
 the suite do not hide an import.
@@ -28,17 +29,37 @@ def _cli(*args: str) -> str:
     )
 
 
-def _loads(code: str, module: str = "numpy") -> bool:
-    """Whether ``code`` leaves ``module`` in ``sys.modules``, read from the
-    last line the child prints."""
+def _modules(code: str) -> set[str]:
+    """The names in ``sys.modules`` after ``code`` runs in a fresh
+    interpreter, read from the last line the child prints."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p
     )}
-    script = f"import sys\n{code}\nprint({module!r} in sys.modules)\n"
+    script = f"import sys\n{code}\nprint(' '.join(sys.modules))\n"
     result = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    return result.stdout.splitlines()[-1] == "True"
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def _loads(code: str, module: str = "numpy") -> bool:
+    """Whether ``code`` leaves ``module`` in ``sys.modules``."""
+    return module in _modules(code)
+
+
+def test_import_loads_no_submodule():
+    assert {m for m in _modules("import hypsimplex") if m.startswith("hypsimplex.")} == set()
+
+
+@pytest.mark.parametrize("name, loaded, not_loaded", [
+    ("InvalidParams", {"hypsimplex.errors"}, {"hypsimplex.model"}),
+    ("SimplexParams", {"hypsimplex.model"}, {"hypsimplex.conditions"}),
+    ("compute_bmax", {"hypsimplex.conditions"}, {"hypsimplex.solver", "numpy"}),
+], ids=["InvalidParams", "SimplexParams", "compute_bmax"])
+def test_a_name_loads_only_its_module(name, loaded, not_loaded):
+    modules = _modules(f"import hypsimplex\nhypsimplex.{name}")
+    assert loaded <= modules
+    assert not_loaded & modules == set()
 
 
 @pytest.mark.parametrize("code", [
