@@ -40,8 +40,10 @@ _LAZY = {
     ), "model"),
     **dict.fromkeys((
         "AngleSlice",
+        "DomainBox",
         "compute_bmax",
         "corner_value",
+        "domain_for",
         "edge_condition1",
         "edge_condition1_deriv",
         "edge_condition2",
@@ -52,7 +54,6 @@ _LAZY = {
     ), "conditions"),
     **dict.fromkeys((
         "ContractionEstimate",
-        "DomainBox",
         "GridRoot",
         "PropernessReport",
         "SolveReport",
@@ -60,7 +61,6 @@ _LAZY = {
         "SolverConfig",
         "check_properness",
         "contraction_map",
-        "domain_for",
         "estimate_contraction",
         "grid_oracle",
         "solve",

@@ -14,9 +14,10 @@ inside the box), 4 a check failure: `check` found a solved row improper, or
 the 4x4 matrix path disagreeing with its verdict.  Otherwise `check` exits
 as `solve` does.
 
-Only the commands that solve (`solve`, `table`, `grid`, `check`) load the
-solver and `dataclasses`, and only `grid` and `check` load numpy: `classify`
-loads none of them, as the value types it builds are named tuples.
+Only the commands that solve (`solve`, `table`, `check`) load the solver
+and `dataclasses`, and only `grid` and `check` load numpy: `classify` loads
+none of them, as the value types it builds are named tuples, and `grid`,
+which samples the conditions on `conditions.domain_for`'s box, numpy alone.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ from math import pi
 from .conditions import (
     compute_bmax,
     corner_value,
+    domain_for,
     edge_system_raw,
     realizability_inequality,
 )
 from .errors import AmbiguousSignature, InvalidClass, InvalidParams, SingularMatrix
 from .model import (
+    _SOLVABLE,
     SimplexParams,
     build_coxeter_schlafli,
     classify_realization,
@@ -222,7 +225,7 @@ def cmd_solve(a, b, fmt, degrees) -> None:
 
 def cmd_table(a_range, b_range, fmt, degrees) -> None:
     """Tabulate solved angles over a parameter range."""
-    from .solver import _SOLVABLE, SolveStatus
+    from .solver import SolveStatus
 
     a_lo, a_hi = _parse_range(a_range, "a")
     if a_lo < 1:
@@ -256,9 +259,6 @@ def cmd_table(a_range, b_range, fmt, degrees) -> None:
 def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
     """Sample the edge conditions and their derivatives over the domain box."""
     from itertools import repeat
-
-    # The solver before numpy: loaded after it, it raised the child's peak RSS.
-    from .solver import _SOLVABLE, domain_for
 
     import numpy as np
 

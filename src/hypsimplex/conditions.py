@@ -2,7 +2,8 @@
 
 With the linear constraints substituted, the whole system lives on two
 coordinates: alpha1 in [0, pi/a] and beta1 in [0, pi/b].  This module keeps
-the scalar machinery: the two vertex minors m0, m1 as closed trig
+that reduced box (``DomainBox``; ``domain_for`` is a pair's search box) and
+the scalar machinery on it: the two vertex minors m0, m1 as closed trig
 polynomials, the edge conditions m0 sin^2 beta1 - m1 sin^2 alpha2 and
 m1 sin^2 alpha1 - m0 sin^2 beta2 whose common zero is the solved simplex
 (singly, and as the pair ``edge_conditions_raw`` that shares one evaluation
@@ -23,7 +24,7 @@ together, testing its type once: ``math`` for Python floats and ints
 and numpy for anything else, numpy being imported only then.  So scalar
 calls return Python floats and never load numpy.  The public operations
 wrap the kernels for scalar slices: ``AngleSlice``, an immutable named tuple
-whose ``_replace`` validates as its constructor does.
+whose ``_replace`` validates as its constructor does, as does ``DomainBox``.
 """
 
 from __future__ import annotations
@@ -40,22 +41,34 @@ _BOX_TOL = 1e-12
 _TWO_PI = 2 * PI
 
 
+def _angle_caps(params: SimplexParams) -> tuple[float, float]:
+    """pi/a and pi/b; InvalidParams when either is not a float, from about 2**1024."""
+    try:
+        return pi / params.a, pi / params.b
+    except OverflowError:
+        raise InvalidParams(
+            f"pi/a or pi/b is not a float: parameters must be below about 2**1024, "
+            f"got a {params.b.bit_length()}-bit b"
+        ) from None
+
+
 class AngleSlice(NamedTuple("AngleSlice", [("alpha1", float), ("beta1", float),
                                            ("params", SimplexParams)])):
     """A point of the reduced coordinate box for fixed parameters.
 
     alpha2 and beta2 are always derived from the constraints, never stored.
+    Raises ValueError outside the box, and InvalidParams as _angle_caps does.
     """
 
     __slots__ = ()
     _make = _validated_make
 
     def __new__(cls, alpha1: float, beta1: float, params: SimplexParams):
-        a, b = params.a, params.b
-        if not (-_BOX_TOL <= alpha1 <= pi / a + _BOX_TOL):
-            raise ValueError(f"alpha1 = {alpha1!r} outside [0, pi/{a}]")
-        if not (-_BOX_TOL <= beta1 <= pi / b + _BOX_TOL):
-            raise ValueError(f"beta1 = {beta1!r} outside [0, pi/{b}]")
+        alpha_hi, beta_hi = _angle_caps(params)
+        if not (-_BOX_TOL <= alpha1 <= alpha_hi + _BOX_TOL):
+            raise ValueError(f"alpha1 = {alpha1!r} outside [0, pi/{params.a}]")
+        if not (-_BOX_TOL <= beta1 <= beta_hi + _BOX_TOL):
+            raise ValueError(f"beta1 = {beta1!r} outside [0, pi/{params.b}]")
         return super().__new__(cls, alpha1, beta1, params)
 
     @property
@@ -65,6 +78,49 @@ class AngleSlice(NamedTuple("AngleSlice", [("alpha1", float), ("beta1", float),
     @property
     def beta2(self) -> float:
         return 2 * pi / self.params.b - 2 * self.beta1
+
+
+class DomainBox(NamedTuple("DomainBox", [("alpha1_lo", float), ("alpha1_hi", float),
+                                         ("beta1_lo", float), ("beta1_hi", float)])):
+    """Closed box in (alpha1, beta1), lower end below upper end on each axis."""
+
+    __slots__ = ()
+    _make = _validated_make
+
+    def __new__(cls, alpha1_lo: float, alpha1_hi: float, beta1_lo: float, beta1_hi: float):
+        if not (alpha1_lo < alpha1_hi and beta1_lo < beta1_hi):
+            raise ValueError("degenerate domain box")
+        return super().__new__(cls, alpha1_lo, alpha1_hi, beta1_lo, beta1_hi)
+
+    @property
+    def center(self) -> tuple[float, float]:
+        alpha1_lo, alpha1_hi, beta1_lo, beta1_hi = self
+        return 0.5 * (alpha1_lo + alpha1_hi), 0.5 * (beta1_lo + beta1_hi)
+
+    def clamp(self, alpha1: float, beta1: float) -> tuple[float, float]:
+        alpha1_lo, alpha1_hi, beta1_lo, beta1_hi = self
+        return min(max(alpha1, alpha1_lo), alpha1_hi), min(max(beta1, beta1_lo), beta1_hi)
+
+    def contains(self, alpha1: float, beta1: float) -> bool:
+        alpha1_lo, alpha1_hi, beta1_lo, beta1_hi = self
+        return alpha1_lo <= alpha1 <= alpha1_hi and beta1_lo <= beta1 <= beta1_hi
+
+
+def domain_for(params: SimplexParams) -> DomainBox:
+    """Search box of the proper root: the reduced box, cut to alpha1 >= pi/3
+    at a = 2.
+
+    At a = 2 every root with a nonzero vertex minor lies on the curve
+    cos alpha1 = sin beta1/(2 sin beta2), which passes alpha1 = pi/3 at
+    beta1 = 2 pi/(3b).  That point separates the proper root from the
+    second, improper root, and solver._second_root's path starts there.
+    For a >= 3 the full box holds one root: the full-box grid_oracle at
+    resolution 400 finds exactly one on every admissible pair, a = 3..20.
+    Raises InvalidParams when pi/a or pi/b is not a float (_angle_caps).
+    """
+    alpha_hi, beta_hi = _angle_caps(params)
+    alpha_lo = pi / 3 if params.a == 2 else 0.0
+    return DomainBox(alpha_lo, alpha_hi, 0.0, beta_hi)
 
 
 def _derived(alpha1, beta1, a: int, b: int):
@@ -273,17 +329,6 @@ def edge_condition1_deriv(s: AngleSlice) -> float:
 
 def edge_condition2_deriv(s: AngleSlice) -> float:
     return float(edge_condition2_deriv_raw(s.alpha1, s.beta1, s.params.a, s.params.b))
-
-
-def _angle_caps(params: SimplexParams) -> tuple[float, float]:
-    """pi/a and pi/b; InvalidParams when either is not a float, from about 2**1024."""
-    try:
-        return pi / params.a, pi / params.b
-    except OverflowError:
-        raise InvalidParams(
-            f"pi/a or pi/b is not a float: parameters must be below about 2**1024, "
-            f"got a {params.b.bit_length()}-bit b"
-        ) from None
 
 
 def realizability_inequality(params: SimplexParams) -> tuple[float, float, bool]:

@@ -40,6 +40,10 @@ class RealizationClass(Enum):
     EXCLUDED_SYMMETRIC = "ExcludedSymmetric"
 
 
+# The realization classes solve() and `hypsimplex grid` accept, with a root or not.
+_SOLVABLE = (RealizationClass.HYPERBOLIC_OUTER, RealizationClass.NO_PROPER_SOLUTION)
+
+
 class VertexClass(Enum):
     PROPER = "Proper"
     IDEAL = "Ideal"

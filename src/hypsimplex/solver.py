@@ -1,14 +1,14 @@
 """Root finding for the edge-condition system.
 
 The solve pipeline is: gate on the realization class, which alone decides
-solvability, then locate the root of the two edge conditions in the box
-[0, pi/a] x [0, pi/b] (alpha1 >= pi/3 at a = 2) by Newton's method with the
-analytic Jacobian from _start's point, converged once a step is within one
-unit of _units, 4 machine epsilons of the box's side, and verify the solved
-angles geometrically (positivity, determinant sign, vertex classes, Gram
-sign pattern) from conditions.gram_raw.  At a = 2 the second, improper root
-is found on a closed-form curve through the roots.  A grid-based oracle
-locates roots independently, each Newton run kept to its cell's
+solvability, then locate the root of the two edge conditions in the box of
+conditions.domain_for, [0, pi/a] x [0, pi/b] (alpha1 >= pi/3 at a = 2) by
+Newton's method with the analytic Jacobian from _start's point, converged once
+a step is within one unit of _units, 4 machine epsilons of the box's side, and
+verify the solved angles geometrically (positivity, determinant sign, vertex
+classes, Gram sign pattern) from conditions.gram_raw.  At a = 2 the second,
+improper root is found on a closed-form curve through the roots.  A grid-based
+oracle locates roots independently, each Newton run kept to its cell's
 neighbourhood, and an interval bound proves the paper's damped map a
 contraction on Newton's stop box, one unit per axis around the root.
 """
@@ -23,16 +23,18 @@ from sys import float_info
 from typing import TYPE_CHECKING
 
 from .conditions import (
-    _angle_caps,
+    DomainBox,
+    domain_for,
     edge_conditions_factors,
     edge_conditions_raw,
     edge_jacobian_raw,
     edge_system_raw,
     gram_raw,
 )
-from .errors import InvalidClass, NoContraction
+from .errors import InvalidClass, InvalidParams, NoContraction
 from .interval import Interval
 from .model import (
+    _SOLVABLE,
     SINGULARITY_FACTOR,
     DihedralAngles,
     RealizationClass,
@@ -59,8 +61,6 @@ _NEAR = 2.0**26
 # 0.97-1.02 and 0.95-0.97 ms, and from 16040 nodes on the scans page-fault
 # again; the whole 401 x 401 grid read 0.54-0.58 and 1.98-2.04 ms.
 _TILE_NODES = 12288
-# The realization classes solve() accepts, whether or not they have a root.
-_SOLVABLE = (RealizationClass.HYPERBOLIC_OUTER, RealizationClass.NO_PROPER_SOLUTION)
 
 
 class SolveStatus(enum.Enum):
@@ -68,39 +68,6 @@ class SolveStatus(enum.Enum):
     NO_PROPER_SOLUTION = "NoProperSolution"
     BOUNDARY_SOLUTION = "BoundarySolution"
     DIVERGED = "Diverged"
-
-
-@dataclass(frozen=True)
-class DomainBox:
-    """Closed box in (alpha1, beta1), lower end below upper end on each axis."""
-
-    alpha1_lo: float
-    alpha1_hi: float
-    beta1_lo: float
-    beta1_hi: float
-
-    def __post_init__(self) -> None:
-        if not (self.alpha1_lo < self.alpha1_hi and self.beta1_lo < self.beta1_hi):
-            raise ValueError("degenerate domain box")
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (
-            0.5 * (self.alpha1_lo + self.alpha1_hi),
-            0.5 * (self.beta1_lo + self.beta1_hi),
-        )
-
-    def clamp(self, alpha1: float, beta1: float) -> tuple[float, float]:
-        return (
-            min(max(alpha1, self.alpha1_lo), self.alpha1_hi),
-            min(max(beta1, self.beta1_lo), self.beta1_hi),
-        )
-
-    def contains(self, alpha1: float, beta1: float) -> bool:
-        return (
-            self.alpha1_lo <= alpha1 <= self.alpha1_hi
-            and self.beta1_lo <= beta1 <= self.beta1_hi
-        )
 
 
 @dataclass(frozen=True)
@@ -205,24 +172,6 @@ class SolveReport:
     properness: PropernessReport | None = None
     improper_roots: tuple[tuple[float, float], ...] = ()
     certificate_box: DomainBox | None = None
-
-
-def domain_for(params: SimplexParams) -> DomainBox:
-    """Search box of the proper root: [0, pi/a] x [0, pi/b], cut to
-    alpha1 >= pi/3 at a = 2.
-
-    At a = 2 every root with a nonzero vertex minor lies on the curve
-    cos alpha1 = sin beta1/(2 sin beta2), which passes alpha1 = pi/3 at
-    beta1 = 2 pi/(3b).  That point separates the proper root from the
-    second, improper root, and _second_root's path starts there.  For
-    a >= 3 the full box holds one root: the full-box grid_oracle at
-    resolution 400 finds exactly one on every admissible pair, a = 3..20.
-    Raises InvalidParams when pi/a or pi/b is not a float, from about
-    a = 2**1024 on.
-    """
-    alpha_hi, beta_hi = _angle_caps(params)
-    alpha_lo = pi / 3 if params.a == 2 else 0.0
-    return DomainBox(alpha_lo, alpha_hi, 0.0, beta_hi)
 
 
 def estimate_contraction(params: SimplexParams, box: DomainBox) -> ContractionEstimate:
@@ -501,13 +450,20 @@ def _start(params: SimplexParams, box: DomainBox) -> tuple[float, float]:
     into the corner (pi/a, 0): alpha1 = pi/a - pi^3/(12 a^3) and beta1 =
     pi^3/(6 a^3) to leading order.  Elsewhere, at a = 2 and on the pairs
     with b > 2a, where the limit's beta1 is negative, Newton starts at the
-    box's centre.
+    box's centre.  Raises InvalidParams on b = 2a once 12 a^3 is not a
+    float, from about a = 2.465e102 on.
     """
     a, b = params.a, params.b
     if a == 2 or b > 2 * a:
         return box.center
     if b == 2 * a:
-        return pi / a - pi**3 / (12 * a**3), pi**3 / (6 * a**3)
+        try:
+            return pi / a - pi**3 / (12 * a**3), pi**3 / (6 * a**3)
+        except OverflowError:
+            raise InvalidParams(
+                f"Newton's start on b = 2a needs 12 a^3 as a float: a must be below about "
+                f"{(float_info.max / 12) ** (1 / 3):.4g}, got a {a.bit_length()}-bit a"
+            ) from None
     rho = b / a
     return 2 * pi * (2 * rho - 1) / (3 * rho * a), 2 * pi * (2 - rho) / (3 * b)
 
@@ -517,7 +473,8 @@ def solve(params: SimplexParams, config: SolverConfig | None = None) -> SolveRep
 
     Raises InvalidClass unless the pair classifies as hyperbolic with
     vertices out of the absolute or as the unsolvable remainder, and
-    domain_for's InvalidParams on an admissible pair too large for floats.
+    InvalidParams on an admissible pair too large for floats: domain_for's,
+    and _start's on b = 2a.
     The class decides solvability exactly (see classify_realization); the
     one pair on the boundary between the two reports the degenerate corner
     root as a boundary solution.  Otherwise Newton runs from _start's point

@@ -1,9 +1,13 @@
 """Print one ``key<TAB>value`` line per output of the library and the CLI.
 
-Run from the repository root of two checkouts and diff the two outputs; the
-lines that differ are the outputs a change moved:
+The first line, keyed ``versions``, records the Python and numpy versions
+the outputs were made with.  Run from the repository root of two checkouts
+and diff the two outputs; the lines that differ are the outputs a change
+moved.  ``tests/golden/outputs.tsv`` holds the outputs of the current code,
+which ``tests/test_golden.py`` compares with a fresh run; a change that
+moves an output writes the file anew:
 
-    PYTHONPATH=src python3 tests/fingerprint.py > outputs.tsv
+    PYTHONPATH=src python3 tests/fingerprint.py > tests/golden/outputs.tsv
 
 The outputs are ``repr(solve())`` on every bench/refs.json pair, on
 LARGE_A_PAIRS and on the boundary pair (2, 8); ``repr(grid_oracle())`` at
@@ -26,10 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from collections.abc import Iterator
 from math import pi
 from pathlib import Path
 
+import numpy
 from clirun import run_cli
 
 import hypsimplex
@@ -45,7 +51,8 @@ from hypsimplex import (
 )
 
 REFS_JSON = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
-# pi/a and pi/b are not floats from about 2**1024 on.
+# pi/a and pi/b are not floats from about 2**1024 on, and 12 a^3, which
+# Newton's start divides by on b = 2a, from about a = 2.465e102.
 _HUGE = f"{2**1024} {2**1024 + 1}"
 CLI_COMMANDS = (
     "classify 3 7", "classify 6 3", "solve 2 3", "solve 3 7", "solve 2 8", "solve 2 9",
@@ -57,6 +64,7 @@ CLI_COMMANDS = (
     f"classify {_HUGE}", f"solve {_HUGE}", f"grid {_HUGE}", f"check {_HUGE}",
     f"table --a {2**1024} --b {2**1024 + 1}", f"solve 3 {2**1024 + 1}",
     "solve 2 3 --degrees", "classify 3 3", "table --a 1..2 --b 2..4 --format csv",
+    f"solve {10**103} {2 * 10**103}",
 )
 # b = 2a, 2a - 1 and 3a/2 at a = 10**3..10**12: the rows where accuracy
 # decays toward the corner of the domain box, and their neighbours.
@@ -80,6 +88,7 @@ def oracle_scans() -> Iterator[tuple[str, SimplexParams, int, DomainBox]]:
 
 
 def main() -> None:
+    print(f"versions\tpython {platform.python_version()} numpy {numpy.__version__}")
     for a, b in (*ref_pairs(), *LARGE_A_PAIRS, (2, 8)):
         print(f"solve {a},{b}\t{solve(SimplexParams(a, b))!r}")
     for name, params, resolution, box in oracle_scans():

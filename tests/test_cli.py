@@ -661,6 +661,16 @@ class TestLargeParameters:
         result = run("table", "--a", self.A, "--b", self.A + 1)
         assert (result.exit_code, result.stdout) == (2, "")
 
+    @pytest.mark.parametrize("args", [
+        ("solve", 10**103, 2 * 10**103), ("check", 10**103, 2 * 10**103),
+        ("table", "--a", 10**103, "--b", 2 * 10**103),
+    ], ids=["solve", "check", "table"])
+    def test_b_2a_is_refused_once_12_a_cubed_is_not_a_float(self, args):
+        result = run(*args)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert re.fullmatch(r"error: Newton's start on b = 2a needs 12 a\^3 as a float: "
+                            r".*\n", result.stderr)
+
     def test_class_decides_a_pair_with_large_b(self):
         result = run("solve", 3, self.A + 1)
         assert result.exit_code == 1

@@ -77,6 +77,10 @@ class TestAngleSlice:
         with pytest.raises(ValueError):
             AngleSlice(0.2, -0.01, p)
 
+    def test_refuses_parameters_whose_angles_are_not_floats(self):
+        with pytest.raises(InvalidParams, match=r"^pi/a or pi/b is not a float"):
+            AngleSlice(0.0, 0.0, SimplexParams(2**1024, 2**1024 + 1))
+
     def test_closed_boundary_allowed(self):
         p = SimplexParams(4, 9)
         AngleSlice(0.0, 0.0, p)

@@ -11,6 +11,7 @@ import pytest
 from hypsimplex import (
     AmbiguousSignature,
     DihedralAngles,
+    DomainBox,
     InvalidParams,
     RealizationClass,
     Signature,
@@ -96,6 +97,10 @@ VALUES = {
         (0.5, 0.25, 0.125, 1.5),
         "DihedralAngles(alpha1=0.5, alpha2=0.25, beta1=0.125, beta2=1.5)",
     ),
+    DomainBox: (
+        (0.0, 1.0, 0.0, 0.5),
+        "DomainBox(alpha1_lo=0.0, alpha1_hi=1.0, beta1_lo=0.0, beta1_hi=0.5)",
+    ),
 }
 
 
@@ -126,6 +131,8 @@ class TestValueTypes:
         (SimplexParams(3, 7), "a", 0),
         (DihedralAngles(0.5, 0.25, 0.125, 1.5), "beta1", 3.5),
         (DihedralAngles(0.5, 0.25, 0.125, 1.5), "alpha2", -0.1),
+        (DomainBox(0.0, 1.0, 0.0, 0.5), "alpha1_hi", 0.0),
+        (DomainBox(0.0, 1.0, 0.0, 0.5), "beta1_lo", 0.75),
     ])
     def test_replace_and_make_validate_as_the_constructor(self, value, field, bad):
         cls = type(value)

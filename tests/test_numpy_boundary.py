@@ -1,7 +1,8 @@
 """``import hypsimplex`` loads no submodule, and reading a public name loads
 only its defining module and that module's imports.  numpy is loaded only
 where an array or a general 4x4 matrix exists, the solver only where a pair
-is solved, ``dataclasses`` (and the ``inspect`` it imports) only with the
+is solved (``hypsimplex grid`` samples the conditions and loads no
+solver), ``dataclasses`` (and the ``inspect`` it imports) only with the
 solver or the matrix path, and the CLI never loads click.
 
 Each case runs in a fresh interpreter, so the modules loaded by the rest of
@@ -107,12 +108,17 @@ def test_classifying_does_not_load_the_solver(code):
 @pytest.mark.parametrize("code", [
     _cli("solve", "3", "7"),
     _cli("table", "--a", "3"),
-    _cli("grid", "2", "4", "--resolution", "4"),
     _cli("check", "3", "7"),
     "import hypsimplex\nhypsimplex.solve",
-], ids=["cli-solve", "cli-table", "cli-grid", "cli-check", "solver-name"])
+], ids=["cli-solve", "cli-table", "cli-check", "solver-name"])
 def test_solving_loads_the_solver(code):
     assert _loads(code, "hypsimplex.solver")
+
+
+# Not inspect: numpy itself imports it.
+@pytest.mark.parametrize("module", ["hypsimplex.solver", "dataclasses"])
+def test_sampling_the_grid_loads_no_solver(module):
+    assert not _loads(_cli("grid", "2", "4", "--resolution", "4"), module)
 
 
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])

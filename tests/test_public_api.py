@@ -37,6 +37,13 @@ def test_lazy_name_is_its_modules_object(name):
     assert getattr(hypsimplex, name) is getattr(module, name)
 
 
+@pytest.mark.parametrize("name", ["DomainBox", "domain_for"])
+def test_the_solver_uses_the_conditions_box(name):
+    from hypsimplex import conditions, solver
+
+    assert getattr(solver, name) is getattr(conditions, name)
+
+
 def test_dir_lists_every_exported_name():
     assert set(hypsimplex.__all__) <= set(dir(hypsimplex))
 

@@ -222,6 +222,14 @@ class TestNewtonStart:
             if b == 2 * a:
                 assert 1.64 <= a * a * rel[1] <= 1.66, (pair, rel)
 
+    def test_b_2a_is_refused_once_12_a_cubed_is_not_a_float(self):
+        """The corner expansion divides by 12 a^3, a float up to about
+        a = 2.465e102; at a = 2465e99, below that, the status stays DIVERGED."""
+        limit = r"12 a\^3 as a float: a must be below about 2\.465e\+102"
+        with pytest.raises(InvalidParams, match=limit):
+            solve(SimplexParams(10**103, 2 * 10**103))
+        assert solve(SimplexParams(2465 * 10**99, 4930 * 10**99)).status is SolveStatus.DIVERGED
+
 
 class TestNewtonStop:
     def test_one_unit_step_leaves_a_residual_far_below_1e_11(self):
