@@ -21,7 +21,9 @@ the CLI and the solver build: ``SimplexParams``, a swapped one, an
 ``hypsimplex.__all__`` in sorted order, the ``__module__`` of the object it
 resolves to (the value of ``__version__``).
 CLI_COMMANDS reach exit codes 0, 1, 2 and 4 and several ``error:`` lines;
-none is a usage error, whose wording comes from the argument parser.
+none is a usage error, whose wording comes from the argument parser.  The
+two grids at resolution 149 span several blocks of alpha1 rows of
+``cli.cmd_grid``, the last one partial.
 Newton's step budget is not an option, so none of them reaches exit code 3
 (diverged).
 """
@@ -65,6 +67,7 @@ CLI_COMMANDS = (
     f"table --a {2**1024} --b {2**1024 + 1}", f"solve 3 {2**1024 + 1}",
     "solve 2 3 --degrees", "classify 3 3", "table --a 1..2 --b 2..4 --format csv",
     f"solve {10**103} {2 * 10**103}",
+    "grid 5 8 --resolution 149", "grid 2 5 --resolution 149 --format json-lines --degrees",
 )
 # b = 2a, 2a - 1 and 3a/2 at a = 10**3..10**12: the rows where accuracy
 # decays toward the corner of the domain box, and their neighbours.

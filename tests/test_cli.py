@@ -1,5 +1,6 @@
 """Tests for the command line interface: output shape and exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -526,6 +527,57 @@ class TestGridCommand:
         edge = [row for row in rows if float(row["beta1"]) == pytest.approx(pi / 5)]
         assert len(edge) == 100
         assert all(float(row["cond2"]) <= 1e-15 for row in edge)
+
+    @staticmethod
+    def record_kernel_calls(monkeypatch):
+        """Wrap the grid's kernel; returns the list of its (alpha1, beta1)
+        arguments, one pair per call."""
+        calls = []
+        kernel = cli_module.edge_system_raw
+
+        def recorder(alpha1, beta1, a, b):
+            calls.append((alpha1, beta1))
+            return kernel(alpha1, beta1, a, b)
+
+        monkeypatch.setattr(cli_module, "edge_system_raw", recorder)
+        return calls
+
+    def test_blocks_tile_the_mesh(self, monkeypatch):
+        calls = self.record_kernel_calls(monkeypatch)
+        result = run("grid", 3, 7, "--resolution", 300)
+        assert result.exit_code == 0
+        budget = max(cli_module._GRID_BLOCK_NODES, 300)
+        assert all(np.broadcast(*call).size <= budget for call in calls)
+        box = domain_for(SimplexParams(3, 7))
+        alpha1 = np.concatenate([call[0].ravel() for call in calls])
+        assert np.array_equal(alpha1, np.linspace(box.alpha1_lo, box.alpha1_hi, 300))
+        assert result.stdout == expected_grid(3, 7, 300, "csv", False)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_first_row_is_written_after_one_block(self, monkeypatch, fmt):
+        calls = self.record_kernel_calls(monkeypatch)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):  # main() points it at devnull
+                return devnull
+
+        monkeypatch.setattr(sys, "argv", ["hypsimplex", "grid", "3", "7", "--resolution", "400",
+                                          "--format", fmt])
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
+                with pytest.raises(SystemExit) as exited:
+                    cli_module.main()
+        finally:
+            os.close(devnull)
+        assert exited.value.code == 1
+        assert err.getvalue() == ""
+        assert sum(np.broadcast(*call).size for call in calls) <= max(
+            cli_module._GRID_BLOCK_NODES, 400)
 
     def test_rejects_unsolvable_class(self):
         assert run("grid", 2, 2).exit_code == 2
