@@ -16,10 +16,10 @@ inside the box), 4 a check failure: `check` found a solved row improper, or
 the 4x4 matrix path disagreeing with its verdict.  Otherwise `check` exits
 as `solve` does.
 
-Only the commands that solve (`solve`, `table`, `check`) load the solver
-and `dataclasses`, and only `grid` and `check` load numpy: `classify` loads
-none of them, as the value types it builds are named tuples, and `grid`,
-which samples the conditions on `conditions.domain_for`'s box, numpy alone.
+Only the commands that solve (`solve`, `table`, `check`) load the solver,
+and only `grid` and `check` load numpy: `classify` loads neither, and
+`grid`, which samples the conditions on `conditions.domain_for`'s box,
+numpy alone.  No command loads `dataclasses`.
 """
 
 from __future__ import annotations
@@ -291,8 +291,11 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
         box = domain_for(params)
     except InvalidParams as exc:
         _fail(str(exc), EXIT_INVALID_PARAMS)
-    al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution)
-    be = np.linspace(box.beta1_lo, box.beta1_hi, resolution)
+    try:
+        al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution)
+        be = np.linspace(box.beta1_lo, box.beta1_hi, resolution)
+    except MemoryError:
+        _fail(f"resolution {resolution} is too large to allocate", EXIT_INVALID_PARAMS)
     scale = 180.0 / pi if degrees else 1.0
     alpha = [format(x * scale, ".17g") for x in al.tolist()]
     beta = [format(x * scale, ".17g") for x in be.tolist()]

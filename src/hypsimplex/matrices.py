@@ -13,15 +13,13 @@ verdict on it.  solve() does not use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from math import acosh, sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SingularMatrix
-from .model import SINGULARITY_FACTOR, Signature
+from .model import SINGULARITY_FACTOR, Signature, _validated_make
 
 #: eigenvalues with |lam| <= ZERO_EIG_FACTOR * (max absolute entry) count as zero.
 ZERO_EIG_FACTOR = 1e-9
@@ -33,8 +31,7 @@ _SYMMETRY_TOL = 1e-12
 _ALL = (0, 1, 2, 3)
 
 
-@dataclass(frozen=True)
-class SymMatrix4:
+class SymMatrix4(NamedTuple("SymMatrix4", [("entries", np.ndarray)])):
     """An immutable symmetric 4x4 real matrix.
 
     Parameters
@@ -50,10 +47,11 @@ class SymMatrix4:
         If the input is not 4x4 or not symmetric within tolerance.
     """
 
-    entries: np.ndarray
+    __slots__ = ()
+    _make = _validated_make
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=float)
+    def __new__(cls, entries):
+        arr = np.asarray(entries, dtype=float)
         if arr.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
         scale = max(1.0, float(np.max(np.abs(arr))))
@@ -61,7 +59,7 @@ class SymMatrix4:
             raise ValueError("matrix is not symmetric within tolerance")
         arr = (arr + arr.T) / 2.0
         arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        return super().__new__(cls, arr)
 
     def __getitem__(self, idx: tuple[int, int]) -> float:
         return float(self.entries[idx])
@@ -69,27 +67,20 @@ class SymMatrix4:
     def max_abs_entry(self) -> float:
         return float(np.max(np.abs(self.entries)))
 
-    @cached_property
-    def _determinant(self) -> float:
-        """The determinant, expanded once per matrix: ``determinant``,
-        ``inverse`` and the minor identity's right-hand side share it."""
-        return _det(self.entries.tolist())
 
-
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(NamedTuple("MinorSpec", [("rows", tuple[int, ...]), ("cols", tuple[int, ...])])):
     """Row/column index selection for a minor determinant.
 
     Both index tuples must be strictly increasing, non-empty, of equal
     length, and drawn from {0, 1, 2, 3}.
     """
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    __slots__ = ()
+    _make = _validated_make
 
-    def __post_init__(self) -> None:
-        rows = tuple(self.rows)
-        cols = tuple(self.cols)
+    def __new__(cls, rows: tuple[int, ...], cols: tuple[int, ...]):
+        rows = tuple(rows)
+        cols = tuple(cols)
         for name, idx in (("rows", rows), ("cols", cols)):
             if not idx:
                 raise ValueError(f"{name} selection must be non-empty")
@@ -99,8 +90,7 @@ class MinorSpec:
                 raise ValueError(f"{name} indices must be strictly increasing")
         if len(rows) != len(cols):
             raise ValueError("rows and cols must select the same number of indices")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        return super().__new__(cls, rows, cols)
 
     @classmethod
     def without_vertex(cls, i: int) -> "MinorSpec":
@@ -131,7 +121,7 @@ def _det(m: list[list[float]]) -> float:
 
 def determinant(m: SymMatrix4) -> float:
     """Determinant by cofactor expansion along the first row."""
-    return float(m._determinant)
+    return float(_det(m.entries.tolist()))
 
 
 def minor(m: SymMatrix4, spec: MinorSpec) -> float:
@@ -155,8 +145,14 @@ def inverse(m: SymMatrix4) -> SymMatrix4:
     SingularMatrix
         When |det(m)| <= 1e-12 * (max absolute entry)**4.
     """
+    return _inverse_and_det(m)[0]
+
+
+def _inverse_and_det(m: SymMatrix4) -> tuple[SymMatrix4, float]:
+    """``inverse(m)`` and the determinant it divides by, expanded once:
+    jacobi_minor_identity's right-hand side needs both."""
     arr = m.entries.tolist()
-    det = m._determinant
+    det = _det(arr)
     if abs(det) <= _singularity_threshold(m):
         raise SingularMatrix(f"determinant {det:.3e} below singularity threshold")
     cof = np.array(
@@ -165,7 +161,7 @@ def inverse(m: SymMatrix4) -> SymMatrix4:
     # adjugate is cof^T; for symmetric input the cofactor matrix is symmetric
     inv = cof.T / det
     inv = (inv + inv.T) / 2.0
-    return SymMatrix4(inv)
+    return SymMatrix4(inv), det
 
 
 def _inertia(arr: np.ndarray) -> tuple[int, int, int]:
@@ -207,12 +203,12 @@ def jacobi_minor_identity(m: SymMatrix4, spec: MinorSpec) -> tuple[float, float]
         Propagated from ``inverse``.
     """
     lhs = minor(m, spec)
-    inv = inverse(m)
+    inv, det = _inverse_and_det(m)
     rows_c = _complement(spec.cols)
     cols_c = _complement(spec.rows)
     comp = _det(inv.entries[np.ix_(rows_c, cols_c)].tolist()) if rows_c else 1.0
     sign = (-1.0) ** (sum(spec.rows) + sum(spec.cols))
-    rhs = float(m._determinant * comp * sign)
+    rhs = float(det * comp * sign)
     return lhs, rhs
 
 

@@ -7,11 +7,11 @@ are tied to the parameters by the linear constraints
 
     2*alpha1 + alpha2 = 2*pi/a,      2*beta1 + beta2 = 2*pi/b.
 
-Its value types (``Signature``, ``SimplexParams``, ``DihedralAngles``) are
-immutable named tuples, read by name or position, whose ``_replace`` validates.
-The module needs neither numpy nor ``dataclasses``: ``build_coxeter_schlafli``
-and ``classify_vertex``, which build and read a ``SymMatrix4``, load numpy
-and ``matrices`` when called.
+Its value types (``Signature``, ``SimplexParams``, ``DihedralAngles``), like
+those of the other modules, are immutable named tuples, read by name or
+position, whose ``_replace`` and ``_make`` validate (``_validated_make``).
+The module needs no numpy: ``build_coxeter_schlafli`` and ``classify_vertex``,
+which build and read a ``SymMatrix4``, load numpy and ``matrices`` when called.
 """
 
 from __future__ import annotations

@@ -16,11 +16,10 @@ contraction on Newton's stop box, one unit per axis around the root.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import acos, asinh, inf, isfinite, nextafter, pi, sin, sqrt
 from numbers import Integral
 from sys import float_info
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .conditions import (
     DomainBox,
@@ -41,6 +40,7 @@ from .model import (
     Signature,
     SimplexParams,
     VertexClass,
+    _validated_make,
     classify_realization,
 )
 
@@ -70,8 +70,7 @@ class SolveStatus(enum.Enum):
     DIVERGED = "Diverged"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(NamedTuple("SolverConfig", [("max_iterations", int)])):
     """Newton's step budget for solve(); the default suits every pair.
 
     Newton takes at most ``max_iterations`` steps.  Its stop has no
@@ -80,16 +79,17 @@ class SolverConfig:
     Raises ValueError unless ``max_iterations`` is an int of at least 1.
     """
 
-    max_iterations: int = 2000
+    __slots__ = ()
+    _make = _validated_make
 
-    def __post_init__(self) -> None:
-        steps = self.max_iterations
+    def __new__(cls, max_iterations: int = 2000):
+        steps = max_iterations
         if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 1):
             raise ValueError(f"max_iterations must be an int of at least 1, got {steps!r}")
+        return super().__new__(cls, steps)
 
 
-@dataclass(frozen=True)
-class ContractionEstimate:
+class ContractionEstimate(NamedTuple):
     """Proven sup-norm bound on the Jacobian of the damped update map.
 
     ``norm_bound`` is an upper bound, by outward-rounded interval
@@ -106,8 +106,7 @@ class ContractionEstimate:
     box: DomainBox
 
 
-@dataclass(frozen=True)
-class PropernessReport:
+class PropernessReport(NamedTuple):
     """Geometric verification of one angle tuple.
 
     The flags: every angle lies in (0, pi), the angle matrix has a negative
@@ -148,8 +147,7 @@ class PropernessReport:
         return Signature(*((3, 0, 1) if proper else (2, 1, 1)))
 
 
-@dataclass(frozen=True)
-class GridRoot:
+class GridRoot(NamedTuple):
     """A root grid_oracle kept, with both edge conditions at it."""
 
     alpha1: float
@@ -158,8 +156,7 @@ class GridRoot:
     residual2: float
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """What solve() found.  ``improper_roots`` lists the (alpha1, beta1) roots
     outside domain_for's box: at a = 2 the second root, with det >= 0; else ()."""
 

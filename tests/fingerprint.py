@@ -17,7 +17,9 @@ a < b <= b_max + 2; and the exit code and the sha256 of the stdout and of
 the stderr of CLI_COMMANDS, run in this process by ``clirun.run_cli`` (or
 the exception a command raises); and the ``repr`` of the value types that
 the CLI and the solver build: ``SimplexParams``, a swapped one, an
-``AngleSlice`` and a ``PropernessReport.signature``; and, for each name of
+``AngleSlice``, a ``PropernessReport.signature``, the default
+``SolverConfig``, a ``MinorSpec`` and the ``ContractionEstimate`` on (3, 7)'s
+certificate box; and, for each name of
 ``hypsimplex.__all__`` in sorted order, the ``__module__`` of the object it
 resolves to (the value of ``__version__``).
 CLI_COMMANDS reach exit codes 0, 1, 2 and 4 and several ``error:`` lines;
@@ -44,9 +46,12 @@ import hypsimplex
 from hypsimplex import (
     AngleSlice,
     DomainBox,
+    MinorSpec,
     SimplexParams,
+    SolverConfig,
     compute_bmax,
     domain_for,
+    estimate_contraction,
     grid_oracle,
     normalize_params,
     solve,
@@ -105,12 +110,16 @@ def main() -> None:
             continue
         digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
         print(f"cli {command}\t{code} {' '.join(digests)}")
+    report = solve(SimplexParams(3, 7))
     values = {
         "SimplexParams(3, 7)": SimplexParams(3, 7),
         "normalize_params(7, 3)": normalize_params(7, 3),
         "AngleSlice(0.25, 0.1, SimplexParams(4, 9))": AngleSlice(0.25, 0.1, SimplexParams(4, 9)),
-        "solve(SimplexParams(3, 7)).properness.signature":
-            solve(SimplexParams(3, 7)).properness.signature,
+        "solve(SimplexParams(3, 7)).properness.signature": report.properness.signature,
+        "SolverConfig()": SolverConfig(),
+        "MinorSpec.without_vertex(1)": MinorSpec.without_vertex(1),
+        "estimate_contraction(SimplexParams(3, 7), solve(SimplexParams(3, 7)).certificate_box)":
+            estimate_contraction(SimplexParams(3, 7), report.certificate_box),
     }
     for name, value in values.items():
         print(f"repr {name}\t{value!r}")

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from math import pi
 from pathlib import Path
 
@@ -586,6 +585,15 @@ class TestGridCommand:
         assert run("grid", 2, 4, "--resolution", "1").exit_code == 2
         assert run("grid", 2, 4, "--resolution", "0").exit_code == 2
 
+    def test_refuses_a_resolution_whose_axes_cannot_be_allocated(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        result = run("grid", 3, 7, "--resolution", 10**13)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: resolution 10000000000000 is too large to allocate\n"
+
 
 # The relative gap between the two edge lengths that each condition makes
 # equal stays far below this on every admissible pair with a = 2..40.
@@ -645,8 +653,8 @@ class TestCheckCommand:
             report = solve(params)
             alpha1 = report.angles.alpha1 * (1 + 1e-6)
             angles = DihedralAngles.from_reduced(params, alpha1, report.angles.beta1)
-            return replace(report, angles=angles,
-                           properness=solver_module.check_properness(params, angles))
+            return report._replace(angles=angles,
+                                   properness=solver_module.check_properness(params, angles))
 
         monkeypatch.setattr(solver_module, "solve", moved)
         (row,) = json_lines(run("check", 3, 7))

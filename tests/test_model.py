@@ -11,11 +11,15 @@ import pytest
 from hypsimplex import (
     AmbiguousSignature,
     DihedralAngles,
+    ContractionEstimate,
     DomainBox,
+    GridRoot,
     InvalidParams,
+    MinorSpec,
     RealizationClass,
     Signature,
     SimplexParams,
+    SolverConfig,
     SymMatrix4,
     VertexClass,
     build_coxeter_schlafli,
@@ -101,6 +105,17 @@ VALUES = {
         (0.0, 1.0, 0.0, 0.5),
         "DomainBox(alpha1_lo=0.0, alpha1_hi=1.0, beta1_lo=0.0, beta1_hi=0.5)",
     ),
+    SolverConfig: ((5,), "SolverConfig(max_iterations=5)"),
+    MinorSpec: (((0, 2), (1, 3)), "MinorSpec(rows=(0, 2), cols=(1, 3))"),
+    GridRoot: (
+        (0.5, 0.25, 1e-17, -2e-17),
+        "GridRoot(alpha1=0.5, beta1=0.25, residual1=1e-17, residual2=-2e-17)",
+    ),
+    ContractionEstimate: (
+        (2.0, 4.0, 0.5, DomainBox(0.0, 1.0, 0.0, 0.5)),
+        "ContractionEstimate(k1=2.0, k2=4.0, norm_bound=0.5, box=DomainBox("
+        "alpha1_lo=0.0, alpha1_hi=1.0, beta1_lo=0.0, beta1_hi=0.5))",
+    ),
 }
 
 
@@ -133,6 +148,8 @@ class TestValueTypes:
         (DihedralAngles(0.5, 0.25, 0.125, 1.5), "alpha2", -0.1),
         (DomainBox(0.0, 1.0, 0.0, 0.5), "alpha1_hi", 0.0),
         (DomainBox(0.0, 1.0, 0.0, 0.5), "beta1_lo", 0.75),
+        (SolverConfig(5), "max_iterations", 0),
+        (MinorSpec((0, 1), (0, 1)), "rows", (1, 0)),
     ])
     def test_replace_and_make_validate_as_the_constructor(self, value, field, bad):
         cls = type(value)

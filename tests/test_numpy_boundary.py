@@ -2,8 +2,8 @@
 only its defining module and that module's imports.  numpy is loaded only
 where an array or a general 4x4 matrix exists, the solver only where a pair
 is solved (``hypsimplex grid`` samples the conditions and loads no
-solver), ``dataclasses`` (and the ``inspect`` it imports) only with the
-solver or the matrix path, and the CLI never loads click.
+solver), and neither any module nor any command loads ``dataclasses`` or
+click.
 
 Each case runs in a fresh interpreter, so the modules loaded by the rest of
 the suite do not hide an import.
@@ -115,21 +115,22 @@ def test_solving_loads_the_solver(code):
     assert _loads(code, "hypsimplex.solver")
 
 
-# Not inspect: numpy itself imports it.
-@pytest.mark.parametrize("module", ["hypsimplex.solver", "dataclasses"])
+@pytest.mark.parametrize("module", ["hypsimplex.solver"])
 def test_sampling_the_grid_loads_no_solver(module):
     assert not _loads(_cli("grid", "2", "4", "--resolution", "4"), module)
 
 
-@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
-@pytest.mark.parametrize("code", [
-    "import hypsimplex",
-    "import hypsimplex.cli",
-    _cli("classify", "3", "7"),
-], ids=["import", "import-cli", "cli-classify"])
-def test_classifying_does_not_load_dataclasses(code, module):
-    assert not _loads(code, module)
-
-
-def test_solving_loads_dataclasses():
-    assert _loads(_cli("solve", "3", "7"), "dataclasses")
+def test_no_module_or_command_loads_dataclasses():
+    # One interpreter imports every module and runs every command: the
+    # module is absent at the end only if no step loaded it.
+    modules = ["", ".cli", ".conditions", ".errors", ".interval", ".matrices", ".model",
+               ".solver"]
+    code = "\n".join([
+        *(f"import hypsimplex{m}" for m in modules),
+        _cli("classify", "3", "7"),
+        _cli("solve", "3", "7"),
+        _cli("table", "--a", "3"),
+        _cli("grid", "2", "4", "--resolution", "4"),
+        _cli("check", "3", "7"),
+    ])
+    assert not _loads(code, "dataclasses")
