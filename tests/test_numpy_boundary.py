@@ -115,9 +115,20 @@ def test_solving_loads_the_solver(code):
     assert _loads(code, "hypsimplex.solver")
 
 
-@pytest.mark.parametrize("module", ["hypsimplex.solver"])
+# Not inspect: numpy itself imports it.
+@pytest.mark.parametrize("module", ["hypsimplex.solver", "dataclasses"])
 def test_sampling_the_grid_loads_no_solver(module):
     assert not _loads(_cli("grid", "2", "4", "--resolution", "4"), module)
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+@pytest.mark.parametrize("code", [
+    "import hypsimplex",
+    "import hypsimplex.cli",
+    _cli("classify", "3", "7"),
+], ids=["import", "import-cli", "cli-classify"])
+def test_classifying_does_not_load_dataclasses(code, module):
+    assert not _loads(code, module)
 
 
 def test_no_module_or_command_loads_dataclasses():
