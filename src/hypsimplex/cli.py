@@ -294,7 +294,8 @@ def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
     try:
         al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution)
         be = np.linspace(box.beta1_lo, box.beta1_hi, resolution)
-    except MemoryError:
+    except (MemoryError, ValueError, IndexError):
+        # MemoryError: the axes do not fit; ValueError, IndexError: numpy cannot size them.
         _fail(f"resolution {resolution} is too large to allocate", EXIT_INVALID_PARAMS)
     scale = 180.0 / pi if degrees else 1.0
     alpha = [format(x * scale, ".17g") for x in al.tolist()]

@@ -149,8 +149,7 @@ def inverse(m: SymMatrix4) -> SymMatrix4:
 
 
 def _inverse_and_det(m: SymMatrix4) -> tuple[SymMatrix4, float]:
-    """``inverse(m)`` and the determinant it divides by, expanded once:
-    jacobi_minor_identity's right-hand side needs both."""
+    """``inverse(m)`` and the determinant it divides by, from one expansion."""
     arr = m.entries.tolist()
     det = _det(arr)
     if abs(det) <= _singularity_threshold(m):

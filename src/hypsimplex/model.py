@@ -8,8 +8,8 @@ are tied to the parameters by the linear constraints
     2*alpha1 + alpha2 = 2*pi/a,      2*beta1 + beta2 = 2*pi/b.
 
 Its value types (``Signature``, ``SimplexParams``, ``DihedralAngles``), like
-those of the other modules, are immutable named tuples, read by name or
-position, whose ``_replace`` and ``_make`` validate (``_validated_make``).
+those of the other modules, are immutable named tuples, read by name (all but
+``SymMatrix4`` by position too), whose ``_replace`` and ``_make`` validate.
 The module needs no numpy: ``build_coxeter_schlafli`` and ``classify_vertex``,
 which build and read a ``SymMatrix4``, load numpy and ``matrices`` when called.
 """

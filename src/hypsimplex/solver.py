@@ -170,6 +170,14 @@ class SolveReport(NamedTuple):
     improper_roots: tuple[tuple[float, float], ...] = ()
     certificate_box: DomainBox | None = None
 
+    @property
+    def __dataclass_fields__(self):
+        """Lets dataclasses.replace and asdict take a report, as they did when it
+        was a frozen dataclass: bench/test_bench.py builds its reports with replace."""
+        from dataclasses import make_dataclass
+
+        return make_dataclass(type(self).__name__, self._fields).__dataclass_fields__
+
 
 def estimate_contraction(params: SimplexParams, box: DomainBox) -> ContractionEstimate:
     """Prove the damped update map a sup-norm contraction on a box.

@@ -585,9 +585,14 @@ class TestGridCommand:
         assert run("grid", 2, 4, "--resolution", "1").exit_code == 2
         assert run("grid", 2, 4, "--resolution", "0").exit_code == 2
 
-    def test_refuses_a_resolution_whose_axes_cannot_be_allocated(self, monkeypatch):
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate 72.8 TiB"),
+        ValueError("Maximum allowed size exceeded"),
+        IndexError("index -1 is out of bounds for axis 0 with size 0"),
+    ], ids=lambda error: type(error).__name__)
+    def test_refuses_a_resolution_whose_axes_cannot_be_allocated(self, monkeypatch, error):
         def refuse(*args, **kwargs):
-            raise MemoryError("Unable to allocate 72.8 TiB")
+            raise error
 
         monkeypatch.setattr(np, "linspace", refuse)
         result = run("grid", 3, 7, "--resolution", 10**13)

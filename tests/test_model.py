@@ -1,6 +1,7 @@
 """Tests for parameter handling, angle assembly, and classification."""
 
 import copy
+import dataclasses
 import pickle
 import re
 from math import cos, pi
@@ -161,6 +162,13 @@ class TestValueTypes:
             value._replace(**{field: bad})
         with pytest.raises(built.type, match=message):
             cls._make(fields.values())
+
+    def test_dataclass_replace_and_asdict_still_take_a_solve_report(self):
+        report = solve(SimplexParams(3, 7))
+        assert dataclasses.replace(report, iterations=3) == report._replace(iterations=3)
+        assert dataclasses.asdict(report) == report._asdict()
+        with pytest.raises(TypeError):
+            dataclasses.replace(report, bogus=1)
 
     def test_replace_stores_numpy_integers_as_int(self):
         p = SimplexParams(3, 7)._replace(b=np.int64(8))
