@@ -73,6 +73,8 @@ CLI_COMMANDS = (
     "solve 2 3 --degrees", "classify 3 3", "table --a 1..2 --b 2..4 --format csv",
     f"solve {10**103} {2 * 10**103}",
     "grid 5 8 --resolution 149", "grid 2 5 --resolution 149 --format json-lines --degrees",
+    "table --a 3..2", "table --a x", "table --a 0", "table --a 2 --b 5..3",
+    "grid 3 7 --resolution 1", f"grid 3 7 --resolution {10**20}", "check 0 3", "classify 0 5",
 )
 # b = 2a, 2a - 1 and 3a/2 at a = 10**3..10**12: the rows where accuracy
 # decays toward the corner of the domain box, and their neighbours.
