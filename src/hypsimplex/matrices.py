@@ -94,7 +94,10 @@ class MinorSpec(NamedTuple("MinorSpec", [("rows", tuple[int, ...]), ("cols", tup
 
     @classmethod
     def without_vertex(cls, i: int) -> "MinorSpec":
-        """The principal 3x3 selection deleting row and column ``i``."""
+        """The principal 3x3 selection deleting row and column ``i``, an int
+        in 0..3; anything else raises ValueError."""
+        if not isinstance(i, int) or i not in _ALL:
+            raise ValueError(f"vertex index must be an int in 0..3, got {i!r}")
         keep = tuple(j for j in _ALL if j != i)
         return cls(keep, keep)
 

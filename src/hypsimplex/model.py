@@ -164,14 +164,14 @@ def classify_vertex(B: SymMatrix4, i: int) -> VertexClass:
     """Vertex type from the inertia of the 3x3 submatrix deleting row/col i.
 
     (3,0,0) is a proper vertex, (2,0,1) lies on the absolute, (2,1,0) lies
-    beyond it.  Any other inertia raises AmbiguousSignature.
+    beyond it.  Any other inertia raises AmbiguousSignature; an i that is
+    not an int in 0..3 raises ValueError (MinorSpec.without_vertex).
     """
     import numpy as np
 
-    from .matrices import _inertia
+    from .matrices import MinorSpec, _inertia
 
-    keep = [j for j in range(4) if j != i]
-    sig = _inertia(B.entries[np.ix_(keep, keep)])
+    sig = _inertia(B.entries[np.ix_(*MinorSpec.without_vertex(i))])
     try:
         return _VERTEX_BY_INERTIA[sig]
     except KeyError:

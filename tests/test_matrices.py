@@ -65,6 +65,11 @@ class TestMinorSpec:
         spec = MinorSpec.without_vertex(1)
         assert spec.rows == (0, 2, 3) and spec.cols == (0, 2, 3)
 
+    @pytest.mark.parametrize("i", [4, 7, -1, 1.5, 1.0, "1", None])
+    def test_without_vertex_rejects_anything_but_an_int_in_0_to_3(self, i):
+        with pytest.raises(ValueError, match="vertex index"):
+            MinorSpec.without_vertex(i)
+
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             MinorSpec((2, 0), (0, 2))

@@ -222,6 +222,13 @@ class TestVertexClassification:
         with pytest.raises(AmbiguousSignature):
             classify_vertex(m, 3)
 
+    @pytest.mark.parametrize("i", [4, -1, 1.5])
+    def test_vertex_index_outside_0_to_3_raises_value_error(self, i):
+        # Not AmbiguousSignature about a "vertex 4 submatrix": the index
+        # selects no vertex at all.
+        with pytest.raises(ValueError, match="vertex index"):
+            classify_vertex(SymMatrix4(np.eye(4)), i)
+
     def test_all_outer_at_solved_root(self):
         (a, b), (x, y) = next(iter(TRUE_ROOTS.items()))
         p = SimplexParams(a, b)
