@@ -4,11 +4,13 @@ Subcommands: classify, solve, table, grid, check.  Output goes to stdout as
 JSON lines (default) or CSV; every float is printed with 17 significant
 digits and fields keep a fixed order, so the output is diffable.  `table`
 and `check` rows are projections of the one `solve` record (`_record`).
-`grid` and `table` stream their rows: `table` writes each row once its pair
-is solved, and `grid` computes its samples one block of alpha1 node rows at
-a time, so its peak memory does not grow with resolution², and writes them
-from one precompiled template, one alpha1 node at a time.  Diagnostics go to
-stderr.
+Every command writes its lines from one %-template (`_template`), and
+`grid` and `table` stream them: `table` writes each row once its pair is
+solved, and `grid` computes its samples one block of alpha1 node rows at a
+time, so its peak memory does not grow with resolution², and writes one
+alpha1 node at a time.  `--degrees` converts every angle with math.degrees.
+Diagnostics go to stderr: every invalid input raises InvalidParams or
+InvalidClass, which `main` prints as one `error:` line before exiting 2.
 Exit codes: 0 solved, 1 no proper or boundary solution (or stdout closed by
 its reader, which prints nothing), 2 invalid parameters or a usage error, 3
 diverged (Newton, whose step budget is not an option, ended without a root
@@ -19,17 +21,18 @@ as `solve` does.
 Only the commands that solve (`solve`, `table`, `check`) load the solver,
 and only `grid` and `check` load numpy: `classify` loads neither, and
 `grid`, which samples the conditions on `conditions.domain_for`'s box,
-numpy alone.  No command loads `dataclasses`.
+numpy alone.  No command loads `dataclasses` or `csv`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import suppress
-from math import pi
+from itertools import chain, repeat
 
 from .conditions import (
     compute_bmax,
@@ -89,6 +92,17 @@ def _token(value, fmt: str, depth: int = 0) -> str:
     raise TypeError(f"unserializable value {value!r}")
 
 
+def _template(keys, fmt: str, specs=None) -> str:
+    """The %-template of one output line with the fields KEYS, each filled
+    by its spec in SPECS ("%s", a ready token, by default).  In CSV the
+    header line is written first."""
+    specs = specs or ["%s"] * len(keys)
+    if fmt == "json-lines":
+        return "{" + ",".join(f"{json.dumps(k)}:{s}" for k, s in zip(keys, specs)) + "}\n"
+    sys.stdout.write(",".join(keys) + "\n")
+    return ",".join(specs) + "\n"
+
+
 def _emit(rows, fmt: str) -> bool:
     """Write rows (dicts with the first row's keys, in its order) in the
     requested format, each as it comes.  Returns whether any row was
@@ -97,30 +111,10 @@ def _emit(rows, fmt: str) -> bool:
     first = next(rows, None)
     if first is None:
         return False
-    if fmt == "json-lines":
-        names = [json.dumps(k) + ":" for k in first]
-
-        def write(row):
-            sys.stdout.write(
-                "{" + ",".join([n + _token(v, fmt) for n, v in zip(names, row.values())]) + "}\n"
-            )
-    else:
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(first)
-
-        def write(row):
-            writer.writerow([_token(v, fmt) for v in row.values()])
-    write(first)
-    for row in rows:
-        write(row)
+    template = _template(first, fmt)
+    for row in chain([first], rows):
+        sys.stdout.write(template % tuple([_token(v, fmt) for v in row.values()]))
     return True
-
-
-def _fail(message: str, code: int) -> None:
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(code)
 
 
 def _parse_range(text: str, label: str) -> tuple[int, int]:
@@ -131,17 +125,10 @@ def _parse_range(text: str, label: str) -> tuple[int, int]:
         else:
             lo = hi = int(text)
     except ValueError:
-        _fail(f"cannot parse {label} range {text!r}; expected N or LO..HI", EXIT_INVALID_PARAMS)
+        raise InvalidParams(f"cannot parse {label} range {text!r}; expected N or LO..HI") from None
     if lo > hi:
-        _fail(f"empty {label} range {text!r}", EXIT_INVALID_PARAMS)
+        raise InvalidParams(f"empty {label} range {text!r}")
     return lo, hi
-
-
-def _normalized(a: int, b: int) -> SimplexParams:
-    try:
-        return normalize_params(a, b)
-    except InvalidParams as exc:
-        _fail(str(exc), EXIT_INVALID_PARAMS)
 
 
 # The head of every record but grid's.
@@ -159,6 +146,12 @@ _TABLE_KEYS = [k for k in _SOLVE_KEYS[:_SOLVE_KEYS.index("b_max") + 1] if k != "
 _CHECK_KEYS = (*_PREFIX, "status", "proper_all_pass")
 
 
+def _angle_unit(degrees: bool):
+    """The conversion of a radian float that `--degrees` selects:
+    math.degrees, or float, which returns the float as it is."""
+    return math.degrees if degrees else float
+
+
 def _record(params: SimplexParams, report, degrees: bool = False) -> dict:
     """The solve record of a pair, with the fields of _SOLVE_KEYS.  Without a
     report every report field is null; without angles or a properness check,
@@ -169,10 +162,7 @@ def _record(params: SimplexParams, report, degrees: bool = False) -> dict:
                    "b_max": compute_bmax(params.a) if params.a >= 2 else None})
     if report is None:
         return record
-
-    def out(angle):
-        return angle * 180.0 / pi if degrees else angle
-
+    out = _angle_unit(degrees)
     record.update(
         status=report.status.value, residual_cond1=report.residual_cond1,
         residual_cond2=report.residual_cond2, iterations=report.iterations,
@@ -195,7 +185,7 @@ def _record(params: SimplexParams, report, degrees: bool = False) -> dict:
 
 def cmd_classify(a: int, b: int, fmt: str) -> None:
     """Classify the parameter pair (A, B)."""
-    params = _normalized(a, b)
+    params = normalize_params(a, b)
     record = _record(params, None)
     lhs = rhs = strict = corner = None
     if params.a >= 2 and params.b > params.a:
@@ -207,31 +197,23 @@ def cmd_classify(a: int, b: int, fmt: str) -> None:
             "strict": strict, "corner_value": corner, "b_max": record["b_max"]}], fmt)
 
 
-def _solved(params: SimplexParams):
-    """solve()'s report; a pair that solve() refuses exits 2."""
-    from .solver import solve
-
-    try:
-        return solve(params)
-    except (InvalidClass, InvalidParams) as exc:
-        _fail(str(exc), EXIT_INVALID_PARAMS)
-
-
 def cmd_solve(a, b, fmt, degrees) -> None:
     """Solve the edge-condition system for the pair (A, B)."""
-    params = _normalized(a, b)
-    report = _solved(params)
+    from .solver import solve
+
+    params = normalize_params(a, b)
+    report = solve(params)
     _emit([_record(params, report, degrees)], fmt)
     sys.exit(_STATUS_EXIT[report.status.name])
 
 
 def cmd_table(a_range, b_range, fmt, degrees) -> None:
     """Tabulate solved angles over a parameter range."""
-    from .solver import SolveStatus
+    from .solver import SolveStatus, solve
 
     a_lo, a_hi = _parse_range(a_range, "a")
     if a_lo < 1:
-        _fail(f"a must be at least 1, got {a_lo}", EXIT_INVALID_PARAMS)
+        raise InvalidParams(f"a must be at least 1, got {a_lo}")
     b_span = None if b_range is None else _parse_range(b_range, "b")
     diverged = False
 
@@ -248,13 +230,13 @@ def cmd_table(a_range, b_range, fmt, degrees) -> None:
                 params = SimplexParams(a, b)
                 report = None
                 if classify_realization(params) in _SOLVABLE:
-                    report = _solved(params)
+                    report = solve(params)
                     diverged |= report.status is SolveStatus.DIVERGED
                 record = _record(params, report, degrees)
                 yield {k: record[k] for k in _TABLE_KEYS}
 
     if not _emit(rows(), fmt):
-        _fail("empty parameter range: no pairs with b > a", EXIT_INVALID_PARAMS)
+        raise InvalidParams("empty parameter range: no pairs with b > a")
     sys.exit(EXIT_DIVERGED if diverged else EXIT_SOLVED)
 
 
@@ -272,43 +254,29 @@ _GRID_BLOCK_NODES = 1024
 
 def cmd_grid(a: int, b: int, resolution: int, fmt: str, degrees: bool) -> None:
     """Sample the edge conditions and their derivatives over the domain box."""
-    from itertools import repeat
-
     import numpy as np
 
-    params = _normalized(a, b)
+    params = normalize_params(a, b)
     if resolution < 2:
-        _fail(f"resolution must be at least 2 nodes per axis, got {resolution}",
-              EXIT_INVALID_PARAMS)
+        raise InvalidParams(f"resolution must be at least 2 nodes per axis, got {resolution}")
     cls = classify_realization(params)
     if cls not in _SOLVABLE:
-        _fail(
-            f"grid applies to hyperbolic pairs with outer vertices; "
-            f"({params.a}, {params.b}) classifies as {cls.value}",
-            EXIT_INVALID_PARAMS,
-        )
-    try:
-        box = domain_for(params)
-    except InvalidParams as exc:
-        _fail(str(exc), EXIT_INVALID_PARAMS)
+        raise InvalidClass(f"grid applies to hyperbolic pairs with outer vertices; "
+                           f"({params.a}, {params.b}) classifies as {cls.value}")
+    box = domain_for(params)
     try:
         al = np.linspace(box.alpha1_lo, box.alpha1_hi, resolution)
         be = np.linspace(box.beta1_lo, box.beta1_hi, resolution)
     except (MemoryError, ValueError, IndexError):
         # MemoryError: the axes do not fit; ValueError, IndexError: numpy cannot size them.
-        _fail(f"resolution {resolution} is too large to allocate", EXIT_INVALID_PARAMS)
-    scale = 180.0 / pi if degrees else 1.0
-    alpha = [format(x * scale, ".17g") for x in al.tolist()]
-    beta = [format(x * scale, ".17g") for x in be.tolist()]
+        raise InvalidParams(f"resolution {resolution} is too large to allocate") from None
+    unit = _angle_unit(degrees)
+    alpha = [format(unit(x), ".17g") for x in al.tolist()]
+    beta = [format(unit(x), ".17g") for x in be.tolist()]
     # Each axis node is formatted once; "%.17g" prints a float as _token does.
-    keys = ("alpha1", "beta1", "cond1", "cond2", "dcond1", "dcond2")
-    specs = ("%s", "%s", "%.17g", "%.17g", "%.17g", "%.17g")
+    template = _template(("alpha1", "beta1", "cond1", "cond2", "dcond1", "dcond2"), fmt,
+                         ["%s", "%s", *["%.17g"] * 4])
     write = sys.stdout.write
-    if fmt == "json-lines":
-        template = "{" + ",".join(f"{json.dumps(k)}:{s}" for k, s in zip(keys, specs)) + "}\n"
-    else:
-        template = ",".join(specs) + "\n"
-        write(",".join(keys) + "\n")
     # The kernel runs on one block of alpha1 node rows at a time, so neither
     # its arrays nor their Python copies ever hold the whole grid; the
     # arithmetic is elementwise, so a node's bits do not depend on its block.
@@ -345,8 +313,10 @@ def cmd_check(a: int, b: int, fmt: str) -> None:
     """Solve the pair (A, B) and check the answer: the relative gaps between
     the edge lengths each condition makes equal, and whether the 4x4 matrix
     path reaches the same verdict."""
-    params = _normalized(a, b)
-    report = _solved(params)
+    from .solver import solve
+
+    params = normalize_params(a, b)
+    report = solve(params)
     record = _record(params, report)
     properness = report.properness
     gaps = agrees = None
@@ -408,6 +378,9 @@ def main() -> None:
             run(**args)
         finally:
             sys.stdout.flush()
+    except (InvalidParams, InvalidClass) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INVALID_PARAMS)
     except BrokenPipeError:
         # The reader closed stdout (as `| head -1` does): exit 1 with nothing
         # on stderr, and point stdout at devnull so the flush at exit cannot

@@ -22,10 +22,11 @@ the CLI and the solver build: ``SimplexParams``, a swapped one, an
 certificate box; and, for each name of
 ``hypsimplex.__all__`` in sorted order, the ``__module__`` of the object it
 resolves to (the value of ``__version__``).
-CLI_COMMANDS reach exit codes 0, 1, 2 and 4 and several ``error:`` lines;
-none is a usage error, whose wording comes from the argument parser.  The
-two grids at resolution 149 span several blocks of alpha1 rows of
-``cli.cmd_grid``, the last one partial.
+CLI_COMMANDS reach exit codes 0, 1, 2 and 4, and every path on which the
+CLI prints an ``error:`` line and exits 2; none is a usage error, whose
+wording comes from the argument parser.  The two grids at resolution 149
+span several blocks of alpha1 rows of ``cli.cmd_grid``, the last one
+partial.
 Newton's step budget is not an option, so none of them reaches exit code 3
 (diverged).
 """

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -307,15 +308,15 @@ class TestSolveCommand:
         assert ":" in row["improper_roots"]
 
     def test_degrees_flag(self):
-        """Degrees are radians * 180.0 / pi, bit for bit, in the angles and
-        in the improper roots; (2, 3) has one improper root."""
+        """Degrees are math.degrees of the radians, bit for bit, in the
+        angles and in the improper roots; (2, 3) has one improper root."""
         for (a, b), improper in (((3, 5), 0), ((2, 3), 1)):
             (radians,) = json_lines(run("solve", a, b))
             (degrees,) = json_lines(run("solve", a, b, "--degrees"))
             for key in ("alpha1", "alpha2", "beta1", "beta2"):
-                assert degrees[key] == radians[key] * 180.0 / pi, (a, b, key)
+                assert degrees[key] == math.degrees(radians[key]), (a, b, key)
             assert degrees["improper_roots"] == [
-                [x * 180.0 / pi for x in root] for root in radians["improper_roots"]
+                [math.degrees(x) for x in root] for root in radians["improper_roots"]
             ]
             assert len(degrees["improper_roots"]) == improper
             assert {k: v for k, v in degrees.items() if k not in ANGLE_KEYS} == {
@@ -448,11 +449,11 @@ def expected_grid(a, b, resolution, fmt, degrees):
     axes = (al[:, None], be[None, :], a, b)
     c1, c2 = edge_conditions_raw(*axes)
     (d1, _), (_, d2) = edge_jacobian_raw(*axes)
-    scale = 180.0 / pi if degrees else 1.0
+    unit = math.degrees if degrees else float
     lines = [] if fmt == "json-lines" else [",".join(GRID_KEYS)]
     for i in range(resolution):
         for j in range(resolution):
-            values = [float(al[i]) * scale, float(be[j]) * scale] + [
+            values = [unit(float(al[i])), unit(float(be[j]))] + [
                 float(c[i, j]) for c in (c1, c2, d1, d2)
             ]
             cells = [format(v, ".17g") for v in values]
@@ -741,6 +742,47 @@ class TestLargeParameters:
         assert result.exit_code == 1
         (row,) = json_lines(result)
         assert (row["class"], row["status"]) == ("NoProperSolution", "NoProperSolution")
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", 0, 5), ("solve", 0, 3), ("solve", 2, 2), ("check", 0, 3), ("check", 2, 2),
+    ("grid", 2, 2), ("grid", 3, 7, "--resolution", 1), ("grid", 3, 7, "--resolution", 10**20),
+    ("table", "--a", "3..2"), ("table", "--a", "x"), ("table", "--a", 0),
+    ("table", "--a", 2, "--b", "5..3"), ("table", "--a", 5, "--b", "2..3"),
+    ("solve", 2**1024, 2**1024 + 1), ("grid", 2**1024, 2**1024 + 1),
+    ("check", 2**1024, 2**1024 + 1), ("table", "--a", 2**1024, "--b", 2**1024 + 1),
+    ("solve", 10**103, 2 * 10**103),
+], ids=lambda args: " ".join(str(arg)[:8] for arg in args))
+def test_every_invalid_input_exits_2_with_one_error_line(args):
+    # In a child process, as a shell runs it, so that a traceback would show.
+    src = str(Path(cli_module.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    child = subprocess.run([sys.executable, "-m", "hypsimplex.cli", *map(str, args)],
+                           env=env, capture_output=True, text=True)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert re.fullmatch(r"error: [^\n]*\n", child.stderr), child.stderr
+    assert "Traceback" not in child.stderr
+
+
+def _in_degrees(value):
+    """math.degrees of a radian value, of each value of a list, or None."""
+    if isinstance(value, list):
+        return [_in_degrees(v) for v in value]
+    return None if value is None else math.degrees(value)
+
+
+@pytest.mark.parametrize("args", [
+    ("table", "--a", "2..3"), ("grid", 2, 5, "--resolution", 7, "--format", "json-lines"),
+], ids=["table", "grid"])
+def test_degrees_are_math_degrees_of_the_printed_radians(args):
+    """`table` and `grid` convert with math.degrees, bit for bit, as `solve`
+    does (TestSolveCommand.test_degrees_flag)."""
+    radians, degrees = json_lines(run(*args)), json_lines(run(*args, "--degrees"))
+    assert len(degrees) == len(radians) > 0
+    for rad, deg in zip(radians, degrees):
+        assert deg.keys() == rad.keys()
+        assert deg == {k: _in_degrees(v) if k in ANGLE_KEYS else v for k, v in rad.items()}
 
 
 OPTIONS = {

@@ -2,8 +2,8 @@
 only its defining module and that module's imports.  numpy is loaded only
 where an array or a general 4x4 matrix exists, the solver only where a pair
 is solved (``hypsimplex grid`` samples the conditions and loads no
-solver), and neither any module nor any command loads ``dataclasses`` or
-click.
+solver), neither any module nor any command loads ``dataclasses`` or
+click, and no command loads ``csv``.
 
 Each case runs in a fresh interpreter, so the modules loaded by the rest of
 the suite do not hide an import.
@@ -145,3 +145,12 @@ def test_no_module_or_command_loads_dataclasses():
         _cli("check", "3", "7"),
     ])
     assert not _loads(code, "dataclasses")
+
+
+def test_no_command_loads_csv():
+    # One interpreter runs every command in both formats, as above.
+    code = "\n".join(_cli(*args, "--format", fmt) for fmt in ("csv", "json-lines") for args in [
+        ("classify", "3", "7"), ("solve", "2", "3"), ("table", "--a", "3"),
+        ("grid", "2", "4", "--resolution", "4"), ("check", "3", "7"),
+    ])
+    assert not _loads(code, "csv")
